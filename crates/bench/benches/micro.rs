@@ -7,7 +7,8 @@
 //! the build is fully offline): each benchmark runs a timed loop around a
 //! closure and reports the per-iteration mean and median.
 //!
-//! Run with: `cargo bench --bench micro`
+//! Run with: `cargo bench --bench micro`. The `fleet_route/*` rows report
+//! the fleet simulator's host ns per event at 100, 1,000 and 10,000 nodes.
 //!
 //! `-- --smoke [--out FILE]` runs only the deterministic cold-start smoke
 //! benchmark (simulated makespans, machine-independent) and writes
@@ -232,6 +233,43 @@ fn bench_serving_and_workload() {
             )
         }),
     );
+}
+
+/// Host cost of fleet routing as the fleet grows: one scale-smoke-shaped
+/// run (pre-seeded caches, `ColdStartAware`, interactive Poisson trace)
+/// per fleet size, reported as wall-clock ns per processed event. Routing
+/// queries the fleet index instead of scanning every node, so the figure
+/// should stay near-flat from 100 to 10,000 nodes. Print-only.
+fn bench_fleet_route() {
+    use medusa_serving::{simulate_fleet, ClusterSpec, FleetProfile, Policy};
+    use medusa_workload::TraceConfig;
+    let profile = FleetProfile::measure(
+        Strategy::Medusa,
+        &spec(),
+        GpuSpec::a100_40gb(),
+        CostModel::default(),
+        1,
+        Parallelism::Overlapped,
+        77,
+    )
+    .expect("fleet profile");
+    let trace = TraceConfig::interactive(2000.0, 20.0)
+        .with_seed(77)
+        .generate();
+    for nodes in [100, 1_000, 10_000] {
+        let cluster = ClusterSpec::uniform(nodes).with_cached_prefix(nodes);
+        let t0 = Instant::now();
+        let out = simulate_fleet(&profile, &cluster, Policy::ColdStartAware, &trace);
+        let elapsed = t0.elapsed();
+        let events = out.stats.events_processed.max(1);
+        println!(
+            "{:<44} {:>8.1} ns/event   ({} events, {} requests, {elapsed:.3?})",
+            format!("fleet_route/{nodes}_nodes"),
+            elapsed.as_nanos() as f64 / events as f64,
+            events,
+            trace.len()
+        );
+    }
 }
 
 fn bench_tokenizer() {
@@ -463,6 +501,7 @@ fn main() {
     bench_online_restore();
     bench_serde();
     bench_serving_and_workload();
+    bench_fleet_route();
     bench_parallel_cold_start();
     if let Some(dir) = emit {
         run_smoke(

@@ -25,8 +25,12 @@ use std::sync::Arc;
 /// Distinct from [`crate::memory::DEVICE_REGION_BASE`] so device-pointer
 /// heuristics never match kernel addresses.
 const CODE_REGION_BASE: u64 = 0x0000_5f00_0000_0000;
+/// Each library's base is drawn from a window this wide above its slot.
 const CODE_ASLR_WINDOW: u64 = 1 << 34;
-const LIB_SPACING: u64 = 1 << 32;
+/// Distance between library slots: wider than the ASLR window plus a
+/// library's code span, so no two libraries' kernels ever share an
+/// address.
+const LIB_SPACING: u64 = 1 << 36;
 
 /// Static description of the GPU hardware.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

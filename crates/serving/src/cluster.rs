@@ -45,13 +45,20 @@
 //! crashed starts' stage completions) are cancelled instead of firing
 //! stale. The deterministic event order makes same-trace runs produce
 //! **byte-identical** reports and telemetry exports — which is what lets
-//! CI gate this layer — and the handler structure keeps the per-event
-//! cost flat, so thousand-node, multi-million-event fleets simulate in
+//! CI gate this layer. Routing never scans the fleet: every decision
+//! queries an incrementally maintained index of the nodes (see
+//! [`FleetQuery`]), so the per-event cost stays near-flat as the fleet
+//! grows and thousand-node, multi-million-event fleets simulate in
 //! wall-clock seconds.
+
+mod index;
+
+pub use index::FleetQuery;
 
 use crate::event::{EventQueue, EventToken, FleetEvent};
 use crate::params::PerfModel;
 use crate::predict::{PrewarmConfig, PrewarmEstimator};
+use index::{FleetIndex, RouteCtx};
 use medusa::{
     materialize_offline, ColdStart, ColdStartOptions, MedusaResult, Parallelism, Strategy,
 };
@@ -60,6 +67,7 @@ use medusa_model::ModelSpec;
 use medusa_telemetry::Registry as TelemetryRegistry;
 use medusa_workload::{fingerprint, Request};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Modeled fabric bandwidth for registry fetches, bytes/second (100 Gb/s,
@@ -938,36 +946,6 @@ pub enum NodeState {
     Warm,
 }
 
-/// Read-only view of one node, handed to [`Scheduler`] policies for one
-/// routing decision. Views are computed **per candidate request**, so
-/// `cached` and `accepts` already encode that request's model: a warm
-/// node serving a different model does not accept, and `cached` answers
-/// "does this node's cache hold *the requested model's* artifact".
-#[derive(Debug, Clone, Copy)]
-pub struct NodeView {
-    /// Lifecycle state.
-    pub state: NodeState,
-    /// Pending + running sequences on the node.
-    pub load: usize,
-    /// Whether the local artifact cache holds the materialized state for
-    /// the candidate request's model (so a cold start here skips the
-    /// registry fetch).
-    pub cached: bool,
-    /// Whether admitting *this* request respects the node's batch-slot
-    /// and KV-capacity limits and model affinity (always `true` for cold
-    /// nodes — they start empty and can start any model; always `false`
-    /// for pipeline shard helpers — they release back to cold, so work
-    /// must never queue on them).
-    pub accepts: bool,
-    /// Estimated time until this node could produce the candidate
-    /// request's first token, ns: a warm node's queue-drain estimate, a
-    /// cold node's full start cost (registry-fetch bytes over the fabric
-    /// when its cache misses, plus the restore), a starting node's
-    /// expected remaining start plus drain. Scored by
-    /// [`ServerlessLlmLocality`]; the legacy policies ignore it.
-    pub start_cost_ns: u64,
-}
-
 /// A routing decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
@@ -982,21 +960,22 @@ pub enum Decision {
 /// [`Scheduler::route`] places one request; [`Scheduler::pick_cold`] is
 /// consulted by the autoscaler whenever backlog (or an empty fleet) calls
 /// for waking a scaled-to-zero node — this is where a policy accounts the
-/// Medusa vs vanilla cold-start cost difference.
+/// Medusa vs vanilla cold-start cost difference. Both read the fleet
+/// through a [`FleetQuery`] for one request: its candidate sets answer
+/// in time independent of the fleet's size, and start costs are priced
+/// only for the nodes a policy asks about.
 pub trait Scheduler {
     /// Policy name (embedded in reports and telemetry).
     fn name(&self) -> &'static str;
 
     /// Routes one request.
-    fn route(&mut self, nodes: &[NodeView]) -> Decision;
+    fn route(&mut self, fleet: &FleetQuery<'_>) -> Decision;
 
     /// Picks which cold node the autoscaler should start for a request of
-    /// `model` (the views' `cached` bit already reflects that model's
-    /// locality). The default is cold-start-cost-oblivious: the first
-    /// cold node by index.
-    fn pick_cold(&mut self, nodes: &[NodeView], model: u32) -> Option<usize> {
-        let _ = model;
-        nodes.iter().position(|n| n.state == NodeState::Cold)
+    /// the query's model. The default is cold-start-cost-oblivious: the
+    /// first cold node by index.
+    fn pick_cold(&mut self, fleet: &FleetQuery<'_>) -> Option<usize> {
+        fleet.first_cold()
     }
 }
 
@@ -1012,18 +991,25 @@ impl Scheduler for RoundRobin {
         "round-robin"
     }
 
-    fn route(&mut self, nodes: &[NodeView]) -> Decision {
-        if nodes.is_empty() {
-            return Decision::Queue;
-        }
-        for off in 0..nodes.len() {
-            let i = (self.next + off) % nodes.len();
-            if nodes[i].accepts {
-                self.next = (i + 1) % nodes.len();
-                return Decision::Node(i);
+    fn route(&mut self, fleet: &FleetQuery<'_>) -> Decision {
+        let n = fleet.node_count();
+        // The first accepting node at or after `next`, cyclically: every
+        // cold node accepts, so only the next cold one can compete with
+        // the accepting live nodes.
+        let next = self.next;
+        let pick = fleet
+            .next_cold(next)
+            .into_iter()
+            .chain(fleet.accepting(NodeState::Warm))
+            .chain(fleet.accepting(NodeState::Starting))
+            .min_by_key(|&i| (i + n - next) % n);
+        match pick {
+            Some(i) => {
+                self.next = (i + 1) % n;
+                Decision::Node(i)
             }
+            None => Decision::Queue,
         }
-        Decision::Queue
     }
 }
 
@@ -1039,13 +1025,14 @@ impl Scheduler for LeastLoaded {
         "least-loaded"
     }
 
-    fn route(&mut self, nodes: &[NodeView]) -> Decision {
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.accepts)
-            .min_by_key(|(i, n)| (n.load, *i))
-            .map_or(Decision::Queue, |(i, _)| Decision::Node(i))
+    fn route(&mut self, fleet: &FleetQuery<'_>) -> Decision {
+        fleet
+            .least_loaded(NodeState::Warm)
+            .into_iter()
+            .chain(fleet.least_loaded(NodeState::Starting))
+            .chain(fleet.first_cold())
+            .min_by_key(|&i| (fleet.load(i), i))
+            .map_or(Decision::Queue, Decision::Node)
     }
 }
 
@@ -1064,41 +1051,24 @@ impl Scheduler for ColdStartAware {
         "coldstart-aware"
     }
 
-    fn route(&mut self, nodes: &[NodeView]) -> Decision {
-        let pick = |state: NodeState| {
-            nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| n.state == state && n.accepts)
-                .min_by_key(|(i, n)| (n.load, *i))
-                .map(|(i, _)| i)
-        };
-        if let Some(i) = pick(NodeState::Warm) {
-            return Decision::Node(i);
-        }
-        if let Some(i) = pick(NodeState::Starting) {
-            return Decision::Node(i);
-        }
-        Decision::Queue
+    fn route(&mut self, fleet: &FleetQuery<'_>) -> Decision {
+        fleet
+            .least_loaded(NodeState::Warm)
+            .or_else(|| fleet.least_loaded(NodeState::Starting))
+            .map_or(Decision::Queue, Decision::Node)
     }
 
-    fn pick_cold(&mut self, nodes: &[NodeView], _model: u32) -> Option<usize> {
+    fn pick_cold(&mut self, fleet: &FleetQuery<'_>) -> Option<usize> {
         // Cheapest start first: a node whose cache holds this model's
-        // artifact skips the registry fetch. The views are computed per
-        // candidate model, so `cached` *is* the model-affinity bit — a
-        // warm-cache node always wins over an empty one.
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.state == NodeState::Cold)
-            .min_by_key(|(i, n)| (!n.cached, *i))
-            .map(|(i, _)| i)
+        // artifact skips the registry fetch — a warm-cache node always
+        // wins over an empty one.
+        fleet.first_cold_cached().or_else(|| fleet.first_cold())
     }
 }
 
 /// ServerlessLLM-style locality routing: every candidate node — warm,
 /// starting, or cold — is scored by its **estimated start cost**
-/// ([`NodeView::start_cost_ns`]: cache-hit restore vs registry-fetch
+/// ([`FleetQuery::start_cost`]: cache-hit restore vs registry-fetch
 /// bytes at real MAF2 sizes, queue drain, warm state) and the request
 /// goes to the cheapest, instead of to the shortest queue. An idle warm
 /// node (cost ~0) always wins; once warm queues drain slower than a
@@ -1124,22 +1094,20 @@ impl Scheduler for ServerlessLlmLocality {
         }
     }
 
-    fn route(&mut self, nodes: &[NodeView]) -> Decision {
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.accepts)
-            .min_by_key(|(i, n)| (n.start_cost_ns, n.load, *i))
-            .map_or(Decision::Queue, |(i, _)| Decision::Node(i))
+    fn route(&mut self, fleet: &FleetQuery<'_>) -> Decision {
+        // Starting nodes differ in their remaining start, so each is
+        // priced; warm and cold nodes come pre-ranked.
+        fleet
+            .cheapest_warm()
+            .into_iter()
+            .chain(fleet.accepting(NodeState::Starting))
+            .chain(fleet.cheapest_cold())
+            .min_by_key(|&i| (fleet.start_cost(i), fleet.load(i), i))
+            .map_or(Decision::Queue, Decision::Node)
     }
 
-    fn pick_cold(&mut self, nodes: &[NodeView], _model: u32) -> Option<usize> {
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.state == NodeState::Cold)
-            .min_by_key(|(i, n)| (n.start_cost_ns, *i))
-            .map(|(i, _)| i)
+    fn pick_cold(&mut self, fleet: &FleetQuery<'_>) -> Option<usize> {
+        fleet.cheapest_cold()
     }
 }
 
@@ -1546,8 +1514,12 @@ struct Node {
     cache: Vec<CacheEntry>,
     /// Chunk-level residency under [`RegistryMode::ContentAddressed`]:
     /// the digests of every chunk backing a resident cache entry. Always
-    /// empty in whole-artifact mode.
+    /// empty in whole-artifact mode. Replaced only through
+    /// [`Node::set_chunks`], which drops `fetch_memo`.
     chunks: std::collections::BTreeSet<u64>,
+    /// Memoised content-addressed fetch estimates against `chunks`,
+    /// `(model, ns)`; filled on demand by routing queries.
+    fetch_memo: RefCell<Vec<(u32, u64)>>,
     /// Bumped on every crash; stale stage events are ignored (and
     /// retracted via their tokens, so they normally never even fire).
     epoch: u32,
@@ -1609,6 +1581,7 @@ impl Node {
             model: None,
             cache,
             chunks: std::collections::BTreeSet::new(),
+            fetch_memo: RefCell::new(Vec::new()),
             epoch: 0,
             degraded_start: false,
             keep_alive: None,
@@ -1636,24 +1609,22 @@ impl Node {
         }
     }
 
-    fn view(&self, need: u64, max_running: u32, kv_capacity: u64, model: u32) -> NodeView {
-        let live_accepts = self.load() < max_running as usize
-            && self.kv_tokens + need <= kv_capacity
-            && self.model == Some(model);
-        NodeView {
-            state: self.state,
-            load: self.load(),
-            cached: self.cache_holds(model),
-            accepts: match self.state {
-                NodeState::Cold => true,
-                // A pipeline shard helper releases back to cold when its
-                // shard lands, so work must never queue on it.
-                NodeState::Starting | NodeState::Warm => {
-                    live_accepts && self.pipeline_head.is_none()
-                }
-            },
-            start_cost_ns: 0,
+    /// Replaces the chunk residency, invalidating the fetch estimates
+    /// priced against the old set.
+    fn set_chunks(&mut self, chunks: std::collections::BTreeSet<u64>) {
+        self.chunks = chunks;
+        self.fetch_memo.get_mut().clear();
+    }
+
+    /// The fetch estimate of `model` against this node's chunk set,
+    /// computed by `price` on first use.
+    fn fetch_estimate(&self, model: u32, price: impl FnOnce() -> u64) -> u64 {
+        if let Some(&(_, ns)) = self.fetch_memo.borrow().iter().find(|e| e.0 == model) {
+            return ns;
         }
+        let ns = price();
+        self.fetch_memo.borrow_mut().push((model, ns));
+        ns
     }
 }
 
@@ -1671,14 +1642,17 @@ struct FleetSim<'a> {
     trace: &'a [Request],
     tele: Option<&'a TelemetryRegistry>,
     nodes: Vec<Node>,
+    /// Candidate sets over `nodes`, re-filed after every node transition.
+    index: FleetIndex,
+    /// Admission limits, cost tables, and the registry backend routing
+    /// and cold starts price with.
+    ctx: RouteCtx<'a>,
+    /// The pre-index scan, stepped in lockstep with the scheduler: every
+    /// indexed decision must equal its decision.
+    #[cfg(debug_assertions)]
+    reference: index::reference::ReferenceScan,
     queue: VecDeque<usize>,
     events: EventQueue<FleetEvent>,
-    /// Nodes not `Cold`, maintained incrementally so the autoscaler's
-    /// backlog check is O(1) per drained request instead of O(nodes).
-    live: usize,
-    /// Scratch buffer for [`NodeView`]s, reused across routing decisions
-    /// so a thousand-node fleet doesn't allocate per request.
-    views_buf: Vec<NodeView>,
     keep_alive_ns: u64,
     arrived: usize,
     ttfts: Vec<SimDuration>,
@@ -1699,13 +1673,6 @@ struct FleetSim<'a> {
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
-    /// The registry backend fetches resolve through.
-    registry: Box<dyn Registry>,
-    /// Whether the backend is content-addressed: chunk residency, scaled
-    /// fetch durations, per-chunk retries, and [`RegistryReport`] counters
-    /// all key off this (the whole-artifact path stays byte-identical to
-    /// the legacy simulator).
-    cas: bool,
     reg_bytes_fetched: u64,
     reg_bytes_resolved: u64,
     reg_chunk_hits: u64,
@@ -1733,59 +1700,41 @@ struct TenantStat {
 }
 
 impl FleetSim<'_> {
-    /// Fills the scratch view buffer for one routing decision on a request
-    /// of `model`; the caller hands the buffer back by assigning to
-    /// `views_buf`.
-    fn fill_views(&mut self, need: u64, model: u32) -> Vec<NodeView> {
-        let mut views = std::mem::take(&mut self.views_buf);
-        views.clear();
-        views.extend(self.nodes.iter().map(|n| {
-            let mut v = n.view(
-                need,
-                self.cluster.max_running,
-                self.profile.perf.kv_capacity_tokens,
-                model,
-            );
-            v.start_cost_ns = self.start_cost(n, v.cached, model);
-            v
-        }));
-        views
+    /// The routing query for a request of `model` needing `need` KV
+    /// tokens.
+    fn query(&self, need: u64, model: u32) -> FleetQuery<'_> {
+        FleetQuery::new(&self.nodes, &self.index, &self.ctx, model, need)
     }
 
-    /// Estimated time until node `n` could produce a first token for a
-    /// request of `model` (see [`NodeView::start_cost_ns`]): queue drain
-    /// for a warm node, the full cached-vs-fetch start cost for a cold
-    /// one, expected remaining start plus drain for a starting one.
-    fn start_cost(&self, n: &Node, cached: bool, model: u32) -> u64 {
-        let load = n.load() as u64;
-        let drain = load
-            * self
-                .profile
-                .perf
-                .decode_duration((load as u32).max(1))
-                .as_nanos();
-        match n.state {
-            NodeState::Warm => drain,
-            NodeState::Cold => self.est_cold_ns(n, cached, model),
-            NodeState::Starting => self.est_cold_ns(n, cached, model) / 2 + drain,
-        }
+    /// Re-files node `i` in the index after a transition.
+    fn sync(&mut self, i: usize) {
+        self.index.sync(i, &self.nodes[i]);
     }
 
-    /// Estimated cold-start makespan of `model` on node `n`: the legacy
-    /// profile tables in whole-artifact mode (byte-identical goldens), the
-    /// chunk-residency-resolved fetch plus restore in content-addressed
-    /// mode — which is what lets locality routing prefer a node already
-    /// holding most of a family's template chunks.
-    fn est_cold_ns(&self, n: &Node, cached: bool, model: u32) -> u64 {
-        if !self.cas {
-            return self.profile.coldstart_makespan(cached, model).as_nanos();
+    /// The policy's routing decision for request `r`.
+    fn route(&mut self, sched: &mut dyn Scheduler, r: usize) -> Decision {
+        let (need, model) = (kv_need(&self.trace[r]), self.trace[r].model);
+        let decision = sched.route(&self.query(need, model));
+        #[cfg(debug_assertions)]
+        {
+            let views = index::reference::views(&self.nodes, &self.ctx, need, model);
+            let expected = self.reference.route(&views);
+            debug_assert_eq!(decision, expected, "indexed route diverged from the scan");
         }
-        let loading = self.profile.loading_for(model).as_nanos();
-        if cached || self.profile.strategy != Strategy::Medusa {
-            return loading;
+        decision
+    }
+
+    /// The policy's pick of a cold node to start for a request of
+    /// `model` needing `need` KV tokens.
+    fn pick_cold(&mut self, sched: &mut dyn Scheduler, need: u64, model: u32) -> Option<usize> {
+        let pick = sched.pick_cold(&self.query(need, model));
+        #[cfg(debug_assertions)]
+        {
+            let views = index::reference::views(&self.nodes, &self.ctx, need, model);
+            let expected = self.reference.pick_cold(&views);
+            debug_assert_eq!(pick, expected, "indexed pick_cold diverged from the scan");
         }
-        let plan = self.registry.resolve(model, &n.chunks, self.profile);
-        loading + self.registry.fetch(model, &plan, self.profile).as_nanos()
+        pick
     }
 
     /// Inserts `model` into node `i`'s artifact cache at time `t` (or
@@ -1847,12 +1796,13 @@ impl FleetSim<'_> {
         // an eviction drops the victim's unshared chunks but keeps the
         // template chunks other residents still reference.
         if let RegistryMode::ContentAddressed(catalog) = &self.cluster.registry_mode {
-            node.chunks = node
+            let chunks = node
                 .cache
                 .iter()
                 .flat_map(|e| catalog.units_for(e.model, profile))
                 .map(|u| u.digest)
                 .collect();
+            node.set_chunks(chunks);
         }
     }
 
@@ -1874,7 +1824,7 @@ impl FleetSim<'_> {
         node.model = Some(model);
         node.cold_starts += 1;
         self.cold_starts += 1;
-        self.live += 1;
+        self.sync(i);
         if self.profile.strategy == Strategy::Medusa {
             if needs_fetch {
                 self.cache_misses += 1;
@@ -1899,7 +1849,8 @@ impl FleetSim<'_> {
         // Resolve what this fetch must move through the registry backend:
         // the whole artifact, or only the chunks the node's residency lacks.
         let plan = needs_fetch.then(|| {
-            self.registry
+            self.ctx
+                .registry
                 .resolve(model, &self.nodes[i].chunks, self.profile)
         });
         let node = &mut self.nodes[i];
@@ -1914,7 +1865,7 @@ impl FleetSim<'_> {
         let mut retries: u32 = 0;
         let mut degraded = false;
         if needs_fetch && faults.registry_fail_per_mille > 0 {
-            if self.cas {
+            if self.ctx.cas {
                 let units = plan.as_ref().map_or(&[][..], |p| &p.missing[..]);
                 'units: for u in units {
                     let salt = mix(0x5a17_c4a5 ^ u.digest);
@@ -1960,7 +1911,7 @@ impl FleetSim<'_> {
         node.degraded_start = degraded;
 
         let fetch_ns = match (&plan, degraded) {
-            (Some(p), false) => self.registry.fetch(model, p, self.profile).as_nanos(),
+            (Some(p), false) => self.ctx.registry.fetch(model, p, self.profile).as_nanos(),
             _ => 0,
         };
         let makespan_ns = if degraded {
@@ -1970,7 +1921,7 @@ impl FleetSim<'_> {
         } else {
             self.profile.loading_for(model).as_nanos() + fetch_ns
         };
-        if self.cas && !degraded {
+        if self.ctx.cas && !degraded {
             if let Some(p) = &plan {
                 self.reg_bytes_fetched += p.bytes_needed;
                 self.reg_bytes_resolved += p.bytes_resolved;
@@ -2073,7 +2024,7 @@ impl FleetSim<'_> {
         node.model = Some(model);
         node.cold_starts += 1;
         self.cold_starts += 1;
-        self.live += 1;
+        self.sync(i);
         if needs_fetch {
             self.cache_misses += 1;
         } else {
@@ -2132,8 +2083,8 @@ impl FleetSim<'_> {
         let helpers: Vec<usize> = if degraded {
             Vec::new()
         } else {
-            (0..self.nodes.len())
-                .filter(|&h| h != i && self.nodes[h].state == NodeState::Cold)
+            self.index
+                .cold()
                 .take(self.pipeline_k as usize - 1)
                 .collect()
         };
@@ -2147,11 +2098,12 @@ impl FleetSim<'_> {
         // so the retry rolls above keep the whole-fetch key schedule even
         // under chunked transfers.
         let plan = (needs_fetch && !degraded).then(|| {
-            self.registry
+            self.ctx
+                .registry
                 .resolve(model, &self.nodes[i].chunks, self.profile)
         });
         let fetch_ns = match &plan {
-            Some(p) => self.registry.fetch(model, p, self.profile).as_nanos(),
+            Some(p) => self.ctx.registry.fetch(model, p, self.profile).as_nanos(),
             None => 0,
         };
         let total_ns = if degraded {
@@ -2159,7 +2111,7 @@ impl FleetSim<'_> {
         } else {
             self.profile.loading_for(model).as_nanos() + fetch_ns
         };
-        if self.cas {
+        if self.ctx.cas {
             if let Some(p) = &plan {
                 self.reg_bytes_fetched += p.bytes_needed;
                 self.reg_bytes_resolved += p.bytes_resolved;
@@ -2259,7 +2211,7 @@ impl FleetSim<'_> {
             );
             self.nodes[h].stage_ready = Some(tok);
             self.nodes[i].pipeline_members.push(h);
-            self.live += 1;
+            self.sync(h);
             // Helper crash roll: attempt lane j+1 keeps helper fates
             // independent of the head's roll (attempt 0).
             if faults.node_crash_per_mille > 0 {
@@ -2301,6 +2253,7 @@ impl FleetSim<'_> {
         if let Some(tok) = node.keep_alive.take() {
             self.events.cancel(tok);
         }
+        self.sync(i);
         if let Some(tl) = self.tele {
             tl.span(
                 format!("route/r{}/m{model}->n{i}", self.trace[r].id),
@@ -2327,26 +2280,20 @@ impl FleetSim<'_> {
     /// nodes sit idle behind it.
     fn drain(&mut self, t: u64, sched: &mut dyn Scheduler) {
         if self.multi_tenant {
-            let mut idx = 0;
-            while idx < self.queue.len() {
-                let r = self.queue[idx];
-                let views = self.fill_views(kv_need(&self.trace[r]), self.trace[r].model);
-                let decision = sched.route(&views);
-                self.views_buf = views;
-                match decision {
-                    Decision::Node(i) => {
-                        self.queue.remove(idx);
-                        self.place(t, r, i);
-                    }
-                    Decision::Queue => idx += 1,
+            // One sweep in queue order: placed requests drop out, the
+            // rest keep their relative order.
+            let mut queue = std::mem::take(&mut self.queue);
+            queue.retain(|&r| match self.route(sched, r) {
+                Decision::Node(i) => {
+                    self.place(t, r, i);
+                    false
                 }
-            }
+                Decision::Queue => true,
+            });
+            self.queue = queue;
         } else {
             while let Some(&r) = self.queue.front() {
-                let views = self.fill_views(kv_need(&self.trace[r]), self.trace[r].model);
-                let decision = sched.route(&views);
-                self.views_buf = views;
-                match decision {
+                match self.route(sched, r) {
                     Decision::Node(i) => {
                         self.queue.pop_front();
                         self.place(t, r, i);
@@ -2361,34 +2308,22 @@ impl FleetSim<'_> {
         // *policy* picks which one (ColdStartAware prefers artifact-cached
         // nodes). Single-model traces never see the starvation clause:
         // every live node is affine to model 0.
-        loop {
-            if self.queue.is_empty() {
-                break;
-            }
-            let affine_live = |nodes: &[Node], model: u32| {
-                nodes.iter().any(|n| {
-                    matches!(n.state, NodeState::Warm | NodeState::Starting)
-                        && n.model == Some(model)
-                })
-            };
+        while let Some(&head) = self.queue.front() {
             // The request the next cold start is for: the first queued one
             // whose model is starved, else the queue head.
-            let &r = self
-                .queue
-                .iter()
-                .find(|&&r| !affine_live(&self.nodes, self.trace[r].model))
-                .unwrap_or_else(|| self.queue.front().expect("queue non-empty"));
+            let starved = |r: &usize| self.index.live(self.trace[*r].model) == 0;
+            let r = if self.multi_tenant {
+                self.queue.iter().copied().find(starved).unwrap_or(head)
+            } else {
+                head
+            };
             let model = self.trace[r].model;
-            let starved = !affine_live(&self.nodes, model);
-            let limit = self.cluster.autoscaler.target_queue_depth * self.live.max(1);
-            if self.live > 0 && !starved && self.queue.len() <= limit {
+            let live = self.nodes.len() - self.index.cold_count();
+            let limit = self.cluster.autoscaler.target_queue_depth * live.max(1);
+            if live > 0 && !starved(&r) && self.queue.len() <= limit {
                 break;
             }
-            let need = kv_need(&self.trace[r]);
-            let views = self.fill_views(need, model);
-            let pick = sched.pick_cold(&views, model);
-            self.views_buf = views;
-            match pick {
+            match self.pick_cold(sched, kv_need(&self.trace[r]), model) {
                 Some(i) => self.start_cold(t, i, model),
                 None => break,
             }
@@ -2455,6 +2390,7 @@ impl FleetSim<'_> {
         if populate {
             self.cache_insert(t, i, model);
         }
+        self.sync(i);
         self.events.schedule(t, FleetEvent::Route { node: i });
         self.drain(t, sched);
     }
@@ -2491,10 +2427,10 @@ impl FleetSim<'_> {
             node.prewarmed = false;
             rerouted.extend(node.pending.drain(..));
             let toks = [node.stage_fetch.take(), node.stage_ready.take()];
-            self.live -= 1;
             for tok in toks.into_iter().flatten() {
                 self.events.cancel(tok);
             }
+            self.sync(m);
         }
         self.nodes[head].pipeline_members.clear();
         self.node_failures += 1;
@@ -2544,7 +2480,7 @@ impl FleetSim<'_> {
             node.model = None;
             node.idle_since = None;
             let wasted = std::mem::take(&mut node.prewarmed);
-            self.live -= 1;
+            self.sync(i);
             self.scale_to_zero_events += 1;
             if wasted {
                 // Prewarmed, never served, scaled back down: pure waste.
@@ -2569,11 +2505,10 @@ impl FleetSim<'_> {
                 helper.model = None;
                 helper.idle_since = None;
                 helper.pipeline_head = None;
-                let tok = helper.stage_ready.take();
-                self.live -= 1;
-                if let Some(tok) = tok {
+                if let Some(tok) = helper.stage_ready.take() {
                     self.events.cancel(tok);
                 }
+                self.sync(m);
             }
         }
     }
@@ -2586,15 +2521,8 @@ impl FleetSim<'_> {
     fn on_scale_decision(&mut self, t: u64, prewarm: Option<u32>, sched: &mut dyn Scheduler) {
         match prewarm {
             Some(model) => {
-                let affine_live = self.nodes.iter().any(|n| {
-                    matches!(n.state, NodeState::Warm | NodeState::Starting)
-                        && n.model == Some(model)
-                });
-                if !affine_live {
-                    let views = self.fill_views(0, model);
-                    let pick = sched.pick_cold(&views, model);
-                    self.views_buf = views;
-                    if let Some(i) = pick {
+                if self.index.live(model) == 0 {
+                    if let Some(i) = self.pick_cold(sched, 0, model) {
                         self.start_cold(t, i, model);
                         self.nodes[i].prewarmed = true;
                         self.prewarms_issued += 1;
@@ -2642,7 +2570,7 @@ impl FleetSim<'_> {
             node.idle_since = None;
             node.pipeline_head = None;
         }
-        self.live -= 1;
+        self.sync(i);
         self.nodes[head].pipeline_members.retain(|&m| m != i);
         self.drain(t, sched);
     }
@@ -2721,6 +2649,7 @@ impl FleetSim<'_> {
             node.work_ns += dur * node.spec.tp as u64;
             self.events
                 .schedule(end, FleetEvent::IterationDone { node: i });
+            self.sync(i);
         } else if !node.running.is_empty() {
             // Batched decode step.
             let dur = perf.decode_duration(node.running.len() as u32).as_nanos();
@@ -2752,6 +2681,7 @@ impl FleetSim<'_> {
             node.work_ns += dur * node.spec.tp as u64;
             self.events
                 .schedule(end, FleetEvent::IterationDone { node: i });
+            self.sync(i);
         } else {
             // Idle: arm the keep-alive countdown. When scale-to-zero is
             // off the expiry could never fire anyway, so don't schedule
@@ -2811,21 +2741,45 @@ pub fn simulate_fleet_traced(
         .pipeline_k
         .unwrap_or(if policy == Policy::Pipeline { 2 } else { 1 })
         .max(1);
+    // Pre-seeded caches hold model 0's artifact; in content-addressed mode
+    // that means its chunks are resident too.
+    let seeded_chunks: std::collections::BTreeSet<u64> = match &cluster.registry_mode {
+        RegistryMode::ContentAddressed(catalog) => catalog
+            .units_for(0, profile)
+            .iter()
+            .map(|u| u.digest)
+            .collect(),
+        RegistryMode::Whole => Default::default(),
+    };
+    let nodes: Vec<Node> = cluster
+        .nodes
+        .iter()
+        .map(|spec| {
+            let mut node = Node::new(spec.clone(), seed_bytes);
+            if spec.cached {
+                node.set_chunks(seeded_chunks.clone());
+            }
+            node
+        })
+        .collect();
     let mut sim = FleetSim {
         profile,
         cluster,
         trace,
         tele,
-        nodes: cluster
-            .nodes
-            .iter()
-            .cloned()
-            .map(|s| Node::new(s, seed_bytes))
-            .collect(),
+        index: FleetIndex::new(&nodes),
+        nodes,
+        ctx: RouteCtx::new(
+            profile,
+            cluster.registry_mode.build(),
+            matches!(cluster.registry_mode, RegistryMode::ContentAddressed(_)),
+            cluster.max_running,
+            trace.len(),
+        ),
+        #[cfg(debug_assertions)]
+        reference: index::reference::ReferenceScan::new(policy),
         queue: VecDeque::new(),
         events: EventQueue::new(),
-        live: 0,
-        views_buf: Vec::with_capacity(cluster.nodes.len()),
         keep_alive_ns: (cluster.autoscaler.keep_alive_s * 1e9) as u64,
         arrived: 0,
         ttfts: Vec::new(),
@@ -2843,8 +2797,6 @@ pub fn simulate_fleet_traced(
         cache_hits: 0,
         cache_misses: 0,
         cache_evictions: 0,
-        registry: cluster.registry_mode.build(),
-        cas: matches!(cluster.registry_mode, RegistryMode::ContentAddressed(_)),
         reg_bytes_fetched: 0,
         reg_bytes_resolved: 0,
         reg_chunk_hits: 0,
@@ -2864,17 +2816,6 @@ pub fn simulate_fleet_traced(
             sim.tenant_stats.entry(r.model).or_default().offered += 1;
         }
     }
-    // Pre-seeded caches hold model 0's artifact; in content-addressed mode
-    // that means its chunks are resident too.
-    if let RegistryMode::ContentAddressed(catalog) = &cluster.registry_mode {
-        for node in sim.nodes.iter_mut().filter(|n| n.spec.cached) {
-            node.chunks = catalog
-                .units_for(0, profile)
-                .iter()
-                .map(|u| u.digest)
-                .collect();
-        }
-    }
     for (i, r) in trace.iter().enumerate() {
         sim.events
             .schedule(r.arrival_ns, FleetEvent::Arrival { req: i });
@@ -2890,7 +2831,24 @@ pub fn simulate_fleet_traced(
 
     let mut events_processed: u64 = 0;
     let mut truncated = false;
-    while let Some((t, ev)) = sim.events.pop() {
+    let mut last_t = 0;
+    loop {
+        let Some((t, ev)) = sim.events.pop() else {
+            // The queue ran dry with requests still waiting: a starved
+            // tenant's requests wait for a cold node, and the last node
+            // hosting another model just scaled to zero without any later
+            // event to re-run the autoscaler. Re-run it once at the last
+            // event's time; stop when it has nothing to start or place.
+            if sim.queue.is_empty() {
+                break;
+            }
+            sim.drain(last_t, sched.as_mut());
+            if sim.events.is_empty() {
+                break;
+            }
+            continue;
+        };
+        last_t = t;
         if t > horizon {
             truncated = true;
             break;
@@ -2914,6 +2872,8 @@ pub fn simulate_fleet_traced(
             FleetEvent::IterationDone { node } => sim.on_iteration_done(t, node, sched.as_mut()),
         }
     }
+    #[cfg(debug_assertions)]
+    sim.index.check(&sim.nodes);
     let truncated = truncated || !sim.events.is_empty();
     // Prewarmed nodes that never got work by the end of the run count as
     // waste too (a node a request landed on cleared the flag).
@@ -2980,7 +2940,7 @@ pub fn simulate_fleet_traced(
                 evictions: sim.cache_evictions,
             },
         ),
-        registry: sim.cas.then_some(RegistryReport {
+        registry: sim.ctx.cas.then_some(RegistryReport {
             bytes_fetched: sim.reg_bytes_fetched,
             bytes_resolved: sim.reg_bytes_resolved,
             chunk_hits: sim.reg_chunk_hits,
@@ -3604,20 +3564,18 @@ mod tests {
 
     #[test]
     fn pick_cold_lets_a_warm_cache_node_beat_an_empty_one() {
-        let view = |cached: bool, cost: u64| NodeView {
-            state: NodeState::Cold,
-            load: 0,
-            cached,
-            accepts: true,
-            start_cost_ns: cost,
-        };
+        let profile = medusa_profile(500, 300);
         // Node 1 holds the artifact; node 0 is empty but earlier by index.
-        let views = [view(false, 800), view(true, 500)];
-        assert_eq!(ColdStartAware.pick_cold(&views, 0), Some(1));
-        assert_eq!(
-            ServerlessLlmLocality::default().pick_cold(&views, 0),
-            Some(1)
-        );
+        let mut spec = ClusterSpec::uniform(2);
+        spec.nodes[1].cached = true;
+        let nodes: Vec<Node> = spec.nodes.iter().map(|s| Node::new(s.clone(), 1)).collect();
+        let index = FleetIndex::new(&nodes);
+        let ctx = RouteCtx::new(&profile, Box::new(WholeArtifact), false, 32, 1);
+        let fleet = FleetQuery::new(&nodes, &index, &ctx, 0, 0);
+        assert_eq!(fleet.start_cost(0), 800_000_000, "fetch + restore");
+        assert_eq!(fleet.start_cost(1), 500_000_000, "restore only");
+        assert_eq!(ColdStartAware.pick_cold(&fleet), Some(1));
+        assert_eq!(ServerlessLlmLocality::default().pick_cold(&fleet), Some(1));
         // The trait's default impl stays index-first and cost-oblivious on
         // purpose: the committed goldens pin RoundRobin/LeastLoaded to it.
         struct Oblivious;
@@ -3625,11 +3583,11 @@ mod tests {
             fn name(&self) -> &'static str {
                 "oblivious"
             }
-            fn route(&mut self, _: &[NodeView]) -> Decision {
+            fn route(&mut self, _: &FleetQuery<'_>) -> Decision {
                 Decision::Queue
             }
         }
-        assert_eq!(Oblivious.pick_cold(&views, 0), Some(0));
+        assert_eq!(Oblivious.pick_cold(&fleet), Some(0));
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! `N` simulated GPU workers, a pluggable [`Scheduler`] (round-robin,
 //! least-loaded, cold-start-aware with §6 artifact-cache locality, and a
 //! ServerlessLLM-style start-cost locality policy), and an autoscaler with
-//! keep-alive, scale-to-zero, and backlog-triggered scale-up. The
+//! keep-alive, scale-to-zero, and backlog-triggered scale-up. Schedulers
+//! decide over a [`FleetQuery`]: candidate sets of an incrementally
+//! maintained node index plus start costs priced on demand, so a routing
+//! decision does not scan the fleet. The
 //! [`predict`] module adds the proactive side: keep-alive/prewarm
 //! estimators fed by per-model arrival history that start nodes *before*
 //! a forecast burst, and [`ClusterSpec::pipeline_k`] shards one cold
@@ -61,7 +64,7 @@ pub use cluster::{
     simulate_fleet, simulate_fleet_traced, AutoscalerConfig, CacheCapacity, CacheConfig,
     CacheReport, ClusterFaults, ClusterReport, ClusterSpec, ColdStartAware, ContentAddressed,
     Decision, EvictionPolicy, FetchPlan, FetchPolicy, FetchUnit, FleetOutcome, FleetProfile,
-    FleetStats, LeastLoaded, ModelCost, ModelManifest, NodeReport, NodeSpec, NodeState, NodeView,
+    FleetQuery, FleetStats, LeastLoaded, ModelCost, ModelManifest, NodeReport, NodeSpec, NodeState,
     Policy, PrewarmReport, Registry, RegistryCatalog, RegistryMode, RegistryReport, RoundRobin,
     Scheduler, ServerlessLlmLocality, TenantReport, WholeArtifact,
 };

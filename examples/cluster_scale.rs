@@ -6,8 +6,9 @@
 //! cheap materialized cold starts only matter when a scheduler is waking
 //! and retiring instances constantly — and the regime a naive
 //! step-the-world simulator cannot reach. The event core keeps per-event
-//! cost flat (binary-heap queue, O(1) backlog accounting, reused routing
-//! scratch), so millions of events replay faster than real time.
+//! cost near-flat in the fleet size (binary-heap queue, routing decisions
+//! answered from an incremental node index instead of a scan of every
+//! node), so millions of events replay faster than real time.
 //!
 //! Run with: `cargo run --release --example cluster_scale [nodes] [rps]`
 

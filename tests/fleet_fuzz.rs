@@ -13,14 +13,21 @@
 //!   or was crashed back to `Cold`; nothing is left mid-start.
 //! * **Nothing left behind on a dry drain** — a non-truncated run
 //!   completed every arrival; no request is marooned in a queue.
+//!
+//! Cases draw from all five policies and include multi-tenant Zipf traces
+//! against bounded caches, both registry backends, prewarm, and pipeline
+//! starts, so a debug build checks every routing-index path against the
+//! node-by-node scan on every decision.
 
 use medusa::Strategy;
 use medusa_gpu::SimDuration;
 use medusa_serving::PerfModel;
 use medusa_serving::{
-    simulate_fleet, ClusterFaults, ClusterSpec, FetchPolicy, FleetOutcome, FleetProfile, Policy,
+    simulate_fleet, CacheCapacity, CacheConfig, ClusterFaults, ClusterSpec, EvictionPolicy,
+    FetchPolicy, FetchUnit, FleetOutcome, FleetProfile, ModelManifest, Policy, PrewarmConfig,
+    RegistryCatalog, RegistryMode,
 };
-use medusa_workload::{ArrivalPattern, Request, TraceConfig};
+use medusa_workload::{ArrivalPattern, ModelMix, Request, TraceConfig};
 use proptest::prelude::*;
 
 /// Synthetic per-instance cost tables — milliseconds-scale so a whole
@@ -81,6 +88,25 @@ fn fleet(
     c
 }
 
+/// Every built-in policy: the golden-pinned ones and the predictive ones.
+fn policy(idx: usize) -> Policy {
+    let all: Vec<Policy> = Policy::ALL.into_iter().chain(Policy::PREDICTIVE).collect();
+    all[idx % all.len()]
+}
+
+/// A content-addressed catalog where model `m` shares a template chunk
+/// with every other model and adds one chunk of its own.
+fn family_catalog(models: u32) -> RegistryCatalog {
+    let unit = |digest: u64, bytes: u64| FetchUnit { digest, bytes };
+    RegistryCatalog {
+        models: (0..models)
+            .map(|m| ModelManifest {
+                units: vec![unit(0x7e, 3_000_000), unit(0xd0 + u64::from(m), 1_000_000)],
+            })
+            .collect(),
+    }
+}
+
 /// The shared postcondition bundle every fuzz case must satisfy.
 fn assert_fleet_invariants(out: &FleetOutcome, trace: &[Request], label: &str) {
     assert_eq!(
@@ -134,12 +160,12 @@ proptest! {
         cached in 0usize..8,
         rps in 2.0f64..30.0,
         keep_alive_s in 0.5f64..8.0,
-        policy_idx in 0usize..3,
+        policy_idx in 0usize..5,
         crash_pm in 0u32..300,
         regfail_pm in 0u32..500,
         medusa_side in any::<bool>(),
     ) {
-        let policy = Policy::ALL[policy_idx % Policy::ALL.len()];
+        let policy = policy(policy_idx);
         let cluster = fleet(nodes, cached, keep_alive_s, crash_pm, regfail_pm, seed);
         let trace = TraceConfig::sharegpt(rps, 20.0)
             .with_seed(seed ^ 0x5eed_f00d)
@@ -184,5 +210,52 @@ proptest! {
             );
         }
         assert_fleet_invariants(&out, &trace, "churn");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Multi-tenant Zipf traffic against bounded caches: every policy,
+    /// eviction policy and registry backend, with prewarm and pipeline
+    /// starts drawn on top of crash and registry-failure injection.
+    #[test]
+    fn multi_tenant_bounded_cache_fleets_conserve_requests(
+        seed in any::<u64>(),
+        nodes in 1usize..8,
+        models in 2u32..7,
+        rps in 1.0f64..8.0,
+        keep_alive_s in 0.5f64..6.0,
+        policy_idx in 0usize..5,
+        cache_cap in 1u32..4,
+        eviction_idx in 0usize..3,
+        cas in any::<bool>(),
+        prewarm in any::<bool>(),
+        pipeline_k in 0u32..4,
+        crash_pm in 0u32..200,
+        regfail_pm in 0u32..300,
+    ) {
+        let mut cluster = fleet(nodes, nodes / 2, keep_alive_s, crash_pm, regfail_pm, seed)
+            .with_cache(CacheConfig {
+                capacity: CacheCapacity::Artifacts(cache_cap),
+                eviction: EvictionPolicy::ALL[eviction_idx],
+            });
+        if cas {
+            cluster = cluster.with_registry_mode(RegistryMode::ContentAddressed(family_catalog(models)));
+        }
+        if prewarm {
+            cluster = cluster.with_prewarm(PrewarmConfig::default());
+        }
+        if pipeline_k >= 2 {
+            cluster = cluster.with_pipeline(pipeline_k);
+        }
+        let trace = TraceConfig::sharegpt(rps, 20.0)
+            .with_seed(seed ^ 0x7e4a_47f5)
+            .with_models(ModelMix::zipf(models, 1.0))
+            .with_pattern(ArrivalPattern::sharegpt_bursty())
+            .generate();
+        let profile = profile(true).with_scaled_models(models);
+        let out = simulate_fleet(&profile, &cluster, policy(policy_idx), &trace);
+        assert_fleet_invariants(&out, &trace, "multi-tenant");
     }
 }
