@@ -20,10 +20,11 @@
 //! milliseconds.
 
 use crate::cluster::{
-    CacheCapacity, CacheConfig, ClusterFaults, ClusterSpec, EvictionPolicy, FetchPolicy,
-    FleetProfile, Policy,
+    CacheCapacity, CacheConfig, ClusterFaults, ClusterSpec, EvictionPolicy, FetchPolicy, FetchUnit,
+    FleetProfile, ModelManifest, Policy, RegistryCatalog, RegistryMode,
 };
 use crate::params::PerfModel;
+use crate::predict::{PrewarmConfig, PrewarmPolicy};
 use medusa::Strategy;
 use medusa_gpu::SimDuration;
 use medusa_workload::{ArrivalPattern, ModelMix, Request, TraceConfig};
@@ -193,18 +194,89 @@ pub fn differential_matrix() -> Vec<Scenario> {
             out.push(Scenario {
                 name: format!("s{seed}-mt-zipf6-{}", eviction.name()),
                 profile: medusa_profile().with_scaled_models(6),
-                cluster: base_cluster(ClusterFaults::default())
-                    .with_cache(CacheConfig {
-                        capacity: CacheCapacity::Artifacts(2),
-                        eviction,
-                    })
-                    .with_keep_alive(1.5),
+                cluster: mt_cluster(ClusterFaults::default(), eviction),
                 policy: Policy::ColdStartAware,
                 trace: trace_mt(seed),
             });
         }
     }
+    // The predictive policies and the content-addressed registry sit
+    // outside `Policy::ALL` and the whole-artifact default, so they get
+    // one pinned case each.
+    out.push(Scenario {
+        name: "s11-mt-locality-prewarm".to_string(),
+        profile: medusa_profile().with_scaled_models(6),
+        cluster: mt_cluster(ClusterFaults::default(), EvictionPolicy::CostAware).with_prewarm(
+            PrewarmConfig {
+                policy: PrewarmPolicy::Histogram { percentile_pm: 950 },
+                lead_s: 0.5,
+            },
+        ),
+        policy: Policy::Locality,
+        trace: trace_mt(11),
+    });
+    out.push(Scenario {
+        name: "s42-pipeline-k2-crashy".to_string(),
+        profile: medusa_profile(),
+        cluster: {
+            let mut c = base_cluster(ClusterFaults {
+                seed: 5,
+                registry_fail_per_mille: 250,
+                node_crash_per_mille: 120,
+            })
+            .with_pipeline(2);
+            c.autoscaler.keep_alive_s = 0.5;
+            c
+        },
+        policy: Policy::Pipeline,
+        trace: TraceConfig::sharegpt(0.8, 40.0).with_seed(42).generate(),
+    });
+    out.push(Scenario {
+        name: "s42-mt-cas-flaky".to_string(),
+        profile: medusa_profile().with_scaled_models(6),
+        cluster: mt_cluster(
+            ClusterFaults {
+                seed: 5,
+                registry_fail_per_mille: 150,
+                node_crash_per_mille: 0,
+            },
+            EvictionPolicy::CostAware,
+        )
+        .with_registry_mode(RegistryMode::ContentAddressed(catalog(6))),
+        policy: Policy::ColdStartAware,
+        trace: trace_mt(42),
+    });
     out
+}
+
+/// The multi-tenant fleet shape: [`base_cluster`] with 2-artifact caches
+/// under `eviction` and a 1.5 s keep-alive.
+fn mt_cluster(faults: ClusterFaults, eviction: EvictionPolicy) -> ClusterSpec {
+    base_cluster(faults)
+        .with_cache(CacheConfig {
+            capacity: CacheCapacity::Artifacts(2),
+            eviction,
+        })
+        .with_keep_alive(1.5)
+}
+
+/// A synthetic content-addressed catalog: every model shares four base
+/// chunks and draws its fine-tune chunks from a pool of eight, so chunk
+/// residency overlaps across tenants without being total.
+fn catalog(models: u32) -> RegistryCatalog {
+    RegistryCatalog {
+        models: (0..u64::from(models))
+            .map(|m| ModelManifest {
+                units: (0..12u64)
+                    .filter(|&d| d < 4 || (d + m) % 3 == 0)
+                    .map(|d| FetchUnit {
+                        digest: 0xc0 + d,
+                        bytes: 1_000 + 250 * d,
+                    })
+                    .collect(),
+            })
+            .collect(),
+    }
 }
 
 /// A Zipf-skewed six-model trace for the multi-tenant scenarios: sparse
