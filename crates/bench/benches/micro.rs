@@ -8,7 +8,8 @@
 //! closure and reports the per-iteration mean and median.
 //!
 //! Run with: `cargo bench --bench micro`. The `fleet_route/*` rows report
-//! the fleet simulator's host ns per event at 100, 1,000 and 10,000 nodes.
+//! the fleet simulator's host ns per event at 100, 1,000 and 10,000 nodes;
+//! the `event_queue/*` rows report its event queue's ns per operation.
 //!
 //! `-- --smoke [--out FILE]` runs only the deterministic cold-start smoke
 //! benchmark (simulated makespans, machine-independent) and writes
@@ -272,6 +273,55 @@ fn bench_fleet_route() {
     }
 }
 
+/// Host cost of the fleet's event queue per operation at the
+/// `fleet_scale` shape, about 160 pending events. `steady` pops the head
+/// and schedules a successor; `keepalive_churn` also re-arms one of 16
+/// nodes' far-future keep-alive expiries (a cancel plus a schedule) on
+/// every operation, so cancelled entries pile up unless the queue evicts
+/// them. Print-only.
+fn bench_event_queue() {
+    use medusa_serving::{EventQueue, EventToken, FleetEvent};
+    const PENDING: usize = 160;
+    const OPS: u32 = 2_000_000;
+    const KEEP_ALIVE_NS: u64 = 60_000_000_000;
+    for (name, churn) in [("steady", false), ("keepalive_churn", true)] {
+        // xorshift64: a fixed, dependency-free stream of delays.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut delay = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % 1_000_000
+        };
+        let mut q = EventQueue::new();
+        for node in 0..PENDING {
+            q.schedule(delay(), FleetEvent::Route { node });
+        }
+        let mut armed: Vec<Option<EventToken>> = vec![None; 16];
+        let t0 = Instant::now();
+        for op in 0..OPS {
+            let (t, ev) = q.pop().expect("the queue never runs dry");
+            q.schedule(t + delay(), ev);
+            if churn {
+                let node = op as usize % armed.len();
+                if let Some(tok) = armed[node].take() {
+                    q.cancel(tok);
+                }
+                let expiry = FleetEvent::KeepAliveExpiry { node };
+                armed[node] = Some(q.schedule(t + KEEP_ALIVE_NS, expiry));
+            }
+        }
+        let elapsed = t0.elapsed();
+        std::hint::black_box(&q);
+        println!(
+            "{:<44} {:>8.1} ns/op      ({OPS} ops, {} heap entries at end)",
+            format!("event_queue/{name}"),
+            elapsed.as_nanos() as f64 / f64::from(OPS),
+            q.heap_entries()
+        );
+    }
+}
+
 fn bench_tokenizer() {
     use medusa_model::Tokenizer;
     let (tok, _) = Tokenizer::load(32_000, &CostModel::default());
@@ -502,6 +552,7 @@ fn main() {
     bench_serde();
     bench_serving_and_workload();
     bench_fleet_route();
+    bench_event_queue();
     bench_parallel_cold_start();
     if let Some(dir) = emit {
         run_smoke(

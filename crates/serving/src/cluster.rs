@@ -43,7 +43,9 @@
 //! transition through a typed [`FleetEvent`], same-timestamp events fire
 //! in insertion order, and retractable futures (keep-alive expiries,
 //! crashed starts' stage completions) are cancelled instead of firing
-//! stale. The deterministic event order makes same-trace runs produce
+//! stale. Trace arrivals stream past the queue from an [`ArrivalCursor`]
+//! and win same-nanosecond ties, so the queue holds only pending work.
+//! The deterministic event order makes same-trace runs produce
 //! **byte-identical** reports and telemetry exports — which is what lets
 //! CI gate this layer. Routing never scans the fleet: every decision
 //! queries an incrementally maintained index of the nodes (see
@@ -55,7 +57,7 @@ mod index;
 
 pub use index::FleetQuery;
 
-use crate::event::{EventQueue, EventToken, FleetEvent};
+use crate::event::{ArrivalCursor, EventQueue, EventToken, FleetEvent};
 use crate::params::PerfModel;
 use crate::predict::{PrewarmConfig, PrewarmEstimator};
 use index::{FleetIndex, RouteCtx};
@@ -155,10 +157,6 @@ impl Default for FetchPolicy {
         }
     }
 }
-
-/// Former name of [`FetchPolicy`].
-#[deprecated(note = "renamed to FetchPolicy; the registry *backend* is now picked by RegistryMode")]
-pub type RegistryPolicy = FetchPolicy;
 
 // ---------------------------------------------------------------------
 // Registry backends: what a cache-miss fetch actually moves.
@@ -600,12 +598,6 @@ impl ClusterSpec {
     pub fn with_registry_mode(mut self, mode: RegistryMode) -> Self {
         self.registry_mode = mode;
         self
-    }
-
-    /// Former name of [`ClusterSpec::with_fetch_policy`].
-    #[deprecated(note = "renamed to with_fetch_policy; with_registry_mode picks the backend")]
-    pub fn with_registry(self, registry: FetchPolicy) -> Self {
-        self.with_fetch_policy(registry)
     }
 
     /// Arms fleet-level fault injection (builder style).
@@ -2816,10 +2808,8 @@ pub fn simulate_fleet_traced(
             sim.tenant_stats.entry(r.model).or_default().offered += 1;
         }
     }
-    for (i, r) in trace.iter().enumerate() {
-        sim.events
-            .schedule(r.arrival_ns, FleetEvent::Arrival { req: i });
-    }
+    // Arrivals stream from the trace; the queue holds only pending work.
+    let mut arrivals = ArrivalCursor::new(trace.iter().map(|r| r.arrival_ns));
     if let Some(interval_s) = cluster.autoscaler.eval_interval_s {
         let step = (interval_s * 1e9) as u64;
         if step > 0 {
@@ -2827,18 +2817,21 @@ pub fn simulate_fleet_traced(
                 .schedule(step, FleetEvent::ScaleDecision { prewarm: None });
         }
     }
-    let horizon = trace.last().map_or(0, |r| r.arrival_ns) + (cluster.drain_s * 1e9) as u64;
+    // The horizon runs from the latest arrival, which need not be the
+    // trace's last entry.
+    let horizon = arrivals.last_ns().unwrap_or(0) + (cluster.drain_s * 1e9) as u64;
 
     let mut events_processed: u64 = 0;
     let mut truncated = false;
     let mut last_t = 0;
     loop {
-        let Some((t, ev)) = sim.events.pop() else {
-            // The queue ran dry with requests still waiting: a starved
-            // tenant's requests wait for a cold node, and the last node
-            // hosting another model just scaled to zero without any later
-            // event to re-run the autoscaler. Re-run it once at the last
-            // event's time; stop when it has nothing to start or place.
+        let Some((t, ev)) = arrivals.pop_merged(&mut sim.events, |i| trace[i].arrival_ns) else {
+            // No arrival or event is left, yet requests still wait: a
+            // starved tenant's requests wait for a cold node, and the last
+            // node hosting another model just scaled to zero without any
+            // later event to re-run the autoscaler. Re-run it once at the
+            // last event's time; stop when it has nothing to start or
+            // place.
             if sim.queue.is_empty() {
                 break;
             }
@@ -2874,7 +2867,7 @@ pub fn simulate_fleet_traced(
     }
     #[cfg(debug_assertions)]
     sim.index.check(&sim.nodes);
-    let truncated = truncated || !sim.events.is_empty();
+    let truncated = truncated || !sim.events.is_empty() || arrivals.remaining() > 0;
     // Prewarmed nodes that never got work by the end of the run count as
     // waste too (a node a request landed on cleared the flag).
     sim.prewarms_unused += sim.nodes.iter().filter(|n| n.prewarmed).count() as u64;
@@ -3853,24 +3846,5 @@ mod tests {
             !out.report.nodes[0].cached_at_end,
             "a degraded start materializes no chunks"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_registry_policy_alias_still_builds_the_same_spec() {
-        let policy = RegistryPolicy {
-            timeout_s: 0.4,
-            retry_budget: 2,
-            backoff_base_s: 0.1,
-            backoff_max_s: 0.8,
-        };
-        let old = ClusterSpec::uniform(2).with_registry(policy);
-        let new = ClusterSpec::uniform(2).with_fetch_policy(policy);
-        assert_eq!(old.fetch_policy, new.fetch_policy);
-        let profile = medusa_profile(500, 300);
-        let trace = [req(0, 0, 100, 1)];
-        let a = simulate_fleet(&profile, &old, Policy::ColdStartAware, &trace);
-        let b = simulate_fleet(&profile, &new, Policy::ColdStartAware, &trace);
-        assert_eq!(a.report.to_json(), b.report.to_json());
     }
 }

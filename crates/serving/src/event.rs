@@ -17,47 +17,31 @@
 //! exact same event sequence every time.
 //!
 //! [`EventQueue::schedule`] returns an [`EventToken`] that
-//! [`EventQueue::cancel`] consumes; a cancelled event **never fires** —
-//! its payload is dropped immediately and its heap entry is skipped on
-//! pop. This is how the fleet retracts keep-alive expiries when work
-//! lands on an idle node, and retracts a crashed cold start's pending
-//! stage completions.
+//! [`EventQueue::cancel`] consumes; a cancelled event **never fires**.
+//! This is how the fleet retracts keep-alive expiries when work lands on
+//! an idle node, and retracts a crashed cold start's pending stage
+//! completions.
+//!
+//! The heap holds payloads inline and only a bounded number of
+//! cancelled entries: a cancel clears the event's bit in a one-bit-per-seq
+//! liveness set, and once cancelled entries outnumber pending ones the
+//! heap is compacted. Heap entries therefore never exceed twice the
+//! pending events plus [`EventQueue::COMPACT_SLACK`], however far in the
+//! future the cancelled events would have fired.
+//!
+//! Trace arrivals are not scheduled at all: an [`ArrivalCursor`] streams
+//! them in `(arrival_ns, trace index)` order and
+//! [`ArrivalCursor::pop_merged`] merges them with the queue. An arrival
+//! fires first when it is due no later than the queue's head, which is
+//! the order a queue holding every arrival ahead of all other events
+//! (seqs `0..n`) would produce.
 //!
 //! [`FleetEvent`] is the typed event taxonomy of the fleet layer
 //! ([`crate::cluster`]): nodes, the scheduler, and the registry interact
 //! *only* by scheduling these events against the shared queue.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hasher for the queue's `u64` seq keys. Seqs are dense
-/// monotone counters, so a single Fibonacci multiply mixes them plenty —
-/// and at millions of events per run, SipHash on every schedule/pop is
-/// measurable wall-clock.
-#[derive(Debug, Default)]
-pub struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Only u64 keys are ever hashed; this path exists for trait
-        // completeness.
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type SeqMap<E> = HashMap<u64, E, BuildHasherDefault<SeqHasher>>;
 
 /// Handle to one scheduled event, used to cancel it before it fires.
 ///
@@ -67,20 +51,56 @@ type SeqMap<E> = HashMap<u64, E, BuildHasherDefault<SeqHasher>>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventToken(u64);
 
+/// One heap entry: the payload travels with its `(t, seq)` key. Ordered
+/// on the key alone, reversed so the max-heap pops the earliest event.
+#[derive(Debug)]
+struct Entry<E> {
+    t: u64,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.t, self.seq) == (other.t, other.seq)
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.t, other.seq).cmp(&(self.t, self.seq))
+    }
+}
+
+/// Word index and bit mask of `seq` in a liveness set.
+fn slot(seq: u64) -> (usize, u64) {
+    ((seq / 64) as usize, 1 << (seq % 64))
+}
+
 /// Deterministic discrete-event priority queue keyed by `(sim_time, seq)`.
 ///
-/// See the [module docs](self) for the two ordering rules. `E` is the
-/// event payload type; the queue imposes no trait bounds on it beyond the
-/// implicit `Sized`.
+/// See the [module docs](self) for the two ordering rules and the heap
+/// bound. `E` is the event payload type; the queue imposes no trait
+/// bounds on it beyond the implicit `Sized`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap over `(fire_time_ns, seq)`.
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Payloads of *pending* events by `seq`; cancellation removes the
-    /// payload, leaving a tombstone key in the heap that `pop` skips.
-    payloads: SeqMap<E>,
+    /// Min-heap over `(fire_time_ns, seq)` holding the pending events and
+    /// at most `pending + COMPACT_SLACK` cancelled ones.
+    heap: BinaryHeap<Entry<E>>,
+    /// Bit `seq` is set while event `seq` is pending: cleared when it
+    /// fires or is cancelled.
+    live: Vec<u64>,
+    /// Cancelled entries still in the heap.
+    dead: usize,
     next_seq: u64,
-    scheduled: u64,
     cancelled: u64,
 }
 
@@ -91,15 +111,34 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Cancelled heap entries tolerated beyond the pending count before
+    /// a cancel or pop compacts the heap.
+    pub const COMPACT_SLACK: usize = 32;
+
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            payloads: SeqMap::default(),
+            live: Vec::new(),
+            dead: 0,
             next_seq: 0,
-            scheduled: 0,
             cancelled: 0,
         }
+    }
+
+    fn is_live(&self, seq: u64) -> bool {
+        let (word, bit) = slot(seq);
+        self.live[word] & bit != 0
+    }
+
+    /// Clears `seq`'s liveness bit; returns whether it was set.
+    fn kill(&mut self, seq: u64) -> bool {
+        let (word, bit) = slot(seq);
+        self.live.get_mut(word).is_some_and(|w| {
+            let was = *w & bit != 0;
+            *w &= !bit;
+            was
+        })
     }
 
     /// Schedules `event` to fire at simulated nanosecond `t_ns` and
@@ -108,9 +147,16 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, t_ns: u64, event: E) -> EventToken {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
-        self.heap.push(Reverse((t_ns, seq)));
-        self.payloads.insert(seq, event);
+        let (word, bit) = slot(seq);
+        if word == self.live.len() {
+            self.live.push(0);
+        }
+        self.live[word] |= bit;
+        self.heap.push(Entry {
+            t: t_ns,
+            seq,
+            event,
+        });
         EventToken(seq)
     }
 
@@ -118,54 +164,166 @@ impl<E> EventQueue<E> {
     /// event was still pending (and is now retracted), `false` if it had
     /// already fired or was already cancelled.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        let retracted = self.payloads.remove(&token.0).is_some();
+        let retracted = self.kill(token.0);
         if retracted {
             self.cancelled += 1;
+            self.dead += 1;
+            self.compact_if_needed();
         }
         retracted
+    }
+
+    /// Drops every cancelled entry once they outnumber the pending ones
+    /// by more than [`Self::COMPACT_SLACK`]. Each compaction is linear in
+    /// a heap at least half dead, so it costs amortised O(1) per cancel.
+    fn compact_if_needed(&mut self) {
+        if self.dead > self.len() + Self::COMPACT_SLACK {
+            let live = &self.live;
+            self.heap.retain(|e| {
+                let (word, bit) = slot(e.seq);
+                live[word] & bit != 0
+            });
+            self.dead = 0;
+        }
+    }
+
+    /// Pops cancelled entries off the top of the heap.
+    fn skip_dead(&mut self) {
+        while let Some(top) = self.heap.peek() {
+            if self.is_live(top.seq) {
+                return;
+            }
+            self.heap.pop();
+            self.dead -= 1;
+        }
     }
 
     /// Pops the next event as `(fire_time_ns, event)`, skipping cancelled
     /// entries. Returns `None` when no pending events remain.
     pub fn pop(&mut self) -> Option<(u64, E)> {
-        while let Some(Reverse((t, seq))) = self.heap.pop() {
-            if let Some(event) = self.payloads.remove(&seq) {
-                return Some((t, event));
-            }
-            // Tombstone of a cancelled event: skip.
-        }
-        None
+        self.skip_dead();
+        let Entry { t, seq, event } = self.heap.pop()?;
+        self.kill(seq);
+        self.compact_if_needed();
+        Some((t, event))
     }
 
     /// Fire time of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<u64> {
-        while let Some(&Reverse((t, seq))) = self.heap.peek() {
-            if self.payloads.contains_key(&seq) {
-                return Some(t);
-            }
-            self.heap.pop();
-        }
-        None
+        self.skip_dead();
+        self.heap.peek().map(|e| e.t)
     }
 
     /// Number of pending (scheduled, not yet fired or cancelled) events.
     pub fn len(&self) -> usize {
-        self.payloads.len()
+        self.heap.len() - self.dead
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
+        self.len() == 0
+    }
+
+    /// Entries the heap holds: the pending events plus cancelled ones not
+    /// yet evicted, never more than `2 * len() + COMPACT_SLACK`.
+    pub fn heap_entries(&self) -> usize {
+        self.heap.len()
     }
 
     /// Total events ever scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled
+        self.next_seq
     }
 
     /// Total events cancelled before firing.
     pub fn cancelled_total(&self) -> u64 {
         self.cancelled
+    }
+}
+
+/// Streams a trace's arrivals in `(arrival_ns, trace index)` order so the
+/// fleet never schedules them: only the next one is ever looked at.
+///
+/// A sorted trace is walked in place; an unsorted one is walked through a
+/// stable sort of its indices by arrival time.
+#[derive(Debug, Clone)]
+pub struct ArrivalCursor {
+    /// Trace indices in firing order; `None` when that is the identity.
+    order: Option<Vec<usize>>,
+    /// Arrivals consumed so far.
+    pos: usize,
+    /// Arrivals in the trace.
+    len: usize,
+    /// Arrival time of the last arrival in firing order (the latest).
+    last_ns: Option<u64>,
+}
+
+impl ArrivalCursor {
+    /// A cursor over arrivals whose times, in trace index order, are
+    /// `arrival_ns`.
+    pub fn new<I>(arrival_ns: I) -> Self
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
+        let times = arrival_ns.into_iter();
+        let mut len = 0;
+        let mut sorted = true;
+        let mut last_ns = None;
+        for t in times.clone() {
+            sorted &= last_ns.is_none_or(|prev| prev <= t);
+            last_ns = Some(last_ns.map_or(t, |prev: u64| prev.max(t)));
+            len += 1;
+        }
+        let order = (!sorted).then(|| {
+            let mut keyed: Vec<(u64, usize)> = times.zip(0..).collect();
+            // Stable: equal times keep their index order.
+            keyed.sort_by_key(|&(t, _)| t);
+            keyed.into_iter().map(|(_, i)| i).collect()
+        });
+        ArrivalCursor {
+            order,
+            pos: 0,
+            len,
+            last_ns,
+        }
+    }
+
+    /// Trace index of the next arrival, if any remain.
+    fn peek(&self) -> Option<usize> {
+        if self.pos == self.len {
+            return None;
+        }
+        Some(self.order.as_ref().map_or(self.pos, |o| o[self.pos]))
+    }
+
+    /// Arrivals not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.len - self.pos
+    }
+
+    /// Time of the latest arrival — the last one the cursor yields.
+    pub fn last_ns(&self) -> Option<u64> {
+        self.last_ns
+    }
+
+    /// Pops the next fleet event: the next arrival, as
+    /// [`FleetEvent::Arrival`], when `arrival_ns` of its trace index is no
+    /// later than every pending event of `queue`; otherwise the queue's
+    /// head. `None` once both are exhausted.
+    pub fn pop_merged(
+        &mut self,
+        queue: &mut EventQueue<FleetEvent>,
+        arrival_ns: impl Fn(usize) -> u64,
+    ) -> Option<(u64, FleetEvent)> {
+        if let Some(req) = self.peek() {
+            let t = arrival_ns(req);
+            if queue.peek_time().is_none_or(|head| t <= head) {
+                self.pos += 1;
+                return Some((t, FleetEvent::Arrival { req }));
+            }
+        }
+        queue.pop()
     }
 }
 

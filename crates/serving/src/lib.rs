@@ -68,11 +68,7 @@ pub use cluster::{
     Policy, PrewarmReport, Registry, RegistryCatalog, RegistryMode, RegistryReport, RoundRobin,
     Scheduler, ServerlessLlmLocality, TenantReport, WholeArtifact,
 };
-// The pre-trait policy name stays re-exported for one release so
-// downstream callers migrate on their own schedule.
-#[allow(deprecated)]
-pub use cluster::RegistryPolicy;
-pub use event::{EventQueue, EventToken, FleetEvent};
+pub use event::{ArrivalCursor, EventQueue, EventToken, FleetEvent};
 pub use params::PerfModel;
 pub use predict::{PrewarmConfig, PrewarmDecision, PrewarmEstimator, PrewarmPolicy};
 pub use sim::{simulate, simulate_traced, ClusterConfig, SimResult};

@@ -140,6 +140,28 @@ fn scale_to_zero_then_rewarm_round_trips() {
     assert!(out.report.nodes[0].cached_at_end);
 }
 
+/// A trace need not be sorted by arrival time: the drain horizon runs
+/// from the latest arrival, not from the trace's last entry, so an early
+/// request listed last is still served.
+#[test]
+fn unsorted_trace_serves_every_request() {
+    let profile = synthetic(500, 300);
+    let cluster = ClusterSpec::uniform(2);
+    let mk = |id: u64, at_s: u64| medusa_workload::Request {
+        id,
+        arrival_ns: at_s * 1_000_000_000,
+        prompt_tokens: 100,
+        output_tokens: 1,
+        model: 0,
+    };
+    let trace = vec![mk(0, 1_000), mk(1, 0)];
+    let out = simulate_fleet(&profile, &cluster, Policy::ColdStartAware, &trace);
+    assert_eq!(out.report.completed, 2, "a request was dropped");
+    assert_eq!(out.stats.arrived, 2);
+    assert!(!out.stats.horizon_truncated);
+    assert_eq!(out.conservation_residual(), 0);
+}
+
 /// tp>1 workers cost `tp`× the aggregate rank work for the same wall-clock
 /// service, and the measured tp=2 profile's cold-start work exceeds its
 /// makespan (ranks restore concurrently but all burn cycles).

@@ -15,14 +15,16 @@
 //!    on: pops never go back in time, same-timestamp events pop in
 //!    insertion (FIFO) order, cancelled events never fire, and for
 //!    distinct timestamps the pop sequence is independent of insertion
-//!    order.
+//!    order. Trace arrivals streamed by an [`ArrivalCursor`] merge with
+//!    the queue exactly as if every arrival had been scheduled first, and
+//!    cancelled entries never crowd the heap.
 //!
 //! Regenerate goldens (only after an *intentional* semantic change) with
 //! `cargo run --release -p medusa-bench --bin ci-check-bench -- golden
 //! results/golden`.
 
 use medusa_serving::scenarios::differential_matrix;
-use medusa_serving::{simulate_fleet, EventQueue};
+use medusa_serving::{simulate_fleet, ArrivalCursor, EventQueue, EventToken, FleetEvent};
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -186,6 +188,47 @@ proptest! {
         prop_assert_eq!(reference.pop(), None);
         prop_assert_eq!(q.scheduled_total(), plan.len() as u64);
         prop_assert_eq!(q.cancelled_total(), cancelled);
+    }
+
+    /// Streaming arrivals past the queue yields the same `(time, event)`
+    /// sequence as scheduling every arrival first, for unsorted traces
+    /// and same-nanosecond ties, while a handler that re-arms a far
+    /// keep-alive on every other event keeps the heap within its bound.
+    #[test]
+    fn streamed_arrivals_fire_as_if_scheduled_first(
+        arrivals in prop::collection::vec(0u64..64, 0..100),
+        delay in 0u64..4,
+    ) {
+        fn run(arrivals: &[u64], delay: u64, stream: bool) -> Vec<(u64, FleetEvent)> {
+            let mut q = EventQueue::new();
+            let mut cursor = if stream {
+                ArrivalCursor::new(arrivals.iter().copied())
+            } else {
+                for (req, &t) in arrivals.iter().enumerate() {
+                    q.schedule(t, FleetEvent::Arrival { req });
+                }
+                ArrivalCursor::new(std::iter::empty())
+            };
+            let expiry = FleetEvent::KeepAliveExpiry { node: 0 };
+            let mut armed: Option<EventToken> = None;
+            let mut log = Vec::new();
+            while let Some((t, ev)) = cursor.pop_merged(&mut q, |i| arrivals[i]) {
+                log.push((t, ev));
+                if let FleetEvent::Arrival { req } = ev {
+                    q.schedule(t + delay, FleetEvent::IterationDone { node: req % 3 });
+                }
+                if ev != expiry {
+                    if let Some(tok) = armed.take() {
+                        q.cancel(tok);
+                    }
+                    armed = Some(q.schedule(t + 1_000_000, expiry));
+                }
+                let bound = 2 * q.len() + EventQueue::<FleetEvent>::COMPACT_SLACK;
+                assert!(q.heap_entries() <= bound, "heap outgrew its bound");
+            }
+            log
+        }
+        prop_assert_eq!(run(&arrivals, delay, true), run(&arrivals, delay, false));
     }
 
     /// For distinct timestamps the pop sequence is a pure function of the
