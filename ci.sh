@@ -182,18 +182,14 @@ else
   done <<<"$PROPTEST_FILES"
 fi
 
-echo "==> deprecated carve-out (allow(deprecated) only in the core compat shims)"
-FOUND="$(git grep -l 'allow(deprecated)' -- '*.rs' || true)"
-BAD="$(echo "$FOUND" | grep -vx \
-  -e crates/core/src/lib.rs \
-  -e crates/core/src/pipeline.rs \
-  -e crates/core/src/tp.rs || true)"
+echo "==> no allow(deprecated) anywhere (the compat shims are gone)"
+BAD="$(git grep -l 'allow(deprecated)' -- '*.rs' || true)"
 if [ -n "$BAD" ]; then
-  echo "FAIL: allow(deprecated) outside the compat carve-out - migrate off the deprecated names:"
+  echo "FAIL: allow(deprecated) found - migrate off the deprecated names:"
   echo "$BAD"
   exit 1
 fi
-echo "    carve-out respected"
+echo "    none found"
 
 echo "==> cargo test (workspace)"
 cargo test --workspace -q

@@ -224,7 +224,7 @@ pub fn mechanism_breakdown() {
 /// keep-alive scale-down — cold starts recur at every burst front, so the
 /// cold-start strategy shows up directly in the p99 TTFT.
 pub fn bursty() {
-    use medusa_serving::{simulate, ClusterConfig, PerfModel};
+    use medusa_serving::{ClusterSpec, PerfModel};
     use medusa_workload::{ArrivalPattern, TraceConfig};
     println!(
         "### Extension — bursty arrivals + keep-alive scale-down (paper §1 motivation)
@@ -232,10 +232,7 @@ pub fn bursty() {
     );
     let spec = ModelSpec::by_name("Qwen1.5-4B").expect("catalog");
     let (artifact, _) = offline(&spec);
-    let cfg = ClusterConfig {
-        keep_alive_s: 15.0,
-        ..ClusterConfig::default()
-    };
+    let cfg = ClusterSpec::paper_testbed().with_keep_alive(15.0);
     let trace = TraceConfig::sharegpt(4.0, 300.0)
         .with_seed(7)
         .with_pattern(ArrivalPattern::sharegpt_bursty())
@@ -260,13 +257,13 @@ pub fn bursty() {
             common::online_seed(&spec, strategy),
         )
         .expect("measure");
-        let r = simulate(&perf, &cfg, &trace);
+        let r = common::serve(&perf, &cfg, &trace);
         println!(
             "{:<16} {:>9}s {:>9}s {:>12}",
             strategy.to_string(),
-            s(r.ttft_quantile(0.99)),
-            s(r.ttft_mean()),
-            r.cold_starts.len()
+            common::s_us(r.ttft_p99_us),
+            common::s_us(r.ttft_mean_us),
+            r.cold_starts
         );
     }
     println!(

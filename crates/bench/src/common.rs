@@ -6,6 +6,8 @@ use medusa::{
 };
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
 use medusa_model::ModelSpec;
+use medusa_serving::{simulate_fleet, ClusterReport, ClusterSpec, FleetProfile, PerfModel, Policy};
+use medusa_workload::Request;
 
 /// The evaluation GPU (paper §7: A100-40GB SXM4).
 pub fn gpu() -> GpuSpec {
@@ -55,9 +57,22 @@ pub fn run_cold(
     builder.run().expect("cold start").into_single()
 }
 
+/// Replays `trace` on `cluster` (the paper's §7.5 testbed,
+/// [`ClusterSpec::paper_testbed`], or a variant of it): every node launches
+/// at `perf`'s measured loading cost and routing is cold-start-aware.
+pub fn serve(perf: &PerfModel, cluster: &ClusterSpec, trace: &[Request]) -> ClusterReport {
+    let profile = FleetProfile::from_perf(perf.strategy, perf.clone());
+    simulate_fleet(&profile, cluster, Policy::ColdStartAware, trace).report
+}
+
 /// Seconds with 3 decimals.
 pub fn s(d: SimDuration) -> String {
     format!("{:.3}", d.as_secs_f64())
+}
+
+/// Microseconds as seconds with 3 decimals.
+pub fn s_us(us: u64) -> String {
+    s(SimDuration::from_micros(us))
 }
 
 /// Percentage with 1 decimal.

@@ -1,8 +1,8 @@
 //! The unified cold-start entry point.
 //!
-//! [`ColdStart`] replaces the grown-by-accretion free-function zoo
-//! (`cold_start`, `cold_start_traced`, `cold_start_tp`,
-//! `cold_start_tp_traced`, `materialize_offline_sharded`) with one builder:
+//! [`ColdStart`] is the one way to run a cold start — single-rank or
+//! tensor-parallel, with or without telemetry — and
+//! [`ColdStart::materialize`] runs the matching offline phase:
 //!
 //! ```
 //! use medusa::{ColdStart, Strategy};
@@ -30,12 +30,9 @@
 //! fire inside the pipeline. The fallback attempt runs clean — an injected
 //! fault fires at most once.
 //!
-//! Seed semantics are preserved exactly from the free functions: the
-//! single-instance path (no [`ColdStart::tp`] call) consumes `opts.seed`
-//! directly like `cold_start` did, while the tensor-parallel path (any
-//! `tp(n)` call, including `n = 1`) derives per-rank seeds like
-//! `cold_start_tp` did — so measurements and committed baselines are
-//! unchanged by migrating.
+//! Seed semantics: the single-instance path (no [`ColdStart::tp`] call)
+//! consumes `opts.seed` directly, while the tensor-parallel path (any
+//! `tp(n)` call, including `n = 1`) derives a seed per rank from it.
 
 use crate::artifact::MaterializedState;
 use crate::error::{MedusaError, MedusaResult};
@@ -107,8 +104,7 @@ impl ColdStartOutcome {
         &mut self.engines[0]
     }
 
-    /// Consumes a single-rank outcome into `(engine, report)` — the return
-    /// shape of the deprecated `cold_start`.
+    /// Consumes a single-rank outcome into `(engine, report)`.
     ///
     /// # Panics
     ///

@@ -205,7 +205,13 @@ impl TpColdStart {
     }
 }
 
-/// Cold-starts every rank of a `tp`-way instance with `strategy`.
+/// Multi-rank cold start behind the [`crate::builder::ColdStart`] builder:
+/// cold-starts every rank of a `tp`-way instance with `strategy`. With
+/// `tele`, every rank shares the registry: per-rank stage spans land under
+/// `rank{r}/`-prefixed names on `/rank{r}`-suffixed lanes, and the
+/// cross-rank barrier is recorded as `tp_sync_us`. The registry is
+/// internally synchronized and every write is commutative or rank-keyed,
+/// so concurrent rank threads still produce a deterministic snapshot.
 ///
 /// # Errors
 ///
@@ -214,52 +220,6 @@ impl TpColdStart {
 /// * [`MedusaError::ArtifactMismatch`] if `artifacts` has a different
 ///   degree.
 /// * Propagated per-rank errors.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the `ColdStart` builder: `ColdStart::new(spec).tp(n).run()`"
-)]
-pub fn cold_start_tp(
-    strategy: Strategy,
-    spec: &ModelSpec,
-    tp: u32,
-    gpu: GpuSpec,
-    cost: CostModel,
-    artifacts: Option<&TpArtifacts>,
-    opts: ColdStartOptions,
-) -> MedusaResult<TpColdStart> {
-    cold_start_tp_impl(strategy, spec, tp, gpu, cost, artifacts, opts, None)
-}
-
-/// [`cold_start_tp`] with an optional telemetry registry shared by every
-/// rank: per-rank stage spans land under `rank{r}/`-prefixed names on
-/// `/rank{r}`-suffixed lanes, and the cross-rank barrier is recorded as
-/// `tp_sync_us`. The registry is internally synchronized and every write
-/// is commutative or rank-keyed, so concurrent rank threads still produce
-/// a deterministic snapshot.
-///
-/// # Errors
-///
-/// Same as [`cold_start_tp`].
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.6.0",
-    note = "use the `ColdStart` builder: `ColdStart::new(spec).tp(n).telemetry(t).run()`"
-)]
-pub fn cold_start_tp_traced(
-    strategy: Strategy,
-    spec: &ModelSpec,
-    tp: u32,
-    gpu: GpuSpec,
-    cost: CostModel,
-    artifacts: Option<&TpArtifacts>,
-    opts: ColdStartOptions,
-    tele: Option<&Registry>,
-) -> MedusaResult<TpColdStart> {
-    cold_start_tp_impl(strategy, spec, tp, gpu, cost, artifacts, opts, tele)
-}
-
-/// Shared multi-rank implementation behind the deprecated free functions
-/// and the [`crate::builder::ColdStart`] builder.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn cold_start_tp_impl(
     strategy: Strategy,
@@ -340,8 +300,7 @@ mod tests {
         ModelSpec::by_name("Qwen1.5-0.5B").unwrap()
     }
 
-    // Local shims shadowing the deprecated glob-imported free functions:
-    // the tests exercise the impls directly.
+    // Test helpers: the `*_impl` entry points without telemetry.
     fn cold_start_tp(
         strategy: Strategy,
         spec: &ModelSpec,
@@ -363,35 +322,6 @@ mod tests {
         opts: ColdStartOptions,
     ) -> MedusaResult<(ReadyEngine, ColdStartReport)> {
         cold_start_impl(strategy, spec, gpu, cost, artifact, opts, None)
-    }
-
-    /// The deprecated tp wrapper stays byte-compatible with the impl.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_tp_wrapper_matches_the_impl() {
-        let s = spec();
-        let a = super::cold_start_tp(
-            Strategy::NoCudaGraph,
-            &s,
-            2,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            None,
-            ColdStartOptions::default(),
-        )
-        .unwrap();
-        let b = cold_start_tp(
-            Strategy::NoCudaGraph,
-            &s,
-            2,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            None,
-            ColdStartOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(a.reports, b.reports);
-        assert_eq!(a.sync, b.sync);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Multi-node serverless cluster simulator with cold-start-aware
-//! scheduling — the fleet layer above the per-instance simulator in
-//! [`crate::simulate`].
+//! scheduling — the one serving simulator of this crate, from the paper's
+//! 4-GPU trace testbed ([`ClusterSpec::paper_testbed`]) up to
+//! thousand-node fleets.
 //!
 //! The paper evaluates Medusa per GPU, but its payoff is fleet-level:
 //! materialization makes cold starts cheap enough that a serverless
@@ -563,6 +564,20 @@ impl ClusterSpec {
             prewarm: None,
             pipeline_k: None,
         }
+    }
+
+    /// The paper's §7.5 trace testbed (Fig. 10/11): 4 single-GPU A100
+    /// workers with their artifact caches seeded, 32 running sequences per
+    /// instance, a 600 s drain, a 60 s keep-alive, and an autoscaler that
+    /// starts a node as soon as the backlog exceeds one request per live
+    /// node. Run it with [`FleetProfile::from_perf`] (zero fetch, launch
+    /// cost equal to `perf.loading`: the warm-container pool, where a
+    /// cold start is exactly the loading phase) and
+    /// [`Policy::ColdStartAware`].
+    pub fn paper_testbed() -> Self {
+        let mut spec = ClusterSpec::uniform(4).with_cached_prefix(4);
+        spec.autoscaler.target_queue_depth = 1;
+        spec
     }
 
     /// Marks the first `k` nodes' local caches as pre-populated (builder
@@ -3141,6 +3156,98 @@ mod tests {
         // cache survived scale-to-zero, so only load 500 + prefill 20.
         assert_eq!(out.ttfts[0], SimDuration::from_millis(820));
         assert_eq!(out.ttfts[1], SimDuration::from_millis(520));
+
+        // On the paper's testbed (warm-container pool, launch = loading):
+        // a 10 s keep-alive retires the instance inside the 30 s gap, so
+        // the second request pays exactly cold start 1000 + prefill 20;
+        // the default 60 s keep-alive survives the gap and it pays only
+        // the prefill.
+        let vanilla = FleetProfile::from_perf(Strategy::Vanilla, perf(1000));
+        let short = ClusterSpec::paper_testbed().with_keep_alive(10.0);
+        let out = simulate_fleet(&vanilla, &short, Policy::ColdStartAware, &trace);
+        assert_eq!(out.report.cold_starts, 2, "scale-down forces a new start");
+        assert_eq!(out.ttfts[1], SimDuration::from_millis(1020));
+        let long = ClusterSpec::paper_testbed();
+        let out = simulate_fleet(&vanilla, &long, Policy::ColdStartAware, &trace);
+        assert_eq!(out.report.cold_starts, 1);
+        assert_eq!(out.ttfts[1], SimDuration::from_millis(20));
+    }
+
+    #[test]
+    fn paper_testbed_batches_decode_across_sequences() {
+        let profile = FleetProfile::from_perf(Strategy::Vanilla, perf(100));
+        let trace = vec![req(0, 0, 100, 10), req(1, 0, 100, 10)];
+        let out = simulate_fleet(
+            &profile,
+            &ClusterSpec::paper_testbed(),
+            Policy::ColdStartAware,
+            &trace,
+        );
+        assert_eq!(out.report.completed, 2);
+        assert_eq!(out.report.cold_starts, 1, "both fit one instance");
+        // Cold start 100, two prefills of 20, then the 9 remaining tokens
+        // of both sequences as 9 batch-2 decode steps of 6 ms. Decoding
+        // per sequence would end 45 ms later.
+        let expected_ms = 100 + 20 + 20 + 9 * 6;
+        assert_eq!(out.report.makespan_ns, expected_ms * 1_000_000);
+    }
+
+    #[test]
+    fn kv_capacity_serialises_admission() {
+        // Each request reserves 150 KV tokens; a 300-token node admits two
+        // at a time, so later admissions wait for releases.
+        let trace: Vec<Request> = (0..8).map(|i| req(i, 0, 100, 50)).collect();
+        let spec = ClusterSpec::uniform(1);
+        let run = |p: PerfModel| {
+            let profile = FleetProfile::from_perf(Strategy::Vanilla, p);
+            simulate_fleet(&profile, &spec, Policy::ColdStartAware, &trace)
+        };
+        let tight = run(perf(100).with_kv_capacity(300));
+        assert_eq!(tight.report.completed, 8, "everything eventually completes");
+        let max = |o: &FleetOutcome| *o.ttfts.iter().max().unwrap();
+        let min = |o: &FleetOutcome| *o.ttfts.iter().min().unwrap();
+        assert!(
+            max(&tight).as_nanos() - min(&tight).as_nanos()
+                > SimDuration::from_millis(200).as_nanos(),
+            "admission must serialise"
+        );
+        let roomy = run(perf(100));
+        assert!(
+            max(&roomy) < max(&tight),
+            "kv pressure must raise tail TTFT"
+        );
+    }
+
+    #[test]
+    fn burst_scale_up_stops_at_the_node_count() {
+        let profile = FleetProfile::from_perf(Strategy::Vanilla, perf(500));
+        let trace: Vec<Request> = (0..200).map(|i| req(i, 0, 100, 50)).collect();
+        let out = simulate_fleet(
+            &profile,
+            &ClusterSpec::paper_testbed(),
+            Policy::ColdStartAware,
+            &trace,
+        );
+        assert_eq!(out.report.cold_starts, 4, "one start per node, no more");
+        assert_eq!(out.report.completed, 200);
+    }
+
+    #[test]
+    fn faster_cold_start_lowers_the_tail() {
+        let trace: Vec<Request> = (0..120).map(|i| req(i, i * 30, 150, 40)).collect();
+        let run = |loading_ms| {
+            let profile = FleetProfile::from_perf(Strategy::Vanilla, perf(loading_ms));
+            let spec = ClusterSpec::paper_testbed();
+            simulate_fleet(&profile, &spec, Policy::ColdStartAware, &trace).report
+        };
+        let (slow, fast) = (run(3000), run(800));
+        assert!(
+            fast.ttft_p99_us < slow.ttft_p99_us,
+            "p99 {} !< {}",
+            fast.ttft_p99_us,
+            slow.ttft_p99_us
+        );
+        assert!(fast.ttft_mean_us <= slow.ttft_mean_us);
     }
 
     #[test]

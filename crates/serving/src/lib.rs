@@ -2,18 +2,21 @@
 //!
 //! Discrete-event serverless serving cluster simulator for the Medusa
 //! (ASPLOS'25) reproduction — the substrate behind the paper's application
-//! trace experiments (Figures 10 and 11).
+//! trace experiments (Figures 10 and 11) and the fleet experiments beyond
+//! them.
 //!
 //! Performance numbers come from *measured* runs of the real pipelines and
 //! forward passes ([`PerfModel::measure`]); the simulator replays them at
 //! queueing scale: Poisson arrivals, a global queue, reactive scale-up with
 //! cold starts, iteration-level batched serving, and TTFT tail metrics.
 //!
-//! Above the per-instance simulator sits the fleet layer ([`cluster`]):
-//! `N` simulated GPU workers, a pluggable [`Scheduler`] (round-robin,
-//! least-loaded, cold-start-aware with §6 artifact-cache locality, and a
+//! One simulator ([`cluster`]) covers every scale: `N` simulated GPU
+//! workers, a pluggable [`Scheduler`] (round-robin, least-loaded,
+//! cold-start-aware with §6 artifact-cache locality, and a
 //! ServerlessLLM-style start-cost locality policy), and an autoscaler with
-//! keep-alive, scale-to-zero, and backlog-triggered scale-up. Schedulers
+//! keep-alive, scale-to-zero, and backlog-triggered scale-up. The paper's
+//! 4-GPU testbed is one configuration of it
+//! ([`ClusterSpec::paper_testbed`]). Schedulers
 //! decide over a [`FleetQuery`]: candidate sets of an incrementally
 //! maintained node index plus start costs priced on demand, so a routing
 //! decision does not scan the fleet. The
@@ -29,7 +32,7 @@
 //! use medusa::Strategy;
 //! use medusa_gpu::{CostModel, GpuSpec};
 //! use medusa_model::ModelSpec;
-//! use medusa_serving::{simulate, ClusterConfig, PerfModel};
+//! use medusa_serving::{simulate_fleet, ClusterSpec, FleetProfile, PerfModel, Policy};
 //! use medusa_workload::TraceConfig;
 //!
 //! # fn main() -> Result<(), medusa::MedusaError> {
@@ -43,8 +46,13 @@
 //!     1,
 //! )?;
 //! let trace = TraceConfig::sharegpt(2.0, 60.0).with_seed(1).generate();
-//! let result = simulate(&perf, &ClusterConfig::default(), &trace);
-//! println!("p99 TTFT: {}", result.ttft_quantile(0.99));
+//! let out = simulate_fleet(
+//!     &FleetProfile::from_perf(Strategy::Vanilla, perf),
+//!     &ClusterSpec::paper_testbed(),
+//!     Policy::ColdStartAware,
+//!     &trace,
+//! );
+//! println!("p99 TTFT: {} us", out.report.ttft_p99_us);
 //! # Ok(())
 //! # }
 //! ```
@@ -58,7 +66,6 @@ pub mod event;
 mod params;
 pub mod predict;
 pub mod scenarios;
-mod sim;
 
 pub use cluster::{
     simulate_fleet, simulate_fleet_traced, AutoscalerConfig, CacheCapacity, CacheConfig,
@@ -71,4 +78,3 @@ pub use cluster::{
 pub use event::{ArrivalCursor, EventQueue, EventToken, FleetEvent};
 pub use params::PerfModel;
 pub use predict::{PrewarmConfig, PrewarmDecision, PrewarmEstimator, PrewarmPolicy};
-pub use sim::{simulate, simulate_traced, ClusterConfig, SimResult};

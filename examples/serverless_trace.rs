@@ -1,13 +1,14 @@
-//! Serverless trace replay: run a bursty ShareGPT-like workload through the
-//! 4-GPU cluster simulator under all four strategies and report TTFT tails
-//! (the paper's Figure 10 experiment at example scale).
+//! Serverless trace replay: run a ShareGPT-like workload through the
+//! paper's 4-GPU testbed (`ClusterSpec::paper_testbed`) under all four
+//! strategies and report TTFT tails (the paper's Figure 10 experiment at
+//! example scale).
 //!
 //! Run with: `cargo run --release --example serverless_trace [rps]`
 
 use medusa::{materialize_offline, Strategy};
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
-use medusa_serving::{simulate, ClusterConfig, PerfModel};
+use medusa_serving::{simulate_fleet, ClusterSpec, FleetProfile, PerfModel, Policy};
 use medusa_workload::TraceConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,16 +50,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<16} {:>10} {:>10} {:>10} {:>12} {:>12}",
         "strategy", "p50 TTFT", "p99 TTFT", "mean", "throughput", "cold starts"
     );
-    for (strategy, perf) in &perfs {
-        let r = simulate(perf, &ClusterConfig::default(), &trace);
+    for (strategy, perf) in perfs {
+        let profile = FleetProfile::from_perf(strategy, perf);
+        let r = simulate_fleet(
+            &profile,
+            &ClusterSpec::paper_testbed(),
+            Policy::ColdStartAware,
+            &trace,
+        )
+        .report;
+        let secs = |us: u64| us as f64 / 1e6;
         println!(
             "{:<16} {:>9.3}s {:>9.3}s {:>9.3}s {:>9.2}qps {:>12}",
             strategy.to_string(),
-            r.ttft_quantile(0.5).as_secs_f64(),
-            r.ttft_quantile(0.99).as_secs_f64(),
-            r.ttft_mean().as_secs_f64(),
-            r.throughput(),
-            r.cold_starts.len()
+            secs(r.ttft_p50_us),
+            secs(r.ttft_p99_us),
+            secs(r.ttft_mean_us),
+            r.completed as f64 / (r.makespan_ns as f64 / 1e9),
+            r.cold_starts
         );
     }
     println!("\npaper Fig. 10: Medusa cuts p99 TTFT by ~50-53% vs vLLM and beats w/o CUDA graph");

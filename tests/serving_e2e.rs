@@ -1,14 +1,16 @@
-//! End-to-end serving experiments at test scale: the Figure 10/11 shape on
-//! a small model — Medusa must dominate the TTFT tail under bursty load.
+//! End-to-end serving experiments on the paper's §7.5 testbed
+//! ([`ClusterSpec::paper_testbed`]): the Figure 10 ordering on the paper's
+//! models, and the Figure 10/11 shapes at test scale — Medusa must
+//! dominate the TTFT tail under load.
 
 use medusa::{materialize_offline, Strategy};
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
-use medusa_serving::{simulate, ClusterConfig, PerfModel, SimResult};
-use medusa_workload::TraceConfig;
+use medusa_serving::{simulate_fleet, ClusterReport, ClusterSpec, FleetProfile, PerfModel, Policy};
+use medusa_workload::{Request, TraceConfig};
 
-fn perf_for(strategy: Strategy) -> PerfModel {
-    let spec = ModelSpec::by_name("Qwen1.5-0.5B").expect("catalog model");
+fn perf_for(model: &str, strategy: Strategy) -> PerfModel {
+    let spec = ModelSpec::by_name(model).expect("catalog model");
     let art = match strategy {
         Strategy::Medusa => Some(
             materialize_offline(&spec, GpuSpec::a100_40gb(), CostModel::default(), 71)
@@ -28,9 +30,58 @@ fn perf_for(strategy: Strategy) -> PerfModel {
     .expect("measure")
 }
 
-fn run(strategy: Strategy, rps: f64) -> SimResult {
+fn serve(perf: PerfModel, trace: &[Request]) -> ClusterReport {
+    let profile = FleetProfile::from_perf(perf.strategy, perf);
+    simulate_fleet(
+        &profile,
+        &ClusterSpec::paper_testbed(),
+        Policy::ColdStartAware,
+        trace,
+    )
+    .report
+}
+
+fn run(strategy: Strategy, rps: f64) -> ClusterReport {
     let trace = TraceConfig::sharegpt(rps, 90.0).with_seed(5).generate();
-    simulate(&perf_for(strategy), &ClusterConfig::default(), &trace)
+    serve(perf_for("Qwen1.5-0.5B", strategy), &trace)
+}
+
+/// Completed requests per second of makespan.
+fn throughput(r: &ClusterReport) -> f64 {
+    r.completed as f64 / (r.makespan_ns as f64 / 1e9)
+}
+
+/// Figure 10 ordering at the paper's four points (Llama2-7B and
+/// Qwen1.5-4B, 2 and 10 rps): on p99 TTFT, Medusa < w/o CUDA graph <
+/// vLLM+Async < vLLM.
+#[test]
+fn fig10_p99_ttft_follows_the_papers_ordering() {
+    let order = [
+        Strategy::Medusa,
+        Strategy::NoCudaGraph,
+        Strategy::VanillaAsync,
+        Strategy::Vanilla,
+    ];
+    for model in ["Llama2-7B", "Qwen1.5-4B"] {
+        let perfs: Vec<PerfModel> = order.iter().map(|&s| perf_for(model, s)).collect();
+        for rps in [2.0, 10.0] {
+            let trace = TraceConfig::sharegpt(rps, 120.0).with_seed(42).generate();
+            let p99: Vec<u64> = perfs
+                .iter()
+                .map(|p| serve(p.clone(), &trace).ttft_p99_us)
+                .collect();
+            for (pair, win) in order.windows(2).zip(p99.windows(2)) {
+                assert!(
+                    win[0] < win[1],
+                    "{model} @ {rps} rps: {:?} p99 {} us must be below {:?} p99 {} us",
+                    pair[0],
+                    win[0],
+                    pair[1],
+                    win[1]
+                );
+            }
+        }
+    }
 }
 
 /// Figure 10 shape: Medusa's p99 TTFT beats every baseline at both load
@@ -41,13 +92,13 @@ fn medusa_dominates_p99_ttft() {
         let vanilla = run(Strategy::Vanilla, rps);
         let asynch = run(Strategy::VanillaAsync, rps);
         let medusa = run(Strategy::Medusa, rps);
-        let m = medusa.ttft_quantile(0.99);
+        let m = medusa.ttft_p99_us;
         assert!(
-            m < asynch.ttft_quantile(0.99) && m < vanilla.ttft_quantile(0.99),
-            "medusa p99 {m} must be lowest at {rps} rps"
+            m < asynch.ttft_p99_us && m < vanilla.ttft_p99_us,
+            "medusa p99 {m} us must be lowest at {rps} rps"
         );
         assert!(
-            asynch.ttft_quantile(0.99) < vanilla.ttft_quantile(0.99),
+            asynch.ttft_p99_us < vanilla.ttft_p99_us,
             "async must beat vanilla"
         );
         assert_eq!(medusa.completed, medusa.offered, "no request may be lost");
@@ -60,13 +111,11 @@ fn medusa_dominates_p99_ttft() {
 #[test]
 fn no_graph_throughput_saturates_earlier() {
     let rps = 40.0;
-    let with_graph = run(Strategy::Medusa, rps);
-    let without = run(Strategy::NoCudaGraph, rps);
+    let with_graph = throughput(&run(Strategy::Medusa, rps));
+    let without = throughput(&run(Strategy::NoCudaGraph, rps));
     assert!(
-        with_graph.throughput() > without.throughput() * 1.1,
-        "graphs must buy throughput: {} vs {}",
-        with_graph.throughput(),
-        without.throughput()
+        with_graph > without * 1.1,
+        "graphs must buy throughput: {with_graph} vs {without}"
     );
 }
 
@@ -82,10 +131,10 @@ fn ttft_grows_with_load() {
         let low = run(strategy, 1.0);
         let high = run(strategy, 30.0);
         assert!(
-            high.ttft_mean().as_secs_f64() >= low.ttft_mean().as_secs_f64() * 0.99,
-            "{strategy:?}: mean TTFT must not shrink under pressure ({} vs {})",
-            high.ttft_mean(),
-            low.ttft_mean()
+            high.ttft_mean_us as f64 >= low.ttft_mean_us as f64 * 0.99,
+            "{strategy:?}: mean TTFT must not shrink under pressure ({} vs {} us)",
+            high.ttft_mean_us,
+            low.ttft_mean_us
         );
     }
 }
@@ -95,5 +144,5 @@ fn ttft_grows_with_load() {
 #[test]
 fn low_load_needs_single_instance() {
     let r = run(Strategy::Vanilla, 0.5);
-    assert_eq!(r.cold_starts.len(), 1);
+    assert_eq!(r.cold_starts, 1);
 }
