@@ -1,25 +1,26 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, rustdoc, the full test suite, the
-# event-core golden differential gate, the deterministic perf-smoke
-# regression gates (per-instance cold start, single-tenant fleet, and the
-# multi-tenant contended-cache scenario with its per-tenant p99
-# invariant), the MAF2 artifact size sweep (byte-exact baseline, O(header)
-# open, wall-clock speedup floor), the
-# large-fleet scale smoke (wall-clock budget), the predictive policy race
-# (locality/prewarm/pipeline vs the reactive baseline), the
-# content-addressed registry bench (chunk dedup vs whole-artifact
-# fetches), every example end-to-end, the proptest regression-corpus
-# check, and the concurrency stress test (sized for --release, hence run
-# separately).
+# event-core golden differential gate, one bench gate per scenario of
+# `medusa_bench::smoke::SCENARIOS` (each re-runs its scenario fresh and
+# compares it with the committed results/BENCH_<scenario>.json, metric by
+# metric, plus the scenario's declared invariants), every example
+# end-to-end, the proptest regression-corpus check, and the concurrency
+# stress test (sized for --release, hence run separately).
 #
 # `./ci.sh` runs everything; `./ci.sh --gate <name>` runs one simulator
-# gate in isolation (as the CI matrix does), where <name> is one of:
-#   golden | perf-smoke | mt-smoke | artifact | scale-smoke | policy-race |
-#   registry
+# gate in isolation (as the CI matrix does), where <name> is `golden` or a
+# bench scenario:
+#   golden | coldstart | cluster | cluster_multitenant | artifact | scale |
+#   policies | registry
+#
+# After an intentional change to a scenario's numbers, regenerate its
+# baseline with `./ci.sh --gate <scenario>` and then
+# `cp target/BENCH_<scenario>.json results/`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-GATES="golden perf-smoke mt-smoke artifact scale-smoke policy-race registry"
+SCENARIOS="coldstart cluster cluster_multitenant artifact scale policies registry"
+GATES="golden $SCENARIOS"
 
 usage() {
   echo "usage: ./ci.sh [--gate <name>]"
@@ -55,18 +56,6 @@ prune_stale() {
   rm -f target/golden.diff target/BENCH_*.json
 }
 
-run_bench_smoke() {
-  # One bench invocation feeds both perf-smoke and mt-smoke; skip if a
-  # prior gate in this run already produced the outputs (prune_stale
-  # guarantees they are from this run, not a stale one).
-  if [ ! -f target/BENCH_cluster_multitenant.json ]; then
-    cargo bench -q -p medusa-bench --bench micro -- --smoke \
-      --out "$PWD/target/BENCH_coldstart.json" \
-      --out-cluster "$PWD/target/BENCH_cluster.json" \
-      --out-cluster-mt "$PWD/target/BENCH_cluster_multitenant.json"
-  fi
-}
-
 gate_golden() {
   echo "==> event-core differential gate (golden ClusterReports)"
   # Regenerate the seed x scheduler x fault matrix into a scratch dir and
@@ -81,57 +70,13 @@ gate_golden() {
   echo "    all golden reports byte-identical"
 }
 
-gate_perf_smoke() {
-  echo "==> perf smoke (simulated makespans vs committed baselines)"
-  run_bench_smoke
-  cargo run -q -p medusa-bench --bin ci-check-bench -- \
-    compare target/BENCH_coldstart.json results/BENCH_coldstart.json
-  cargo run -q -p medusa-bench --bin ci-check-bench -- \
-    compare-cluster target/BENCH_cluster.json results/BENCH_cluster.json
-}
-
-gate_mt_smoke() {
-  echo "==> multi-tenant perf smoke (per-tenant p99 invariant + cache-hit floor)"
-  run_bench_smoke
-  cargo run -q -p medusa-bench --bin ci-check-bench -- \
-    compare-cluster target/BENCH_cluster_multitenant.json \
-    results/BENCH_cluster_multitenant.json
-}
-
-gate_artifact() {
-  echo "==> MAF2 artifact size sweep (release; byte-exact baseline + O(header) + speedup floor)"
-  # The sweep times JSON parse vs MAF2 open on this host, so it runs the
-  # release binary; the byte counts it gates are machine-independent.
+gate_bench() {
+  echo "==> bench gate $1 (fresh run vs results/BENCH_$1.json)"
+  # Release build: the artifact and scale scenarios also time host work.
+  # The fresh report lands in target/ first, so CI can upload it when the
+  # gate fails.
   cargo run --release -q -p medusa-bench --bin ci-check-bench -- \
-    compare-artifact results/BENCH_artifact.json
-}
-
-gate_scale_smoke() {
-  echo "==> large-fleet scale smoke (release, wall-clock budget)"
-  cargo run --release -q -p medusa-bench --bin ci-check-bench -- scale-smoke --budget-s 120
-}
-
-gate_policy_race() {
-  echo "==> policy race (predictive prewarm + locality + pipeline vs reactive baseline)"
-  # Re-races the pinned policy matrix and gates TTFT percentiles, prewarm
-  # waste, and the strict ordering invariants against the committed
-  # baseline. The fresh race is written to target/ first so CI can upload
-  # it as an artifact when the gate fails.
-  cargo run --release -q -p medusa-bench --bin ci-check-bench -- \
-    compare-policies results/BENCH_policies.json \
-    --out "$PWD/target/BENCH_policies.json"
-}
-
-gate_registry() {
-  echo "==> registry bench (content-addressed chunk fetches vs whole-artifact control)"
-  # Re-packs the fine-tune family into the chunk store, replays the Zipf
-  # fleet trace through both registry backends, and gates the byte-exact
-  # counters, the >=2x fetch-byte and dedup floors, and TTFT parity
-  # against the committed baseline. The fresh run is written to target/
-  # first so CI can upload it as an artifact when the gate fails.
-  cargo run --release -q -p medusa-bench --bin ci-check-bench -- \
-    compare-registry results/BENCH_registry.json \
-    --out "$PWD/target/BENCH_registry.json"
+    gate "$1" "results/BENCH_$1.json" "target/BENCH_$1.json"
 }
 
 if [ "$GATE" != "all" ]; then
@@ -145,7 +90,11 @@ if [ "$GATE" != "all" ]; then
   esac
   prune_stale
   SECONDS=0
-  "gate_${GATE//-/_}"
+  if [ "$GATE" = golden ]; then
+    gate_golden
+  else
+    gate_bench "$GATE"
+  fi
   echo "CI OK (gate $GATE, ${SECONDS}s)"
   exit 0
 fi
@@ -210,12 +159,9 @@ for ex in examples/*.rs; do
   cargo run --release -q --example "$name" >/dev/null
 done
 
-gate_perf_smoke
-gate_mt_smoke
-gate_artifact
-gate_scale_smoke
-gate_policy_race
-gate_registry
+for s in $SCENARIOS; do
+  gate_bench "$s"
+done
 
 echo "==> stress test (release)"
 CORES="$(cargo run -q -p medusa-bench --bin ci-check-bench -- cores)"

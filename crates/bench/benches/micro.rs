@@ -11,21 +11,11 @@
 //! the fleet simulator's host ns per event at 100, 1,000 and 10,000 nodes;
 //! the `event_queue/*` rows report its event queue's ns per operation.
 //!
-//! `-- --smoke [--out FILE]` runs only the deterministic cold-start smoke
-//! benchmark (simulated makespans, machine-independent) and writes
-//! `BENCH_coldstart.json` for the CI regression gate. `--out-cluster FILE`
-//! additionally runs the fleet scenario (Medusa vs vanilla cluster under a
-//! burst trace) and writes `BENCH_cluster.json`; `--out-cluster-mt FILE`
-//! runs the multi-tenant fleet scenario (eight Zipf-skewed models against
-//! a bounded cost-aware artifact cache) and writes
-//! `BENCH_cluster_multitenant.json`; `--out-artifact FILE` runs the MAF2
-//! size sweep (encode / open / validate / lazy restore at 1×/10×/100×)
-//! and writes `BENCH_artifact.json`; `--out-policies FILE` runs the
-//! predictive-policy race (reactive vs locality vs locality+prewarm vs
-//! pipeline-parallel, plus the 100×-artifact cold-start duel) and writes
-//! `BENCH_policies.json`. `--emit-telemetry DIR`
-//! additionally exports Chrome traces and Prometheus snapshots for every
-//! cold-start mode and both fleet sides.
+//! `-- --emit-telemetry DIR` additionally exports Chrome traces and
+//! Prometheus snapshots for every cold-start mode and both fleet sides of
+//! the `coldstart` and `cluster` bench scenarios. The CI baselines are not
+//! written here: `./ci.sh --gate <scenario>` writes each fresh report to
+//! `target/BENCH_<scenario>.json`.
 
 use std::time::{Duration, Instant};
 
@@ -238,7 +228,7 @@ fn bench_serving_and_workload() {
     );
 }
 
-/// Host cost of fleet routing as the fleet grows: one scale-smoke-shaped
+/// Host cost of fleet routing as the fleet grows: one `scale`-scenario-shaped
 /// run (pre-seeded caches, `ColdStartAware`, interactive Poisson trace)
 /// per fleet size, reported as wall-clock ns per processed event. Routing
 /// queries the fleet index instead of scanning every node, so the figure
@@ -397,154 +387,40 @@ fn flag_value(args: &[String], key: &str) -> Option<String> {
         .cloned()
 }
 
-/// Runs the deterministic smoke benchmarks, writes `BENCH_coldstart.json`
-/// (and `BENCH_cluster.json` when `out_cluster` is set), and optionally
-/// exports telemetry snapshots.
-fn run_smoke(
-    out: &str,
-    out_cluster: Option<&str>,
-    out_cluster_mt: Option<&str>,
-    out_artifact: Option<&str>,
-    out_policies: Option<&str>,
-    emit_dir: Option<&str>,
-) {
+/// Exports Chrome traces and Prometheus snapshots of the `coldstart`
+/// scenario's three modes and both sides of the `cluster` scenario into
+/// `dir`.
+fn emit_telemetry(dir: &str) {
     use medusa_bench::smoke;
-    let result = smoke::run();
-    println!(
-        "smoke/coldstart_tp{}_{}   serial {} us   overlapped {} us   tp-pipelined {} us",
-        result.tp, result.model, result.serial_us, result.overlapped_us, result.pipelined_us
-    );
-    std::fs::write(out, result.to_json()).expect("write smoke result");
-    println!("smoke: wrote {out}");
-    if let Some(path) = out_cluster {
-        let cluster = smoke::run_cluster();
-        println!(
-            "smoke/cluster_{}x{}   medusa {} colds / p99 {} us   vanilla {} colds / p99 {} us",
-            cluster.model,
-            cluster.nodes,
-            cluster.medusa_cold_starts,
-            cluster.medusa_ttft_p99_us,
-            cluster.vanilla_cold_starts,
-            cluster.vanilla_ttft_p99_us
-        );
-        std::fs::write(path, cluster.to_json()).expect("write cluster smoke result");
-        println!("smoke: wrote {path}");
+    std::fs::create_dir_all(dir).expect("create telemetry dir");
+    let write = |name: &str, tele: medusa_telemetry::Registry| {
+        let snap = tele.snapshot();
+        let trace = format!("{dir}/{name}.trace.json");
+        std::fs::write(&trace, medusa_telemetry::export::chrome::render(&snap))
+            .expect("write chrome trace");
+        let prom = format!("{dir}/{name}.prom");
+        std::fs::write(&prom, medusa_telemetry::export::prometheus::render(&snap))
+            .expect("write prometheus snapshot");
+        println!("telemetry: wrote {trace} and {prom}");
+    };
+    for (label, mode) in [
+        ("serial", Parallelism::Serial),
+        ("overlapped", Parallelism::Overlapped),
+        ("pipelined", Parallelism::PipelinedTp),
+    ] {
+        let tele = medusa_telemetry::Registry::new();
+        smoke::run_mode(mode, Some(&tele));
+        write(&format!("coldstart_{label}"), tele);
     }
-    if let Some(path) = out_cluster_mt {
-        let mt = smoke::run_cluster_mt();
-        println!(
-            "smoke/cluster_mt_{}x{}_{}models   medusa p99 {} us   vanilla p99 {} us   cache \
-             {}h/{}m/{}e ({} permille)",
-            mt.model,
-            mt.nodes,
-            mt.models,
-            mt.medusa_ttft_p99_us,
-            mt.vanilla_ttft_p99_us,
-            mt.cache_hits,
-            mt.cache_misses,
-            mt.cache_evictions,
-            mt.cache_hit_rate_pm
-        );
-        std::fs::write(path, mt.to_json()).expect("write multi-tenant smoke result");
-        println!("smoke: wrote {path}");
-    }
-    if let Some(path) = out_artifact {
-        let (sweep, timings) = smoke::run_artifact();
-        for (s, t) in sweep.scales.iter().zip(&timings) {
-            println!(
-                "smoke/artifact_{}x   maf2 {} B (json {} B)   encode {:?}   open+validate {:?} \
-                 ({} B read)   json parse+validate {:?}   rank0 restore {:?} ({} B read)",
-                s.scale,
-                s.maf2_bytes,
-                s.json_bytes,
-                t.encode,
-                t.maf2_open_validate,
-                s.open_read_bytes,
-                t.json_parse_validate,
-                t.shard_restore,
-                s.shard_restore_read_bytes
-            );
-        }
-        std::fs::write(path, sweep.to_json()).expect("write artifact sweep result");
-        println!("smoke: wrote {path}");
-    }
-    if let Some(path) = out_policies {
-        let race = smoke::run_policies();
-        for r in &race.rows {
-            println!(
-                "smoke/policies_{}   p50 {} us   p99 {} us   {} colds   {} prewarms ({} unused)   \
-                 {} sharded starts",
-                r.policy,
-                r.ttft_p50_us,
-                r.ttft_p99_us,
-                r.cold_starts,
-                r.prewarms_issued,
-                r.prewarms_unused,
-                r.pipeline_starts
-            );
-        }
-        println!(
-            "smoke/policies_coldstart_duel_{}x   single {} us   pipelined(k={}) {} us",
-            race.artifact_scale,
-            race.single_coldstart_ttft_us,
-            race.pipeline_k,
-            race.pipeline_coldstart_ttft_us
-        );
-        std::fs::write(path, race.to_json()).expect("write policy race result");
-        println!("smoke: wrote {path}");
-    }
-    if let Some(dir) = emit_dir {
-        std::fs::create_dir_all(dir).expect("create telemetry dir");
-        for (label, mode) in [
-            ("serial", Parallelism::Serial),
-            ("overlapped", Parallelism::Overlapped),
-            ("pipelined", Parallelism::PipelinedTp),
-        ] {
-            let tele = medusa_telemetry::Registry::new();
-            smoke::run_mode(mode, Some(&tele));
-            let snap = tele.snapshot();
-            let trace = format!("{dir}/coldstart_{label}.trace.json");
-            std::fs::write(&trace, medusa_telemetry::export::chrome::render(&snap))
-                .expect("write chrome trace");
-            let prom = format!("{dir}/coldstart_{label}.prom");
-            std::fs::write(&prom, medusa_telemetry::export::prometheus::render(&snap))
-                .expect("write prometheus snapshot");
-            println!("smoke: wrote {trace} and {prom}");
-        }
-        for (label, strategy) in [("medusa", Strategy::Medusa), ("vanilla", Strategy::Vanilla)] {
-            let tele = medusa_telemetry::Registry::new();
-            medusa_bench::smoke::run_cluster_side(strategy, Some(&tele));
-            let snap = tele.snapshot();
-            let trace = format!("{dir}/cluster_{label}.trace.json");
-            std::fs::write(&trace, medusa_telemetry::export::chrome::render(&snap))
-                .expect("write chrome trace");
-            let prom = format!("{dir}/cluster_{label}.prom");
-            std::fs::write(&prom, medusa_telemetry::export::prometheus::render(&snap))
-                .expect("write prometheus snapshot");
-            println!("smoke: wrote {trace} and {prom}");
-        }
+    for (label, strategy) in [("medusa", Strategy::Medusa), ("vanilla", Strategy::Vanilla)] {
+        let tele = medusa_telemetry::Registry::new();
+        smoke::run_cluster_side(strategy, Some(&tele));
+        write(&format!("cluster_{label}"), tele);
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_coldstart.json".to_string());
-    let out_cluster = flag_value(&args, "--out-cluster");
-    let out_cluster_mt = flag_value(&args, "--out-cluster-mt");
-    let out_artifact = flag_value(&args, "--out-artifact");
-    let out_policies = flag_value(&args, "--out-policies");
-    let emit = flag_value(&args, "--emit-telemetry");
-    if args.iter().any(|a| a == "--smoke") {
-        run_smoke(
-            &out,
-            out_cluster.as_deref(),
-            out_cluster_mt.as_deref(),
-            out_artifact.as_deref(),
-            out_policies.as_deref(),
-            emit.as_deref(),
-        );
-        return;
-    }
     println!("medusa micro-benchmarks (self-contained harness)\n");
     bench_allocator();
     bench_param_buffer();
@@ -556,14 +432,7 @@ fn main() {
     bench_fleet_route();
     bench_event_queue();
     bench_parallel_cold_start();
-    if let Some(dir) = emit {
-        run_smoke(
-            &out,
-            out_cluster.as_deref(),
-            out_cluster_mt.as_deref(),
-            out_artifact.as_deref(),
-            out_policies.as_deref(),
-            Some(&dir),
-        );
+    if let Some(dir) = flag_value(&args, "--emit-telemetry") {
+        emit_telemetry(&dir);
     }
 }

@@ -1,57 +1,13 @@
-//! `ci-check-bench` — the CI helpers around the smoke benchmark.
+//! `ci-check-bench` — the CI helpers around the bench scenarios.
 //!
 //! ```text
 //! ci-check-bench cores
-//! ci-check-bench compare          <fresh.json> <baseline.json> [--tolerance-pct N]
-//! ci-check-bench compare-cluster  <fresh.json> <baseline.json> [--tolerance-pct N]
-//!                                 [--hit-rate-floor-pm N]
-//! ci-check-bench compare-artifact <baseline.json> [--speedup-floor N]
-//! ci-check-bench compare-policies <baseline.json> [--tolerance-pct N] [--out FILE]
-//! ci-check-bench compare-registry <baseline.json> [--tolerance-pct N] [--out FILE]
-//! ci-check-bench golden           <out-dir>
-//! ci-check-bench scale-smoke      [--budget-s N] [--nodes N] [--rps N]
+//! ci-check-bench golden <out-dir>
+//! ci-check-bench gate   <scenario> <baseline.json> <out.json>
 //! ```
 //!
 //! `cores` prints the host's available parallelism (CI uses it to decide
-//! whether the multi-threaded stress step can mean anything). `compare`
-//! diffs a fresh `BENCH_coldstart.json` against the committed baseline and
-//! exits non-zero when the overlapped loading makespan regressed beyond
-//! the tolerance (default 5%). `compare-cluster` does the same for
-//! `BENCH_cluster.json` (Medusa-fleet TTFT p99 and makespan, plus the
-//! medusa-beats-vanilla invariant). When the fresh report carries a
-//! `per_tenant` field it is treated as the multi-tenant baseline
-//! (`BENCH_cluster_multitenant.json`): the gate then also requires every
-//! tenant's Medusa TTFT p99 to beat vanilla's and the artifact-cache hit
-//! rate to stay above the floor (default 200‰, `--hit-rate-floor-pm`).
-//!
-//! `compare-artifact` runs the MAF2 size sweep (1×/10×/100×) fresh and
-//! gates it against the committed `results/BENCH_artifact.json`: the
-//! deterministic byte counts (bundle size, O(header) open cost, < 1/tp
-//! lazy-restore reads) must match the baseline exactly, and MAF2
-//! open+validate must beat JSON parse+validate by at least the wall-clock
-//! speedup floor (default 10×) at the largest scale on this host.
-//!
-//! `compare-policies` runs the predictive-policy race fresh (reactive
-//! cold-start-aware vs locality vs locality+prewarm vs pipeline-parallel
-//! on one bursty Zipf trace, plus the 100×-artifact pipeline-vs-single
-//! cold-start duel) and gates it against the committed
-//! `results/BENCH_policies.json`: per-policy TTFT p50/p99 and the
-//! prewarm-waste counter within the tolerance (default 5%), plus the two
-//! strict ordering invariants (locality+prewarm beats coldstart-aware on
-//! TTFT p99; the sharded cold start beats the single-node one). `--out`
-//! writes the fresh race JSON before gating, so a failing CI run can
-//! upload it as an inspectable artifact.
-//!
-//! `compare-registry` packs the 4-model fine-tune family into the
-//! content-addressed chunk store, replays the same Zipf fleet trace
-//! through the chunk registry and through a whole-artifact control
-//! catalog, and gates against the committed
-//! `results/BENCH_registry.json`: the deterministic byte counters must
-//! match exactly, content-addressed fetch bytes must undercut the whole
-//! row by ≥2×, the store's dedup ratio must stay ≥2×, and the
-//! content-addressed TTFT p99 must stay within 5% of the whole row (and
-//! within the tolerance of the baseline). `--out` writes the fresh JSON
-//! before gating.
+//! whether the multi-threaded stress step can mean anything).
 //!
 //! `golden` writes one `ClusterReport` JSON per scenario of the
 //! differential matrix ([`medusa_serving::scenarios`]) into `<out-dir>` —
@@ -59,244 +15,77 @@
 //! committed `results/golden/`, so any change to the fleet simulator's
 //! observable semantics fails loudly with a readable report diff.
 //!
-//! `scale-smoke` runs the large-fleet scenario (1000 nodes, 10k rps by
-//! default) on both a Medusa and a vanilla fleet, asserts the
-//! medusa-beats-vanilla TTFT invariant still holds at that scale, and
-//! fails when the wall-clock exceeds the budget (default 120 s) — the
-//! event core's "millions of events in wall-clock seconds" contract.
+//! `gate` runs one bench scenario ([`medusa_bench::smoke::SCENARIOS`])
+//! fresh, writes the fresh report to `<out.json>` (so a failing CI run can
+//! upload it, or a deliberate change can copy it over the baseline), and
+//! compares it with `<baseline.json>` through
+//! [`medusa_bench::report::gate`]: one line per metric (name, value,
+//! baseline value, kind, verdict) and per declared check. It exits
+//! non-zero when any row fails or the baseline is stale.
 
-use medusa_bench::smoke::{
-    check_artifact_regression, check_cluster_mt_regression, check_cluster_regression,
-    check_policies_regression, check_registry_regression, check_regression, check_scale,
-    run_artifact, run_policies, run_registry, run_scale, BenchArtifact, BenchCluster,
-    BenchClusterMultiTenant, BenchColdstart, BenchPolicies, BenchRegistry, ARTIFACT_SPEEDUP_FLOOR,
-    MT_HIT_RATE_FLOOR_PM, SCALE_BUDGET_S, SCALE_NODES, SCALE_RPS,
-};
+use medusa_bench::report::{gate, BenchReport};
+use medusa_bench::smoke::{scenario, SCENARIOS};
 use medusa_serving::scenarios::differential_matrix;
 use medusa_serving::simulate_fleet;
 use std::process::exit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("cores") => {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let result = match args.as_slice() {
+        ["cores"] => {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1);
             println!("{cores}");
+            Ok(())
         }
-        Some("compare") => {
-            if let Err(e) = compare(&args[1..], false) {
-                eprintln!("ci-check-bench: FAIL: {e}");
-                exit(1);
-            }
-        }
-        Some("compare-cluster") => {
-            if let Err(e) = compare(&args[1..], true) {
-                eprintln!("ci-check-bench: FAIL: {e}");
-                exit(1);
-            }
-        }
-        Some("compare-artifact") => {
-            if let Err(e) = compare_artifact(&args[1..]) {
-                eprintln!("ci-check-bench: FAIL: {e}");
-                exit(1);
-            }
-        }
-        Some("compare-policies") => {
-            if let Err(e) = compare_policies(&args[1..]) {
-                eprintln!("ci-check-bench: FAIL: {e}");
-                exit(1);
-            }
-        }
-        Some("compare-registry") => {
-            if let Err(e) = compare_registry(&args[1..]) {
-                eprintln!("ci-check-bench: FAIL: {e}");
-                exit(1);
-            }
-        }
-        Some("golden") => {
-            if let Err(e) = golden(&args[1..]) {
-                eprintln!("ci-check-bench: FAIL: {e}");
-                exit(1);
-            }
-        }
-        Some("scale-smoke") => {
-            if let Err(e) = scale_smoke(&args[1..]) {
-                eprintln!("ci-check-bench: FAIL: {e}");
-                exit(1);
-            }
-        }
+        ["golden", dir] => golden(dir),
+        ["gate", name, baseline, out] => gate_scenario(name, baseline, out),
         _ => {
             eprintln!(
-                "usage: ci-check-bench <cores|compare|compare-cluster|compare-artifact|\
-                 compare-policies|compare-registry|golden|scale-smoke> [args]"
+                "usage: ci-check-bench cores | golden <out-dir> | \
+                 gate <scenario> <baseline.json> <out.json>"
             );
             exit(2);
         }
+    };
+    if let Err(e) = result {
+        eprintln!("ci-check-bench: FAIL: {e}");
+        exit(1);
     }
 }
 
-fn compare(args: &[String], cluster: bool) -> Result<(), String> {
-    let [fresh_path, baseline_path, rest @ ..] = args else {
-        return Err("compare needs <fresh.json> <baseline.json>".into());
-    };
-    let mut tolerance = 5.0;
-    let mut hit_rate_floor_pm = MT_HIT_RATE_FLOOR_PM;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag.as_str() {
-            "--tolerance-pct" => {
-                tolerance = v
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --tolerance-pct `{v}`: {e}"))?;
-            }
-            "--hit-rate-floor-pm" => {
-                hit_rate_floor_pm = v
-                    .parse::<u32>()
-                    .map_err(|e| format!("bad --hit-rate-floor-pm `{v}`: {e}"))?;
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
+/// Runs scenario `name` fresh, writes it to `out`, and gates it against
+/// the baseline at `baseline_path`.
+fn gate_scenario(name: &str, baseline_path: &str, out: &str) -> Result<(), String> {
+    let s = scenario(name).ok_or_else(|| {
+        let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+        format!("unknown scenario `{name}` (one of: {})", names.join(", "))
+    })?;
+    let baseline = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("cannot read `{baseline_path}`: {e}"))
+        .and_then(|json| {
+            BenchReport::from_json(&json)
+                .map_err(|e| format!("cannot parse `{baseline_path}`: {e}"))
+        })?;
+    let fresh = (s.run)();
+    std::fs::write(out, fresh.to_json()).map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    match gate(&fresh, &baseline, &(s.checks)()) {
+        Ok(table) => {
+            println!("{table}");
+            println!("ci-check-bench: OK: {name} matches {baseline_path}");
+            Ok(())
+        }
+        Err(report) => {
+            println!("{report}");
+            Err(format!("{name} gate failed (fresh run in {out})"))
         }
     }
-    let read = |path: &String| -> Result<String, String> {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
-    };
-    let parse_err = |path: &String, e: String| format!("cannot parse `{path}`: {e}");
-    let verdict = if cluster {
-        // The multi-tenant baseline is distinguished by its `per_tenant`
-        // field; both shapes share the `compare-cluster` subcommand.
-        let fresh_json = read(fresh_path)?;
-        if fresh_json.contains("\"per_tenant\"") {
-            let fresh = BenchClusterMultiTenant::from_json(&fresh_json)
-                .map_err(|e| parse_err(fresh_path, e))?;
-            let baseline = BenchClusterMultiTenant::from_json(&read(baseline_path)?)
-                .map_err(|e| parse_err(baseline_path, e))?;
-            check_cluster_mt_regression(&fresh, &baseline, tolerance, hit_rate_floor_pm)?
-        } else {
-            let fresh =
-                BenchCluster::from_json(&fresh_json).map_err(|e| parse_err(fresh_path, e))?;
-            let baseline = BenchCluster::from_json(&read(baseline_path)?)
-                .map_err(|e| parse_err(baseline_path, e))?;
-            check_cluster_regression(&fresh, &baseline, tolerance)?
-        }
-    } else {
-        let fresh =
-            BenchColdstart::from_json(&read(fresh_path)?).map_err(|e| parse_err(fresh_path, e))?;
-        let baseline = BenchColdstart::from_json(&read(baseline_path)?)
-            .map_err(|e| parse_err(baseline_path, e))?;
-        check_regression(&fresh, &baseline, tolerance)?
-    };
-    println!("ci-check-bench: OK: {verdict}");
-    Ok(())
-}
-
-/// Runs the MAF2 size sweep fresh and gates it against the committed
-/// baseline (byte-exact) plus the in-run wall-clock speedup floor.
-fn compare_artifact(args: &[String]) -> Result<(), String> {
-    let [baseline_path, rest @ ..] = args else {
-        return Err("compare-artifact needs <baseline.json>".into());
-    };
-    let mut speedup_floor = ARTIFACT_SPEEDUP_FLOOR;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag.as_str() {
-            "--speedup-floor" => {
-                speedup_floor = v
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --speedup-floor `{v}`: {e}"))?;
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let baseline_json = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read `{baseline_path}`: {e}"))?;
-    let baseline = BenchArtifact::from_json(&baseline_json)
-        .map_err(|e| format!("cannot parse `{baseline_path}`: {e}"))?;
-    let (fresh, timings) = run_artifact();
-    let verdict = check_artifact_regression(&fresh, &baseline, &timings, speedup_floor)?;
-    println!("ci-check-bench: OK: {verdict}");
-    Ok(())
-}
-
-/// Runs the predictive-policy race fresh and gates it against the
-/// committed baseline (tolerances + strict ordering invariants). `--out`
-/// persists the fresh race JSON before gating so CI can upload it.
-fn compare_policies(args: &[String]) -> Result<(), String> {
-    let [baseline_path, rest @ ..] = args else {
-        return Err("compare-policies needs <baseline.json>".into());
-    };
-    let mut tolerance = 5.0;
-    let mut out: Option<&String> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag.as_str() {
-            "--tolerance-pct" => {
-                tolerance = v
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --tolerance-pct `{v}`: {e}"))?;
-            }
-            "--out" => out = Some(v),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let baseline_json = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read `{baseline_path}`: {e}"))?;
-    let baseline = BenchPolicies::from_json(&baseline_json)
-        .map_err(|e| format!("cannot parse `{baseline_path}`: {e}"))?;
-    let fresh = run_policies();
-    if let Some(path) = out {
-        std::fs::write(path, fresh.to_json()).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    }
-    let verdict = check_policies_regression(&fresh, &baseline, tolerance)?;
-    println!("ci-check-bench: OK: {verdict}");
-    Ok(())
-}
-
-/// Runs the content-addressed registry bench fresh and gates it against
-/// the committed baseline (byte-exact counters, the ≥2× fetch-byte and
-/// dedup floors, and the TTFT parity band). `--out` persists the fresh
-/// JSON before gating so CI can upload it.
-fn compare_registry(args: &[String]) -> Result<(), String> {
-    let [baseline_path, rest @ ..] = args else {
-        return Err("compare-registry needs <baseline.json>".into());
-    };
-    let mut tolerance = 5.0;
-    let mut out: Option<&String> = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag.as_str() {
-            "--tolerance-pct" => {
-                tolerance = v
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad --tolerance-pct `{v}`: {e}"))?;
-            }
-            "--out" => out = Some(v),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let baseline_json = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read `{baseline_path}`: {e}"))?;
-    let baseline = BenchRegistry::from_json(&baseline_json)
-        .map_err(|e| format!("cannot parse `{baseline_path}`: {e}"))?;
-    let fresh = run_registry();
-    if let Some(path) = out {
-        std::fs::write(path, fresh.to_json()).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    }
-    let verdict = check_registry_regression(&fresh, &baseline, tolerance)?;
-    println!("ci-check-bench: OK: {verdict}");
-    Ok(())
 }
 
 /// Writes one report JSON per differential-matrix scenario into `dir`.
-fn golden(args: &[String]) -> Result<(), String> {
-    let [dir] = args else {
-        return Err("golden needs <out-dir>".into());
-    };
+fn golden(dir: &str) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
     let matrix = differential_matrix();
     for s in &matrix {
@@ -310,28 +99,5 @@ fn golden(args: &[String]) -> Result<(), String> {
         "ci-check-bench: OK: wrote {} golden reports to {dir}",
         matrix.len()
     );
-    Ok(())
-}
-
-/// Runs the large-fleet scale scenario under a wall-clock budget.
-fn scale_smoke(args: &[String]) -> Result<(), String> {
-    let mut budget_s = SCALE_BUDGET_S;
-    let mut nodes = SCALE_NODES;
-    let mut rps = SCALE_RPS;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag.as_str() {
-            "--budget-s" => budget_s = v.parse().map_err(|e| format!("bad --budget-s: {e}"))?,
-            "--nodes" => nodes = v.parse().map_err(|e| format!("bad --nodes: {e}"))?,
-            "--rps" => rps = v.parse().map_err(|e| format!("bad --rps: {e}"))?,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let start = std::time::Instant::now();
-    let scale = run_scale(nodes, rps);
-    let elapsed = start.elapsed().as_secs_f64();
-    let verdict = check_scale(&scale, elapsed, budget_s)?;
-    println!("ci-check-bench: OK: {verdict}");
     Ok(())
 }

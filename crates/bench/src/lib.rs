@@ -11,4 +11,5 @@
 pub mod ablations;
 pub mod common;
 pub mod figures;
+pub mod report;
 pub mod smoke;

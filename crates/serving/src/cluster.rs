@@ -1140,14 +1140,14 @@ impl Policy {
     /// differential matrix ([`crate::scenarios`]) iterates this constant,
     /// and the committed golden reports must stay byte-identical — the
     /// predictive policies race in [`Policy::PREDICTIVE`] and the
-    /// policy-race bench gate instead.
+    /// `policies` bench gate instead.
     pub const ALL: [Policy; 3] = [
         Policy::RoundRobin,
         Policy::LeastLoaded,
         Policy::ColdStartAware,
     ];
 
-    /// The predictive/parallel policies raced by the policy-race gate.
+    /// The predictive/parallel policies raced by the `policies` bench gate.
     pub const PREDICTIVE: [Policy; 2] = [Policy::Locality, Policy::Pipeline];
 
     /// Instantiates the policy.
@@ -1241,7 +1241,7 @@ pub struct PrewarmReport {
     /// Prewarm cold starts the estimator issued.
     pub issued: u64,
     /// Prewarmed nodes that never served a request before scaling back
-    /// down (or before the run ended) — the waste metric the policy-race
+    /// down (or before the run ended) — the waste metric the `policies`
     /// gate bounds.
     pub unused: u64,
 }

@@ -9,7 +9,8 @@
 //! a golden diff. Three consumers share this matrix:
 //!
 //! * `ci-check-bench golden <dir>` regenerates the reports (used to write
-//!   `results/golden/` in the first place, and by CI to diff against it);
+//!   `results/golden/` in the first place, and by `./ci.sh --gate golden`
+//!   to diff against it);
 //! * `tests/event_core.rs` replays every scenario through the event core
 //!   and asserts byte-identity against both the committed goldens and a
 //!   test-local reimplementation of the pre-refactor stepping semantics;

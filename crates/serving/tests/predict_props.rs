@@ -13,7 +13,7 @@
 //!   unschedulable event.
 //! * **Determinism** — the same seed and the same arrival stream produce
 //!   a byte-identical decision log, and the seed's only influence is the
-//!   sub-millisecond jitter. The policy-race CI gate diffs TTFT
+//!   sub-millisecond jitter. The `policies` CI gate diffs TTFT
 //!   percentiles at 5% tolerance against a committed baseline; that only
 //!   works if reruns are exact replicas.
 

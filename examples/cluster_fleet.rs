@@ -126,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Predictive race: the same bursty multi-tenant trace under the
     // reactive baseline, start-cost locality routing, locality plus the
     // histogram prewarm estimator, and pipeline-parallel cold starts —
-    // the policy matrix the CI policy-race gate pins.
+    // the policy matrix the CI `policies` gate pins.
     let mt = medusa.clone().with_scaled_models(4);
     let mt_trace = TraceConfig::sharegpt(4.0, 120.0)
         .with_seed(42)

@@ -19,9 +19,10 @@
 //!    the queue exactly as if every arrival had been scheduled first, and
 //!    cancelled entries never crowd the heap.
 //!
-//! Regenerate goldens (only after an *intentional* semantic change) with
-//! `cargo run --release -p medusa-bench --bin ci-check-bench -- golden
-//! results/golden`.
+//! `./ci.sh --gate golden` diffs freshly generated reports against the
+//! same goldens. Regenerate them (only after an *intentional* semantic
+//! change) with `cargo run --release -p medusa-bench --bin ci-check-bench
+//! -- golden results/golden`.
 
 use medusa_serving::scenarios::differential_matrix;
 use medusa_serving::{simulate_fleet, ArrivalCursor, EventQueue, EventToken, FleetEvent};
