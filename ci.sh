@@ -4,8 +4,9 @@
 # `medusa_bench::smoke::SCENARIOS` (each re-runs its scenario fresh and
 # compares it with the committed results/BENCH_<scenario>.json, metric by
 # metric, plus the scenario's declared invariants), every example
-# end-to-end, the proptest regression-corpus check, and the concurrency
-# stress test (sized for --release, hence run separately).
+# end-to-end, a build of the fixed perfbench harness, the proptest
+# regression-corpus check, and the concurrency stress test (sized for
+# --release, hence run separately).
 #
 # `./ci.sh` runs everything; `./ci.sh --gate <name>` runs one simulator
 # gate in isolation (as the CI matrix does), where <name> is `golden` or a
@@ -158,6 +159,12 @@ for ex in examples/*.rs; do
   echo "    running example $name"
   cargo run --release -q --example "$name" >/dev/null
 done
+
+echo "==> perfbench (the fixed benchmark harness) builds against the current API"
+# perfbench/ is never edited alongside the code it measures, so a public
+# API change that breaks it must fail here rather than in the benchmark.
+cargo build --release -q --offline --manifest-path perfbench/Cargo.toml \
+  --target-dir target/perfbench
 
 for s in $SCENARIOS; do
   gate_bench "$s"

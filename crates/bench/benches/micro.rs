@@ -157,6 +157,25 @@ fn bench_online_restore() {
     resolver
         .resolve_by_enumeration(&mut rt, &artifact)
         .expect("enumeration");
+    // The resolver work of one restore once its modules are loaded: the
+    // dlsym pass, a completeness check per graph and the final check.
+    report(
+        "kernel_resolve/qwen05b_35_graphs",
+        measure(10, || {
+            let mut fresh = KernelResolver::new();
+            fresh
+                .resolve_exported(&mut rt, &artifact)
+                .expect("dlsym path");
+            for _ in &artifact.graphs {
+                if fresh.ensure_complete(&artifact).is_err() {
+                    fresh
+                        .resolve_by_enumeration(&mut rt, &artifact)
+                        .expect("enumeration");
+                }
+            }
+            fresh.ensure_complete(&artifact).expect("complete")
+        }),
+    );
     let gspec = artifact.graphs.last().expect("graphs");
     report(
         "online/restore_graph_largest_batch",
@@ -316,6 +335,10 @@ fn bench_event_queue() {
 
 fn bench_tokenizer() {
     use medusa_model::Tokenizer;
+    report(
+        "tokenizer/load_151936",
+        measure(5, || Tokenizer::load(151_936, &CostModel::default())),
+    );
     let (tok, _) = Tokenizer::load(32_000, &CostModel::default());
     let text = "the quick brown fox jumps over the lazy dog ".repeat(32);
     report(

@@ -17,6 +17,10 @@
 //!   without touching payload bytes;
 //! * fixed-width **tables** for the allocation/replay sequence, labels,
 //!   permanent contents, pointer tables, and graph nodes/params/edges;
+//! * an **address-free graph body**: a pointer record holds its allocation
+//!   index and offset only, and one small per-shard base table holds each
+//!   referenced allocation's offline address, so two captures of the same
+//!   `<GPU, model>` differ in that table and not in the graphs;
 //! * an offset-indexed, deduplicated **string table** per shard for kernel,
 //!   library, and label names;
 //! * one group of sections per `(rank, tp)` shard, **lazily materialized**
@@ -70,13 +74,19 @@ pub enum SectionKind {
     /// Permanent pointer tables (variable-width, sequentially decoded).
     PtrTables,
     /// Materialized graphs: fixed node/param/edge records plus a spill blob
-    /// for oversized constants.
+    /// for oversized constants. Address-free: pointer records carry no
+    /// offline address.
     Graphs,
+    /// Offline base address of every allocation a graph pointer refers
+    /// to, 16 bytes per entry after a count, ascending `alloc_seq`. The
+    /// only per-capture addresses in a shard; a pointer's offline value is
+    /// its allocation's base plus its offset.
+    PtrBases,
 }
 
 impl SectionKind {
     /// All kinds in per-shard encode order.
-    pub const ALL: [SectionKind; 7] = [
+    pub const ALL: [SectionKind; 8] = [
         SectionKind::ShardMeta,
         SectionKind::Replay,
         SectionKind::Strings,
@@ -84,6 +94,7 @@ impl SectionKind {
         SectionKind::PermContents,
         SectionKind::PtrTables,
         SectionKind::Graphs,
+        SectionKind::PtrBases,
     ];
 
     pub(crate) fn code(self) -> u32 {
@@ -95,6 +106,7 @@ impl SectionKind {
             SectionKind::PermContents => 4,
             SectionKind::PtrTables => 5,
             SectionKind::Graphs => 6,
+            SectionKind::PtrBases => 7,
         }
     }
 
@@ -375,15 +387,13 @@ fn encode_graphs(s: &MaterializedState, strings: &StringTable) -> Vec<u8> {
                         }
                     }
                     ParamSpec::IndirectPtr {
-                        alloc_seq,
-                        offset,
-                        raw,
+                        alloc_seq, offset, ..
                     } => {
                         out.put_u32(1);
                         out.put_u32(0);
                         out.put_u64(*alloc_seq);
                         out.put_u64(*offset);
-                        out.put_u64(*raw);
+                        out.put_u64(0); // reserved: the raw value lives in PtrBases
                     }
                 }
             }
@@ -397,6 +407,46 @@ fn encode_graphs(s: &MaterializedState, strings: &StringTable) -> Vec<u8> {
     out
 }
 
+/// The PtrBases section: one `(alloc_seq, base)` per allocation the graphs
+/// point into, where `base = raw - offset` of every pointer to it.
+///
+/// # Errors
+///
+/// Returns [`MedusaError::ArtifactCorrupt`] when two pointers to one
+/// allocation imply different bases, which no capture produces.
+fn encode_ptr_bases(s: &MaterializedState) -> MedusaResult<Vec<u8>> {
+    let mut bases: BTreeMap<u64, u64> = BTreeMap::new();
+    for g in &s.graphs {
+        for p in g.nodes.iter().flat_map(|n| &n.params) {
+            let ParamSpec::IndirectPtr {
+                alloc_seq,
+                offset,
+                raw,
+            } = *p
+            else {
+                continue;
+            };
+            let base = raw.wrapping_sub(offset);
+            match bases.insert(alloc_seq, base) {
+                Some(prev) if prev != base => {
+                    return Err(corrupt(format!(
+                        "pointers to allocation #{alloc_seq} imply two offline bases \
+                         {prev:#x} and {base:#x}"
+                    )));
+                }
+                _ => {}
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(8 + bases.len() * 16);
+    out.put_u64(bases.len() as u64);
+    for (seq, base) in bases {
+        out.put_u64(seq);
+        out.put_u64(base);
+    }
+    Ok(out)
+}
+
 /// Encodes a bundle of shards (one [`MaterializedState`] per rank) into a
 /// single MAF2 file. Shards must agree on `<model, gpu, tp, version>` and
 /// carry distinct ranks; they are written in ascending rank order so
@@ -405,8 +455,9 @@ fn encode_graphs(s: &MaterializedState, strings: &StringTable) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`MedusaError::ArtifactCorrupt`] when the bundle is empty or the
-/// shards disagree on the target key.
+/// Returns [`MedusaError::ArtifactCorrupt`] when the bundle is empty, the
+/// shards disagree on the target key, or a shard's pointers imply two
+/// offline bases for one allocation.
 pub fn encode_bundle(shards: &[&MaterializedState]) -> MedusaResult<Vec<u8>> {
     let first = shards
         .first()
@@ -441,6 +492,7 @@ pub fn encode_bundle(shards: &[&MaterializedState]) -> MedusaResult<Vec<u8>> {
         sections.push((SectionKind::PermContents, s.rank, encode_perm_contents(s)));
         sections.push((SectionKind::PtrTables, s.rank, encode_ptr_tables(s)));
         sections.push((SectionKind::Graphs, s.rank, encode_graphs(s, &strings)));
+        sections.push((SectionKind::PtrBases, s.rank, encode_ptr_bases(s)?));
     }
 
     let model = first.model.as_bytes();
@@ -946,6 +998,23 @@ impl<'a> Maf2Reader<'a> {
         Ok(cell.get().expect("just set"))
     }
 
+    /// Like [`Maf2Reader::shard`], but moves the decoded shard out of the
+    /// reader instead of lending it. A later access decodes it again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Maf2Reader::shard`].
+    pub fn take_shard(&mut self, rank: u32) -> MedusaResult<MaterializedState> {
+        self.shard(rank)?;
+        let cell = self
+            .shards
+            .iter_mut()
+            .find(|(r, _)| *r == rank)
+            .map(|(_, c)| c)
+            .expect("decoded above");
+        Ok(cell.take().expect("decoded above"))
+    }
+
     /// Eagerly materializes every shard in the file, in index order.
     ///
     /// # Errors
@@ -1061,7 +1130,8 @@ impl<'a> Maf2Reader<'a> {
         }
         c.done()?;
 
-        let graphs = self.decode_graphs(rank, &strings)?;
+        let bases = self.decode_ptr_bases(rank)?;
+        let graphs = self.decode_graphs(rank, &strings, &bases)?;
 
         Ok(MaterializedState {
             version: self.version,
@@ -1081,7 +1151,39 @@ impl<'a> Maf2Reader<'a> {
         })
     }
 
-    fn decode_graphs(&self, rank: u32, strings: &ShardStrings) -> MedusaResult<Vec<GraphSpec>> {
+    /// Reads the PtrBases section: `(alloc_seq, base)` pairs, strictly
+    /// ascending in `alloc_seq`.
+    fn decode_ptr_bases(&self, rank: u32) -> MedusaResult<Vec<(u64, u64)>> {
+        let payload = self.section(SectionKind::PtrBases, rank)?;
+        let mut c = Cursor::new(payload, "PtrBases");
+        let count = c.u64()?;
+        if count.checked_mul(16) != Some(payload.len() as u64 - 8) {
+            return Err(corrupt(format!(
+                "PtrBases declares {count} entries in a {}-byte section",
+                payload.len()
+            )));
+        }
+        let mut bases: Vec<(u64, u64)> = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let seq = c.u64()?;
+            let base = c.u64()?;
+            if bases.last().is_some_and(|&(prev, _)| prev >= seq) {
+                return Err(corrupt(format!(
+                    "PtrBases entry for allocation #{seq} is duplicate or out of order"
+                )));
+            }
+            bases.push((seq, base));
+        }
+        c.done()?;
+        Ok(bases)
+    }
+
+    fn decode_graphs(
+        &self,
+        rank: u32,
+        strings: &ShardStrings,
+        bases: &[(u64, u64)],
+    ) -> MedusaResult<Vec<GraphSpec>> {
         let payload = self.section(SectionKind::Graphs, rank)?;
         // Pass 1: walk the fixed-width headers to locate the spill blob.
         let mut c = Cursor::new(payload, "Graphs");
@@ -1163,12 +1265,23 @@ impl<'a> Maf2Reader<'a> {
                             let alloc_seq = u64::from_le_bytes(b);
                             b.copy_from_slice(&body[8..16]);
                             let offset = u64::from_le_bytes(b);
-                            b.copy_from_slice(&body[16..24]);
-                            let raw = u64::from_le_bytes(b);
+                            if body[16..24] != [0; 8] {
+                                return Err(corrupt(format!(
+                                    "pointer to allocation #{alloc_seq} has a nonzero reserved slot"
+                                )));
+                            }
+                            let base = bases
+                                .binary_search_by_key(&alloc_seq, |&(seq, _)| seq)
+                                .map(|i| bases[i].1)
+                                .map_err(|_| {
+                                    corrupt(format!(
+                                        "pointer to allocation #{alloc_seq} has no offline base"
+                                    ))
+                                })?;
                             ParamSpec::IndirectPtr {
                                 alloc_seq,
                                 offset,
-                                raw,
+                                raw: base.wrapping_add(offset),
                             }
                         }
                         t => return Err(corrupt(format!("param has unknown tag {t}"))),
@@ -1349,6 +1462,175 @@ mod tests {
             encode_bundle(&[&a, &a]).unwrap_err().kind(),
             "artifact_corrupt"
         );
+    }
+
+    /// The tiny artifact with pointers into three allocations, so its base
+    /// table has three entries.
+    fn three_bases() -> MaterializedState {
+        let mut a = tiny();
+        for (seq, base) in [(5u64, 0x7000u64), (6, 0x9000)] {
+            a.graphs[0].nodes[0].params.push(ParamSpec::IndirectPtr {
+                alloc_seq: seq,
+                offset: 8,
+                raw: base + 8,
+            });
+        }
+        a.seal();
+        a
+    }
+
+    /// Rewrites rank 0's `kind` payload in place through `edit`, which
+    /// returns the payload's new (not larger) length, then reseals the
+    /// section digest, the header's digest fold and the index digest, so
+    /// the edit is the file's only inconsistency.
+    fn tamper_section(
+        bytes: &[u8],
+        kind: SectionKind,
+        edit: impl FnOnce(&mut [u8]) -> usize,
+    ) -> Vec<u8> {
+        let (i, e) = Maf2Reader::open(bytes)
+            .unwrap()
+            .section_extents()
+            .into_iter()
+            .enumerate()
+            .find(|(_, e)| e.kind == kind && e.shard == 0)
+            .unwrap();
+        let mut out = bytes.to_vec();
+        let (off, len) = (e.offset as usize, e.len as usize);
+        let new_len = edit(&mut out[off..off + len]);
+        assert!(new_len <= len);
+        let digest = fnv1a(&[&out[off..off + new_len]]);
+        let index_off = u64::from_le_bytes(out[40..48].try_into().unwrap()) as usize;
+        let entry = index_off + i * MAF2_INDEX_ENTRY_LEN;
+        out[entry + 16..entry + 24].copy_from_slice(&(new_len as u64).to_le_bytes());
+        out[entry + 24..entry + 32].copy_from_slice(&digest.to_le_bytes());
+        let section_count = u32::from_le_bytes(out[20..24].try_into().unwrap()) as usize;
+        let digests: Vec<u8> = (0..section_count)
+            .flat_map(|k| {
+                let at = index_off + k * MAF2_INDEX_ENTRY_LEN + 24;
+                out[at..at + 8].to_vec()
+            })
+            .collect();
+        let fold = fnv1a(&[&digests]);
+        out[48..56].copy_from_slice(&fold.to_le_bytes());
+        reseal_index_digest(&mut out);
+        out
+    }
+
+    fn le64_at(payload: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
+    }
+
+    #[test]
+    fn graph_records_are_address_free() {
+        let a = three_bases();
+        let mut b = a.clone();
+        for p in b.graphs[0].nodes[0].params.iter_mut() {
+            if let ParamSpec::IndirectPtr { raw, .. } = p {
+                *raw += 0x10_0000; // the same layout at other addresses
+            }
+        }
+        b.seal();
+        let (ea, eb) = (encode_bundle(&[&a]).unwrap(), encode_bundle(&[&b]).unwrap());
+        let graphs = |bytes: &[u8]| {
+            let r = Maf2Reader::open(bytes).unwrap();
+            let e = r
+                .section_extents()
+                .into_iter()
+                .find(|e| e.kind == SectionKind::Graphs)
+                .unwrap();
+            bytes[e.offset as usize..(e.offset + e.len) as usize].to_vec()
+        };
+        assert_eq!(graphs(&ea), graphs(&eb), "graph records carry no address");
+        assert_ne!(ea, eb, "the base tables differ");
+        let r = Maf2Reader::open(&eb).unwrap();
+        assert_eq!(r.shard(0).unwrap(), &b, "raw values are rebuilt exactly");
+    }
+
+    #[test]
+    fn conflicting_bases_are_an_encoder_error() {
+        let mut a = three_bases();
+        a.graphs[0].nodes[0].params.push(ParamSpec::IndirectPtr {
+            alloc_seq: 5,
+            offset: 0,
+            raw: 0x1234,
+        });
+        a.seal();
+        let err = encode_bundle(&[&a]).unwrap_err();
+        assert_eq!(err.kind(), "artifact_corrupt");
+        assert!(err.to_string().contains("#5"), "{err}");
+    }
+
+    #[test]
+    fn base_table_corruption_is_a_typed_error() {
+        let bytes = encode_bundle(&[&three_bases()]).unwrap();
+        // Payload: count, then (alloc_seq, base) for allocations 4, 5, 6.
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "truncated mid-entry",
+                tamper_section(&bytes, SectionKind::PtrBases, |p| p.len() - 3),
+            ),
+            (
+                "truncated by one entry",
+                tamper_section(&bytes, SectionKind::PtrBases, |p| p.len() - 16),
+            ),
+            (
+                "empty section",
+                tamper_section(&bytes, SectionKind::PtrBases, |_| 0),
+            ),
+            (
+                "duplicate alloc_seq",
+                tamper_section(&bytes, SectionKind::PtrBases, |p| {
+                    let first = le64_at(p, 8);
+                    p[24..32].copy_from_slice(&first.to_le_bytes());
+                    p.len()
+                }),
+            ),
+            (
+                "pointer without a base",
+                tamper_section(&bytes, SectionKind::PtrBases, |p| {
+                    p[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
+                    p.len()
+                }),
+            ),
+            (
+                "count larger than the payload",
+                tamper_section(&bytes, SectionKind::PtrBases, |p| {
+                    p[..8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+                    p.len()
+                }),
+            ),
+        ];
+        for (what, bad) in cases {
+            let r = Maf2Reader::open(&bad).unwrap_or_else(|e| panic!("{what}: open: {e}"));
+            let err = r.shard(0).expect_err(what);
+            assert_eq!(err.kind(), "artifact_corrupt", "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn nonzero_reserved_pointer_slot_is_rejected() {
+        let bytes = encode_bundle(&[&tiny()]).unwrap();
+        let bad = tamper_section(&bytes, SectionKind::Graphs, |p| {
+            // Graph count, graph header, one 40-byte node, one const
+            // record, then the pointer record whose last 8 bytes are
+            // reserved.
+            p[8 + 16 + 40 + 32 + 24] = 1;
+            p.len()
+        });
+        let err = Maf2Reader::open(&bad).unwrap().shard(0).unwrap_err();
+        assert_eq!(err.kind(), "artifact_corrupt");
+        assert!(err.to_string().contains("reserved"), "{err}");
+    }
+
+    #[test]
+    fn take_shard_moves_the_decoded_state_out() {
+        let a = tiny();
+        let bytes = encode_bundle(&[&a]).unwrap();
+        let mut r = Maf2Reader::open(&bytes).unwrap();
+        assert_eq!(r.take_shard(0).unwrap(), a);
+        assert_eq!(r.shard(0).unwrap(), &a, "a later access decodes again");
+        assert!(r.take_shard(1).is_err());
     }
 
     #[test]

@@ -28,8 +28,9 @@ pub mod registry;
 pub mod template;
 
 /// Format version, bumped on breaking layout changes (v2 added the sealed
-/// content checksum).
-pub const ARTIFACT_VERSION: u32 = 2;
+/// content checksum; v3 made MAF2 graph records address-free, with the
+/// offline addresses in a per-shard base table).
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// One materialized kernel parameter.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,7 +48,9 @@ pub enum ParamSpec {
         /// Byte offset of the pointer within the matched buffer.
         offset: u64,
         /// The raw offline value (for diagnostics and for correction of
-        /// false positives back to a constant, §4).
+        /// false positives back to a constant, §4). Always the offline base
+        /// of `alloc_seq` plus `offset`; MAF2 stores the base once per
+        /// allocation rather than this value per pointer.
         raw: u64,
     },
 }

@@ -519,7 +519,7 @@ impl<'a> ColdStart<'a> {
         bytes: &[u8],
         opts: &ColdStartOptions,
     ) -> MedusaResult<Vec<MaterializedState>> {
-        let reader = crate::artifact::maf2::Maf2Reader::open(bytes)?;
+        let mut reader = crate::artifact::maf2::Maf2Reader::open(bytes)?;
         if self.validate_artifact && self.strategy == Strategy::Medusa {
             if let Some(t) = self.tele {
                 t.inc("artifact_validation_total", reader.shard_count() as u64);
@@ -537,8 +537,12 @@ impl<'a> ColdStart<'a> {
             }
         }
         match self.tp {
-            Some(_) => reader.materialize_all(),
-            None => Ok(vec![reader.shard(opts.rank)?.clone()]),
+            Some(_) => reader
+                .shard_ranks()
+                .into_iter()
+                .map(|rank| reader.take_shard(rank))
+                .collect(),
+            None => Ok(vec![reader.take_shard(opts.rank)?]),
         }
     }
 

@@ -116,8 +116,7 @@ pub fn run_offline_capture_sharded(
     // ❶–❸ structure init, weights, tokenizer (vanilla order).
     let mut inst = ModelInstance::initialize_sharded(&mut rt, spec, rank, tp)?;
     load_weights(&mut rt, &inst, 1.0)?;
-    let (_tok, tok_dur) = Tokenizer::load(spec.vocab(), rt.cost());
-    rt.advance(tok_dur);
+    rt.advance(Tokenizer::load_duration(spec.vocab(), rt.cost()));
 
     // Everything after structure init must be replayed online.
     let replay_start_pos = rt.trace_len();

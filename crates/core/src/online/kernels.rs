@@ -22,6 +22,25 @@ pub struct ResolutionStats {
 pub struct KernelResolver {
     addrs: HashMap<(String, String), u64>,
     stats: ResolutionStats,
+    /// The kernel set of the artifact being resolved, computed once.
+    needed: Option<NeededKernels>,
+}
+
+/// One artifact's unique kernels and which of them are resolved.
+#[derive(Debug)]
+struct NeededKernels {
+    /// Sealed checksum of the artifact the set was computed from.
+    checksum: u64,
+    /// `(library, kernel, exported)` in first-use order.
+    kernels: Vec<(String, String, bool)>,
+    /// Per kernel: present in `addrs`.
+    resolved: Vec<bool>,
+}
+
+impl NeededKernels {
+    fn first_gap(&self) -> Option<usize> {
+        self.resolved.iter().position(|r| !r)
+    }
 }
 
 impl KernelResolver {
@@ -40,18 +59,43 @@ impl KernelResolver {
         &self.stats
     }
 
-    /// The unique `(library, kernel, exported)` triples an artifact needs.
+    /// The unique `(library, kernel, exported)` triples an artifact needs,
+    /// in first-use order.
     pub fn needed(artifact: &MaterializedState) -> Vec<(String, String, bool)> {
         let mut seen = HashSet::new();
         let mut out = Vec::new();
-        for g in &artifact.graphs {
-            for n in &g.nodes {
-                if seen.insert((n.library.clone(), n.kernel.clone())) {
-                    out.push((n.library.clone(), n.kernel.clone(), n.exported));
-                }
+        for n in artifact.graphs.iter().flat_map(|g| &g.nodes) {
+            if seen.insert((n.library.as_str(), n.kernel.as_str())) {
+                out.push((n.library.clone(), n.kernel.clone(), n.exported));
             }
         }
         out
+    }
+
+    /// The kernel set of `artifact`, if it is the one this resolver has
+    /// computed it for.
+    fn cached(&self, artifact: &MaterializedState) -> Option<&NeededKernels> {
+        self.needed
+            .as_ref()
+            .filter(|n| n.checksum == artifact.checksum)
+    }
+
+    /// The kernel set of `artifact`, computed on first use and again only
+    /// when a different artifact is passed.
+    fn needed_for(&mut self, artifact: &MaterializedState) -> &mut NeededKernels {
+        if self.cached(artifact).is_none() {
+            let kernels = Self::needed(artifact);
+            let resolved = kernels
+                .iter()
+                .map(|(l, k, _)| self.addrs.contains_key(&(l.clone(), k.clone())))
+                .collect();
+            self.needed = Some(NeededKernels {
+                checksum: artifact.checksum,
+                kernels,
+                resolved,
+            });
+        }
+        self.needed.as_mut().expect("just computed")
     }
 
     /// Resolves every *exported* kernel through the `dlsym` path: `dlopen`
@@ -69,15 +113,18 @@ impl KernelResolver {
         rt: &mut ProcessRuntime,
         artifact: &MaterializedState,
     ) -> MedusaResult<()> {
-        for (library, kernel, _exported) in Self::needed(artifact) {
-            if self.addrs.contains_key(&(library.clone(), kernel.clone())) {
+        self.needed_for(artifact);
+        let needed = self.needed.as_mut().expect("computed above");
+        for (i, (library, kernel, _exported)) in needed.kernels.iter().enumerate() {
+            if needed.resolved[i] {
                 continue;
             }
-            let handle = rt.dlopen(&library)?;
-            match rt.dlsym(handle, &kernel) {
+            let handle = rt.dlopen(library)?;
+            match rt.dlsym(handle, kernel) {
                 Ok(sym) => {
                     let addr = rt.cuda_get_func_by_symbol(sym)?;
-                    self.addrs.insert((library, kernel), addr);
+                    self.addrs.insert((library.clone(), kernel.clone()), addr);
+                    needed.resolved[i] = true;
                     self.stats.via_dlsym += 1;
                 }
                 Err(GpuError::SymbolHidden { .. }) => { /* needs triggering */ }
@@ -100,12 +147,7 @@ impl KernelResolver {
         rt: &mut ProcessRuntime,
         artifact: &MaterializedState,
     ) -> MedusaResult<()> {
-        let unresolved: Vec<(String, String)> = Self::needed(artifact)
-            .into_iter()
-            .filter(|(l, k, _)| !self.addrs.contains_key(&(l.clone(), k.clone())))
-            .map(|(l, k, _)| (l, k))
-            .collect();
-        if unresolved.is_empty() {
+        if self.needed_for(artifact).first_gap().is_none() {
             return Ok(());
         }
         let mut by_name: HashMap<String, u64> = HashMap::new();
@@ -115,27 +157,38 @@ impl KernelResolver {
                 by_name.insert(name, addr);
             }
         }
-        for (library, kernel) in unresolved {
-            if let Some(&addr) = by_name.get(&kernel) {
-                self.addrs.insert((library, kernel), addr);
+        let needed = self.needed.as_mut().expect("computed above");
+        for (i, (library, kernel, _)) in needed.kernels.iter().enumerate() {
+            if needed.resolved[i] {
+                continue;
+            }
+            if let Some(&addr) = by_name.get(kernel) {
+                self.addrs.insert((library.clone(), kernel.clone()), addr);
+                needed.resolved[i] = true;
                 self.stats.via_enumeration += 1;
             }
         }
         Ok(())
     }
 
-    /// Verifies every kernel the artifact references is resolved.
+    /// Verifies every kernel the artifact references is resolved. Once
+    /// this resolver has resolved `artifact`, the check allocates nothing
+    /// unless it fails.
     ///
     /// # Errors
     ///
     /// Returns [`MedusaError::KernelUnresolved`] naming the first gap.
     pub fn ensure_complete(&self, artifact: &MaterializedState) -> MedusaResult<()> {
-        for (library, kernel, _) in Self::needed(artifact) {
-            if !self.addrs.contains_key(&(library.clone(), kernel.clone())) {
-                return Err(MedusaError::KernelUnresolved { library, kernel });
-            }
+        let gap = match self.cached(artifact) {
+            Some(needed) => needed.first_gap().map(|i| needed.kernels[i].clone()),
+            None => Self::needed(artifact)
+                .into_iter()
+                .find(|(l, k, _)| !self.addrs.contains_key(&(l.clone(), k.clone()))),
+        };
+        match gap {
+            Some((library, kernel, _)) => Err(MedusaError::KernelUnresolved { library, kernel }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -193,6 +246,33 @@ mod tests {
         assert_eq!(names.len(), total, "needed() must deduplicate");
         // The model uses far fewer distinct kernels than nodes.
         assert!(total < art.stats.nodes as usize / 10);
+    }
+
+    #[test]
+    fn kernel_set_is_recomputed_for_a_different_artifact() {
+        let art = artifact();
+        let spec = ModelSpec::by_name("Qwen1.5-0.5B").unwrap();
+        let mut rt = ProcessRuntime::new(
+            build_catalog(&spec),
+            GpuSpec::a100_40gb(),
+            CostModel::default(),
+            112,
+        );
+        let mut res = KernelResolver::new();
+        res.resolve_exported(&mut rt, &art).unwrap();
+        // Another artifact (another sealed checksum) whose first kernel no
+        // library exports: the resolver must not answer from the first
+        // artifact's set.
+        let mut other = art.clone();
+        other.graphs[0].nodes[0].kernel = "not_in_any_library".into();
+        other.seal();
+        match res.ensure_complete(&other) {
+            Err(MedusaError::KernelUnresolved { kernel, .. }) => {
+                assert_eq!(kernel, "not_in_any_library")
+            }
+            r => panic!("expected a gap, got {r:?}"),
+        }
+        assert!(res.resolve_exported(&mut rt, &other).is_err());
     }
 
     #[test]

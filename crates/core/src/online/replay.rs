@@ -206,6 +206,7 @@ pub fn restore_graph(
     kernel_addrs: &HashMap<(String, String), u64>,
 ) -> MedusaResult<CudaGraph> {
     let mut graph = CudaGraph::new();
+    let mut parts = Vec::new();
     for (ni, n) in gspec.nodes.iter().enumerate() {
         let addr = kernel_addrs
             .get(&(n.library.clone(), n.kernel.clone()))
@@ -214,15 +215,13 @@ pub fn restore_graph(
                 library: n.library.clone(),
                 kernel: n.kernel.clone(),
             })?;
-        let parts = n
-            .params
-            .iter()
-            .enumerate()
-            .map(|(pi, p)| match p {
+        parts.clear();
+        for (pi, p) in n.params.iter().enumerate() {
+            parts.push(match p {
                 ParamSpec::Const { bytes } => {
                     let mut buf = [0u8; 8];
                     buf[..bytes.len()].copy_from_slice(bytes);
-                    Ok((u64::from_le_bytes(buf), bytes.len() as u32))
+                    (u64::from_le_bytes(buf), bytes.len() as u32)
                 }
                 ParamSpec::IndirectPtr {
                     alloc_seq, offset, ..
@@ -235,10 +234,10 @@ pub fn restore_graph(
                             param: pi,
                             addr: *alloc_seq,
                         })?;
-                    Ok((base.offset(*offset).addr(), 8))
+                    (base.offset(*offset).addr(), 8)
                 }
-            })
-            .collect::<MedusaResult<Vec<_>>>()?;
+            });
+        }
         graph.add_kernel_node(addr, ParamBuffer::from_parts(&parts), n.work);
     }
     for &(s, d) in &gspec.edges {

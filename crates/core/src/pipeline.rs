@@ -11,7 +11,7 @@
 //! * **`NoCudaGraph`** — the capturing stage removed entirely; serving pays
 //!   eager per-kernel launch overhead forever (§7.5's `w/o CUDA GRAPH`).
 
-use crate::artifact::{GraphSpec, MaterializedState};
+use crate::artifact::MaterializedState;
 use crate::engine::{host_pair, Lane, StageGraph};
 use crate::error::{MedusaError, MedusaResult};
 use crate::faults::{AbortPoint, FaultPlan};
@@ -976,15 +976,14 @@ fn restore_all_graphs(
 ) -> MedusaResult<Vec<(u32, GraphExec)>> {
     let mut resolver = KernelResolver::new();
     resolver.resolve_exported(rt, artifact)?;
-    let mut gspecs: Vec<GraphSpec> = artifact.graphs.clone();
-    let mut graphs = Vec::with_capacity(gspecs.len());
+    let mut graphs = Vec::with_capacity(artifact.graphs.len());
     if opts.triggering == TriggeringMode::Handwritten {
         // §5.1: one curated launch per hidden module, once.
         run_handwritten_triggers(rt, inst)?;
         resolver.resolve_by_enumeration(rt, artifact)?;
         resolver.ensure_complete(artifact)?;
     }
-    for gspec in &mut gspecs {
+    for gspec in &artifact.graphs {
         let batch = gspec.batch;
         if opts.triggering == TriggeringMode::FirstLayer {
             warmup_first_layer(rt, inst, batch, kv_view)?;
@@ -998,7 +997,10 @@ fn restore_all_graphs(
             rt.cost().artifact_load_per_node_ns * nodes,
         ));
         let exec = if opts.validate {
-            validate_and_correct(rt, inst, gspec, layout, resolver.addrs(), kv_view)?.exec
+            // Correction rewrites the spec it validates; only this graph's
+            // copy is mutated.
+            let mut gspec = gspec.clone();
+            validate_and_correct(rt, inst, &mut gspec, layout, resolver.addrs(), kv_view)?.exec
         } else {
             let graph = restore_graph(gspec, layout, resolver.addrs())?;
             GraphExec::instantiate(rt, graph)?

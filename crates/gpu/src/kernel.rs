@@ -143,7 +143,7 @@ impl ParamBuffer {
     ///
     /// Panics if a size is not 4 or 8.
     pub fn from_parts(parts: &[(u64, u32)]) -> Self {
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(parts.len() * 8);
         let mut layout = Vec::with_capacity(parts.len());
         for &(v, size) in parts {
             assert!(size == 4 || size == 8, "parameter sizes are 4 or 8 bytes");

@@ -11,13 +11,61 @@
 use medusa_gpu::{CostModel, SimDuration};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Longest generated piece, in bytes.
+const MAX_PIECE: usize = 8;
+
+/// Pieces drawn ahead of their table lookups; see [`Tokenizer::build`].
+const DRAW_BATCH: usize = 64;
+
+/// Packs a piece of at most [`MAX_PIECE`] bytes into a map key: the bytes
+/// in the low half, the length in the top byte. A `u64` alone would make
+/// an 8-byte piece collide with its zero-padded prefixes.
+fn key(piece: &[u8]) -> u128 {
+    debug_assert!(piece.len() <= MAX_PIECE);
+    let mut b = [0u8; 16];
+    b[..piece.len()].copy_from_slice(piece);
+    b[15] = piece.len() as u8;
+    u128::from_le_bytes(b)
+}
+
+/// A multiply-xorshift hash of one packed piece. The keys are not chosen
+/// by an adversary, so the keyed default hasher buys nothing here.
+#[derive(Default)]
+struct PieceHasher(u64);
+
+impl Hasher for PieceHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        let x = (v as u64) ^ ((v >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        self.0 = x ^ (x >> 31);
+    }
+}
+
+type PieceMap = HashMap<u128, u32, BuildHasherDefault<PieceHasher>>;
 
 /// A loaded tokenizer.
 #[derive(Debug, Clone)]
 pub struct Tokenizer {
-    vocab: Vec<Vec<u8>>,
-    lookup: HashMap<Vec<u8>, u32>,
+    /// Every piece's bytes, back to back in id order.
+    arena: Vec<u8>,
+    /// Piece `id` is `arena[ends[id - 1]..ends[id]]` (from 0 for id 0).
+    ends: Vec<u32>,
+    /// Packed piece → id.
+    lookup: PieceMap,
     max_piece: usize,
 }
 
@@ -28,42 +76,77 @@ impl Tokenizer {
     /// The vocabulary is deterministic in `vocab_size`: 256 byte tokens plus
     /// generated multi-byte pieces over common ASCII.
     pub fn load(vocab_size: u32, cost: &CostModel) -> (Self, SimDuration) {
-        let duration = SimDuration::from_nanos(
+        (
+            Self::build(vocab_size),
+            Self::load_duration(vocab_size, cost),
+        )
+    }
+
+    /// The simulated duration of [`Tokenizer::load`], without building the
+    /// vocabulary.
+    pub fn load_duration(vocab_size: u32, cost: &CostModel) -> SimDuration {
+        SimDuration::from_nanos(
             cost.tokenizer_fixed_ns + cost.tokenizer_per_entry_ns * vocab_size as u64,
-        );
-        (Self::build(vocab_size), duration)
+        )
     }
 
     fn build(vocab_size: u32) -> Self {
-        let mut vocab: Vec<Vec<u8>> = (0u16..256).map(|b| vec![b as u8]).collect();
+        let entries = vocab_size.max(256) as usize;
+        let mut arena: Vec<u8> = (0..=255).collect();
+        arena.reserve(entries * MAX_PIECE / 2);
+        let mut ends: Vec<u32> = Vec::with_capacity(entries);
+        ends.extend(1..=256);
+        let mut lookup = PieceMap::with_capacity_and_hasher(entries, Default::default());
+        lookup.extend((0..=255u8).map(|b| (key(&[b]), u32::from(b))));
+        let mut max_piece = 1;
         let mut rng = SmallRng::seed_from_u64(vocab_size as u64);
         const CHARS: &[u8] = b"etaoinshrdlucmfwypvbgkjqxz ETAOIN0123456789.,;:-_'\"";
-        let mut seen: HashMap<Vec<u8>, ()> = vocab.iter().cloned().map(|v| (v, ())).collect();
-        while (vocab.len() as u32) < vocab_size.max(256) {
-            let len = 2 + (rng.gen::<usize>() % 7);
-            let piece: Vec<u8> = (0..len)
-                .map(|_| CHARS[rng.gen::<usize>() % CHARS.len()])
-                .collect();
-            if seen.insert(piece.clone(), ()).is_none() {
-                vocab.push(piece);
+        // Draws branch unpredictably on each piece's length. Drawing a
+        // batch before probing the table keeps the probes free of those
+        // branches, so their cache misses overlap. The draw order, and so
+        // the vocabulary, is that of one draw and one probe at a time;
+        // draws past the last entry are discarded.
+        let mut batch = Vec::with_capacity(DRAW_BATCH);
+        while ends.len() < entries {
+            batch.clear();
+            batch.extend((0..DRAW_BATCH).map(|_| {
+                let len = 2 + (rng.gen::<usize>() % 7);
+                let mut piece = [0u8; MAX_PIECE];
+                for c in &mut piece[..len] {
+                    *c = CHARS[rng.gen::<usize>() % CHARS.len()];
+                }
+                key(&piece[..len])
+            }));
+            for &k in &batch {
+                if ends.len() == entries {
+                    break;
+                }
+                if let Entry::Vacant(slot) = lookup.entry(k) {
+                    slot.insert(ends.len() as u32);
+                    let bytes = k.to_le_bytes();
+                    let len = usize::from(bytes[15]);
+                    arena.extend_from_slice(&bytes[..len]);
+                    ends.push(arena.len() as u32);
+                    max_piece = max_piece.max(len);
+                }
             }
         }
-        let lookup = vocab
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), i as u32))
-            .collect();
-        let max_piece = vocab.iter().map(Vec::len).max().unwrap_or(1);
         Tokenizer {
-            vocab,
+            arena,
+            ends,
             lookup,
             max_piece,
         }
     }
 
+    fn piece(&self, id: usize) -> &[u8] {
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.arena[start..self.ends[id] as usize]
+    }
+
     /// Vocabulary size.
     pub fn vocab_size(&self) -> u32 {
-        self.vocab.len() as u32
+        self.ends.len() as u32
     }
 
     /// Encodes text into token ids by greedy longest match with byte
@@ -76,7 +159,7 @@ impl Tokenizer {
             let mut matched = None;
             let end = (i + self.max_piece).min(bytes.len());
             for j in (i + 1..=end).rev() {
-                if let Some(&id) = self.lookup.get(&bytes[i..j]) {
+                if let Some(&id) = self.lookup.get(&key(&bytes[i..j])) {
                     matched = Some((id, j));
                     break;
                 }
@@ -96,7 +179,7 @@ impl Tokenizer {
     pub fn decode(&self, ids: &[u32]) -> Vec<u8> {
         let mut out = Vec::new();
         for &id in ids {
-            out.extend_from_slice(&self.vocab[id as usize]);
+            out.extend_from_slice(self.piece(id as usize));
         }
         out
     }

@@ -13,10 +13,16 @@
 //!    the same state as eagerly decoding the whole bundle, while reading
 //!    strictly less than `1/tp` of the file (plus the O(header + index)
 //!    open cost).
+//! 4. **Address-free body** — captures of one target under different
+//!    process seeds differ only in their small per-shard base tables, so
+//!    `n` re-materializations deduplicate to about `n`× in a chunk store,
+//!    and a file of the address-carrying format version 2 is rejected
+//!    with a typed error instead of being decoded.
 
 use medusa::{
-    encode_maf2_bundle, is_maf2, materialize_offline, materialize_offline_tp, Maf2Reader,
-    MaterializedState, TpArtifacts,
+    encode_maf2_bundle, is_maf2, materialize_offline, materialize_offline_tp, ArtifactValidator,
+    ChunkStore, ColdStart, Maf2Reader, MaterializedState, Strategy, TpArtifacts, ValidationCheck,
+    ARTIFACT_VERSION,
 };
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
@@ -139,4 +145,84 @@ proptest! {
         let via_wrapper = arts.to_maf2().expect("encode wrapper");
         prop_assert_eq!(via_refs, via_wrapper);
     }
+}
+
+/// ROADMAP item 1's oracle: `n` re-materializations of Qwen1.5-0.5B tp=1
+/// under different seeds pack into one store at a dedup ratio of at
+/// least `0.9·n`.
+#[test]
+fn rematerializations_dedup_in_one_chunk_store() {
+    for n in 2..=4u64 {
+        let mut store = ChunkStore::new();
+        for seed in 1..=n {
+            store
+                .pack(&single(seed).to_maf2().expect("encode"))
+                .expect("pack");
+        }
+        let ratio = store.dedup_stats().ratio();
+        assert!(
+            ratio >= 0.9 * n as f64,
+            "{n} seeds dedup only {ratio:.3}x, want >= {:.1}x",
+            0.9 * n as f64
+        );
+    }
+}
+
+/// FNV-1a 64, the MAF2 digest.
+fn fnv1a(chunks: &[&[u8]]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in chunks.iter().flat_map(|c| c.iter()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// `bytes` relabelled as format `version`, with the index digest resealed
+/// so that the version is the only inconsistency.
+fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[8..12].copy_from_slice(&version.to_le_bytes());
+    let le32 = |o: usize| u32::from_le_bytes(out[o..o + 4].try_into().unwrap()) as usize;
+    let key_end = 64 + le32(24) + le32(28);
+    let index_off = u64::from_le_bytes(out[40..48].try_into().unwrap()) as usize;
+    let index_end = index_off + le32(20) * 32;
+    let digest = fnv1a(&[&out[..56], &out[64..key_end], &out[index_off..index_end]]);
+    out[56..64].copy_from_slice(&digest.to_le_bytes());
+    out
+}
+
+/// A version-2 file carries a per-pointer offline address that this
+/// decoder no longer reads: every entry point rejects it with a typed
+/// error, and a cold start from it degrades to vanilla.
+#[test]
+fn version_2_files_are_rejected_not_misdecoded() {
+    assert_eq!(ARTIFACT_VERSION, 3);
+    let v2 = with_version(&single(1).to_maf2().expect("encode"), 2);
+
+    let reader = Maf2Reader::open(&v2).expect("a version skew still opens");
+    assert_eq!(reader.version(), 2);
+    let err = reader.shard(0).expect_err("v2 shard must not decode");
+    assert_eq!(err.kind(), "artifact_corrupt", "{err}");
+    assert!(err.to_string().contains("version"), "{err}");
+    assert_eq!(
+        MaterializedState::from_maf2(&v2).unwrap_err().kind(),
+        "artifact_corrupt"
+    );
+
+    let report = ArtifactValidator::for_target(&spec(), &GpuSpec::a100_40gb()).validate_bytes(&v2);
+    let (check, err) = report.first_failure().expect("validation fails");
+    assert_eq!(*check, ValidationCheck::FormatVersion, "{err}");
+
+    let outcome = ColdStart::new(&spec())
+        .strategy(Strategy::Medusa)
+        .artifact_bytes(&v2)
+        .seed(7)
+        .run()
+        .expect("degrades instead of erroring");
+    assert_eq!(outcome.strategy_used(), Strategy::Vanilla);
+    assert_eq!(
+        outcome.fallback().expect("fallback").reason,
+        "artifact_corrupt"
+    );
 }

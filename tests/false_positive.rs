@@ -6,13 +6,32 @@
 //! validation forwarding detects it and the correction pass repairs it.
 
 use medusa::{
-    materialize_offline, ColdStart, ColdStartOptions, MaterializedState, ParamSpec, Strategy,
+    materialize_offline, ColdStart, ColdStartOptions, Maf2Reader, MaterializedState, ParamSpec,
+    ReplayOp, Strategy,
 };
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
+use std::collections::BTreeSet;
 
 fn spec() -> ModelSpec {
     ModelSpec::by_name("Qwen1.5-0.5B").expect("catalog model")
+}
+
+/// The first 8-byte constant of a rotary node in graph 0 (the rope base):
+/// its node, its parameter and its value.
+fn rotary_constant(artifact: &MaterializedState) -> (usize, usize, u64) {
+    for (ni, node) in artifact.graphs[0].nodes.iter().enumerate() {
+        if node.kernel.contains("rotary") {
+            for (pi, p) in node.params.iter().enumerate() {
+                if let ParamSpec::Const { bytes } = p {
+                    if let Ok(buf) = <[u8; 8]>::try_from(bytes.as_slice()) {
+                        return (ni, pi, u64::from_le_bytes(buf));
+                    }
+                }
+            }
+        }
+    }
+    panic!("no 8-byte constant found to poison");
 }
 
 /// Rewrites one genuine constant (the rotary kernel's 8-byte rope base) as
@@ -23,27 +42,13 @@ fn poison(artifact: &mut MaterializedState) -> (usize, usize) {
         .labels
         .get("ws.positions")
         .expect("labelled buffer");
-    let g = &mut artifact.graphs[0];
-    for (ni, node) in g.nodes.iter_mut().enumerate() {
-        if node.kernel.contains("rotary") {
-            for (pi, p) in node.params.iter_mut().enumerate() {
-                if let ParamSpec::Const { bytes } = p {
-                    if bytes.len() == 8 {
-                        let mut buf = [0u8; 8];
-                        buf.copy_from_slice(bytes);
-                        let raw = u64::from_le_bytes(buf);
-                        *p = ParamSpec::IndirectPtr {
-                            alloc_seq: target_seq,
-                            offset: 0,
-                            raw,
-                        };
-                        return (ni, pi);
-                    }
-                }
-            }
-        }
-    }
-    panic!("no 8-byte constant found to poison");
+    let (ni, pi, raw) = rotary_constant(artifact);
+    artifact.graphs[0].nodes[ni].params[pi] = ParamSpec::IndirectPtr {
+        alloc_seq: target_seq,
+        offset: 0,
+        raw,
+    };
+    (ni, pi)
 }
 
 /// With validation enabled the false positive is detected and corrected
@@ -146,4 +151,73 @@ fn poisoned_pointer_to_dead_allocation_fails_restore() {
     assert_eq!(outcome.strategy_used(), Strategy::Vanilla);
     let fb = outcome.fallback().expect("restore failure recorded");
     assert_eq!(fb.reason, "unmatched_pointer", "{}", fb.detail);
+}
+
+/// The §4 correction works from the MAF2 encoding, whose graph records hold
+/// no offline address: the planted constant is stored as the base of the
+/// allocation it was matched to, rebuilt on decode, and still corrected
+/// back to a constant by the validation forwarding.
+#[test]
+fn correction_survives_the_address_free_encoding() {
+    let s = spec();
+    let (mut artifact, _) =
+        materialize_offline(&s, GpuSpec::a100_40gb(), CostModel::default(), 37).expect("offline");
+    // A false positive matches the constant to a live allocation. Take one
+    // no genuine pointer refers to, so the constant is that allocation's
+    // only offline base in the encoding.
+    let mut live: BTreeSet<u64> = (0..artifact.replay_prefix_allocs).collect();
+    let mut next = artifact.replay_prefix_allocs;
+    for op in &artifact.replay_ops {
+        match op {
+            ReplayOp::Malloc { .. } => {
+                live.insert(next);
+                next += 1;
+            }
+            ReplayOp::Free { alloc_seq } => {
+                live.remove(alloc_seq);
+            }
+        }
+    }
+    for g in &artifact.graphs {
+        for p in g.nodes.iter().flat_map(|n| &n.params) {
+            if let ParamSpec::IndirectPtr { alloc_seq, .. } = p {
+                live.remove(alloc_seq);
+            }
+        }
+    }
+    let target_seq = *live
+        .first()
+        .expect("a live allocation no graph points into");
+    let (ni, pi, constant) = rotary_constant(&artifact);
+    let planted = ParamSpec::IndirectPtr {
+        alloc_seq: target_seq,
+        offset: 0,
+        raw: constant,
+    };
+    artifact.graphs[0].nodes[ni].params[pi] = planted.clone();
+    artifact.seal();
+
+    let bytes = artifact.to_maf2().expect("encode");
+    let decoded = Maf2Reader::open(&bytes)
+        .expect("open")
+        .shard(0)
+        .expect("decode")
+        .clone();
+    assert_eq!(decoded.graphs[0].nodes[ni].params[pi], planted);
+    assert_eq!(decoded, artifact, "decoding rebuilds every raw value");
+
+    let outcome = ColdStart::new(&s)
+        .strategy(Strategy::Medusa)
+        .artifact_bytes(&bytes)
+        .validate_graphs(true)
+        .seed(38)
+        .run()
+        .expect("correction must repair the artifact");
+    assert!(outcome.fallback().is_none(), "repaired, not degraded");
+    assert_eq!(outcome.strategy_used(), Strategy::Medusa);
+    // The restored batch-1 graph passes the planted constant by value.
+    let (engine, _) = outcome.into_single();
+    let params = engine.graphs[0].1.graph().node(ni).params();
+    assert_eq!(params.size_of(pi), 8);
+    assert_eq!(params.value(pi), constant, "corrected back to the constant");
 }
