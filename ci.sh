@@ -4,9 +4,9 @@
 # `medusa_bench::smoke::SCENARIOS` (each re-runs its scenario fresh and
 # compares it with the committed results/BENCH_<scenario>.json, metric by
 # metric, plus the scenario's declared invariants), every example
-# end-to-end, a build of the fixed perfbench harness, the proptest
-# regression-corpus check, and the concurrency stress test (sized for
-# --release, hence run separately).
+# end-to-end, a build and a 1 s smoke run per workload of the fixed
+# perfbench harness, the proptest regression-corpus check, and the
+# concurrency stress test (sized for --release, hence run separately).
 #
 # `./ci.sh` runs everything; `./ci.sh --gate <name>` runs one simulator
 # gate in isolation (as the CI matrix does), where <name> is `golden` or a
@@ -165,6 +165,22 @@ echo "==> perfbench (the fixed benchmark harness) builds against the current API
 # API change that breaks it must fail here rather than in the benchmark.
 cargo build --release -q --offline --manifest-path perfbench/Cargo.toml \
   --target-dir target/perfbench
+
+echo "==> perfbench smoke (every workload's operations pass their checks)"
+# perfbench exits 0 even when operations fail their checks; its verdict is
+# the "correct" field of the JSON summary on its last line.
+for w in coldstart fleet_scale fleet_tenants; do
+  LAST="$(target/perfbench/release/medusa-perfbench --workload "$w" \
+    --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  case "$LAST" in
+  *'"correct":true'*) echo "    $w - correct" ;;
+  *)
+    echo "FAIL: perfbench $w: operations failed their checks:"
+    echo "$LAST"
+    exit 1
+    ;;
+  esac
+done
 
 for s in $SCENARIOS; do
   gate_bench "$s"

@@ -1813,26 +1813,37 @@ impl FleetSim<'_> {
         }
     }
 
-    /// Begins a cold start of `model` on node `i` at time `t`.
+    /// Begins a cold start of `model` headed by node `i` at time `t`.
+    ///
+    /// Every start is a pipeline group of `k` nodes: the head plus up to
+    /// `pipeline_k − 1` recruited cold helpers, each restoring a contiguous
+    /// MAF2 shard range (the lazy reader restores per-shard, so the split
+    /// is free). Helpers are recruited only in pipeline mode, for the
+    /// Medusa strategy (the only one with an artifact to shard), and only
+    /// when the start is not degraded; with no helper (`k = 1`) this is the
+    /// single-node timeline. The head serves the first token as soon as its
+    /// own stage lands — after `total / k` instead of the full restore —
+    /// while helpers stream their shards to it and release back to cold
+    /// ([`FleetEvent::PipelineShardDone`]). The last helper lands exactly
+    /// on the single-node total, so sharding never inflates the full
+    /// restore. The head owns the registry connection, so the retry rolls
+    /// follow the registry mode whatever `k` is. On completion the head
+    /// caches the whole artifact (the shards reassemble on the head — a
+    /// documented approximation).
     fn start_cold(&mut self, t: u64, i: usize, model: u32) {
-        if self.pipeline_k >= 2 && self.profile.strategy == Strategy::Medusa {
-            // Pipeline mode shards the materialized restore; only the
-            // Medusa strategy has an artifact to shard.
-            self.start_cold_pipeline(t, i, model);
-            return;
-        }
         let faults = self.cluster.faults;
         let reg = self.cluster.fetch_policy;
+        let medusa = self.profile.strategy == Strategy::Medusa;
         let node = &mut self.nodes[i];
         debug_assert_eq!(node.state, NodeState::Cold);
-        let cached = node.cache_holds(model);
-        let needs_fetch = self.profile.strategy == Strategy::Medusa && !cached;
+        let needs_fetch = medusa && !node.cache_holds(model);
         node.state = NodeState::Starting;
         node.model = Some(model);
         node.cold_starts += 1;
+        let start = node.cold_starts;
         self.cold_starts += 1;
         self.sync(i);
-        if self.profile.strategy == Strategy::Medusa {
+        if medusa {
             if needs_fetch {
                 self.cache_misses += 1;
             } else {
@@ -1860,45 +1871,28 @@ impl FleetSim<'_> {
                 .registry
                 .resolve(model, &self.nodes[i].chunks, self.profile)
         });
-        let node = &mut self.nodes[i];
 
         // Registry fetch under the resilience policy: each failed attempt
         // costs a timeout, retries back off exponentially (bounded), and an
         // exhausted budget degrades this start to the vanilla path (§7).
-        // Whole-artifact mode rolls once per attempt on the legacy key
-        // schedule; content-addressed mode retries **per chunk**, each
-        // chunk salted by its digest and granted its own budget.
+        // Every missing unit gets its own budget. Whole-artifact mode has
+        // exactly one unit, rolled unsalted on the legacy key schedule;
+        // content-addressed mode retries **per chunk**, each chunk salted
+        // by its digest.
         let mut retry_ns: u64 = 0;
         let mut retries: u32 = 0;
         let mut degraded = false;
-        if needs_fetch && faults.registry_fail_per_mille > 0 {
-            if self.ctx.cas {
-                let units = plan.as_ref().map_or(&[][..], |p| &p.missing[..]);
-                'units: for u in units {
-                    let salt = mix(0x5a17_c4a5 ^ u.digest);
-                    let mut failures: u32 = 0;
-                    loop {
-                        let roll =
-                            roll_per_mille(faults.seed ^ salt, i, node.cold_starts, failures);
-                        if roll >= faults.registry_fail_per_mille {
-                            break;
-                        }
-                        failures += 1;
-                        retry_ns += (reg.timeout_s * 1e9) as u64;
-                        if failures > reg.retry_budget {
-                            degraded = true;
-                            break 'units;
-                        }
-                        let backoff = (reg.backoff_base_s * 2f64.powi(failures as i32 - 1))
-                            .min(reg.backoff_max_s);
-                        retry_ns += (backoff * 1e9) as u64;
-                        retries += 1;
-                    }
-                }
-            } else {
+        if faults.registry_fail_per_mille > 0 {
+            let units = plan.as_ref().map_or(&[][..], |p| &p.missing[..]);
+            'units: for u in units {
+                let salt = if self.ctx.cas {
+                    mix(0x5a17_c4a5 ^ u.digest)
+                } else {
+                    0
+                };
                 let mut failures: u32 = 0;
                 loop {
-                    let roll = roll_per_mille(faults.seed, i, node.cold_starts, failures);
+                    let roll = roll_per_mille(faults.seed ^ salt, i, start, failures);
                     if roll >= faults.registry_fail_per_mille {
                         break;
                     }
@@ -1906,7 +1900,7 @@ impl FleetSim<'_> {
                     retry_ns += (reg.timeout_s * 1e9) as u64;
                     if failures > reg.retry_budget {
                         degraded = true;
-                        break;
+                        break 'units;
                     }
                     let backoff = (reg.backoff_base_s * 2f64.powi(failures as i32 - 1))
                         .min(reg.backoff_max_s);
@@ -1915,205 +1909,34 @@ impl FleetSim<'_> {
                 }
             }
         }
-        node.degraded_start = degraded;
-
-        let fetch_ns = match (&plan, degraded) {
-            (Some(p), false) => self.ctx.registry.fetch(model, p, self.profile).as_nanos(),
-            _ => 0,
-        };
-        let makespan_ns = if degraded {
-            // No artifact to restore: vanilla-path loading, cache stays
-            // cold so the next start tries the registry again.
-            self.profile.degraded_loading.as_nanos()
-        } else {
-            self.profile.loading_for(model).as_nanos() + fetch_ns
-        };
-        if self.ctx.cas && !degraded {
-            if let Some(p) = &plan {
-                self.reg_bytes_fetched += p.bytes_needed;
-                self.reg_bytes_resolved += p.bytes_resolved;
-                self.reg_chunk_hits += p.chunk_hits;
-                self.reg_chunk_misses += p.missing.len() as u64;
-                if let Some(tl) = self.tele {
-                    tl.inc("cluster_registry_bytes_fetched_total", p.bytes_needed);
-                    tl.inc("cluster_registry_chunk_hits_total", p.chunk_hits);
-                    tl.inc(
-                        "cluster_registry_chunk_misses_total",
-                        p.missing.len() as u64,
-                    );
-                }
-            }
-        }
-        let node = &mut self.nodes[i];
-        node.cold_ns += retry_ns + makespan_ns;
-        // Aggregate rank work: every rank restores; fetch attempts and the
-        // fetch itself occupy the node once (the cache is shared across
-        // local ranks).
-        let restore_work = if degraded {
-            self.profile.degraded_loading.as_nanos() * node.spec.tp as u64
-        } else {
-            self.profile.coldstart_work_for(model).as_nanos()
-        };
-        node.work_ns += restore_work + retry_ns + fetch_ns;
+        self.nodes[i].degraded_start = degraded;
         self.fetch_retries += retries;
         if degraded {
             self.degraded_cold_starts += 1;
         }
-        let epoch = node.epoch;
-        let ready = t + retry_ns + makespan_ns;
-        if let Some(tl) = self.tele {
-            tl.inc("cluster_cold_starts_total", 1);
-            tl.inc(&format!("cluster_node{i}_cold_starts_total"), 1);
-            if retries > 0 {
-                tl.inc("cluster_fetch_retries_total", retries as u64);
-            }
-            if degraded {
-                tl.inc("cluster_degraded_coldstarts_total", 1);
-            }
-            tl.span(
-                format!("coldstart/n{i}/m{model}"),
-                format!("node{i}"),
-                t / 1_000,
-                ready / 1_000,
-            );
-        }
-        // A crashing start schedules its crash midway; the crash bumps the
-        // epoch and retracts the stage events below.
-        if faults.node_crash_per_mille > 0 {
-            let roll = roll_per_mille(faults.seed ^ 0xc7a5_11fe, i, self.nodes[i].cold_starts, 0);
-            if roll < faults.node_crash_per_mille {
-                let crash_at = t + (retry_ns + makespan_ns) / 2;
-                self.events
-                    .schedule(crash_at, FleetEvent::NodeCrash { node: i, epoch });
-            }
-        }
-        // The start's whole stage timeline is determined here (every fault
-        // roll happens at start time), so both stages go on the queue now:
-        // the registry fetch (cache-miss Medusa starts only), then the
-        // restore whose completion makes the node ready.
-        let fetch_tok = (needs_fetch && !degraded).then(|| {
-            self.events.schedule(
-                t + retry_ns + fetch_ns,
-                FleetEvent::RegistryFetchDone { node: i, epoch },
-            )
-        });
-        let ready_tok = self
-            .events
-            .schedule(ready, FleetEvent::ColdStartStageDone { node: i, epoch });
-        let node = &mut self.nodes[i];
-        node.stage_fetch = fetch_tok;
-        node.stage_ready = Some(ready_tok);
-    }
+        // A degraded start has no artifact: nothing is fetched, and the
+        // cache stays cold so the next start tries the registry again.
+        let plan = plan.filter(|_| !degraded);
 
-    /// Begins a **pipeline-parallel** cold start of `model` headed by
-    /// node `i`: the head plus up to `pipeline_k − 1` recruited cold
-    /// helpers each restore a contiguous MAF2 shard range (the lazy
-    /// reader restores per-shard, so the split is free). The head serves
-    /// the first token as soon as its own first stage lands — after
-    /// `total / k` instead of the full restore — while helpers stream
-    /// their shards to it and release back to cold
-    /// ([`FleetEvent::PipelineShardDone`]). The last helper lands exactly
-    /// on the single-node total, so sharding never inflates the full
-    /// restore. Falls back to the single-node timeline when the start
-    /// degrades (no artifact to shard) or no helper is free. The head's
-    /// registry rolls use the same key schedule as the single-node path;
-    /// helper crash rolls get their own attempt lane so fates stay
-    /// independent. On completion the head caches the whole artifact
-    /// (the shards reassemble on the head — a documented approximation).
-    fn start_cold_pipeline(&mut self, t: u64, i: usize, model: u32) {
-        let faults = self.cluster.faults;
-        let reg = self.cluster.fetch_policy;
-        let node = &mut self.nodes[i];
-        debug_assert_eq!(node.state, NodeState::Cold);
-        let cached = node.cache_holds(model);
-        let needs_fetch = !cached;
-        node.state = NodeState::Starting;
-        node.model = Some(model);
-        node.cold_starts += 1;
-        self.cold_starts += 1;
-        self.sync(i);
-        if needs_fetch {
-            self.cache_misses += 1;
-        } else {
-            self.cache_hits += 1;
-            self.nodes[i].cache_touch(model, t);
-        }
-        if let Some(tl) = self.tele {
-            tl.inc(
-                if needs_fetch {
-                    "cluster_cache_misses_total"
-                } else {
-                    "cluster_cache_hits_total"
-                },
-                1,
-            );
-        }
-        if self.multi_tenant {
-            self.tenant_stats.entry(model).or_default().cold_starts += 1;
-        }
-        let node = &mut self.nodes[i];
-
-        // Registry fetch under the resilience policy — the head owns the
-        // registry connection, so the rolls are keyed exactly like the
-        // single-node path.
-        let mut retry_ns: u64 = 0;
-        let mut retries: u32 = 0;
-        let mut degraded = false;
-        if needs_fetch && faults.registry_fail_per_mille > 0 {
-            let mut failures: u32 = 0;
-            loop {
-                let roll = roll_per_mille(faults.seed, i, node.cold_starts, failures);
-                if roll >= faults.registry_fail_per_mille {
-                    break;
-                }
-                failures += 1;
-                retry_ns += (reg.timeout_s * 1e9) as u64;
-                if failures > reg.retry_budget {
-                    degraded = true;
-                    break;
-                }
-                let backoff =
-                    (reg.backoff_base_s * 2f64.powi(failures as i32 - 1)).min(reg.backoff_max_s);
-                retry_ns += (backoff * 1e9) as u64;
-                retries += 1;
-            }
-        }
-        node.degraded_start = degraded;
-        self.fetch_retries += retries;
-        if degraded {
-            self.degraded_cold_starts += 1;
-        }
-
-        // Recruit helpers: other cold nodes, ascending index (a degraded
-        // start has no artifact to shard).
-        let head_cold_starts = self.nodes[i].cold_starts;
-        let helpers: Vec<usize> = if degraded {
-            Vec::new()
-        } else {
+        // Recruit helpers: other cold nodes, ascending index.
+        let helpers: Vec<usize> = if self.pipeline_k >= 2 && medusa && !degraded {
             self.index
                 .cold()
                 .take(self.pipeline_k as usize - 1)
                 .collect()
+        } else {
+            Vec::new()
         };
-        let k_eff = 1 + helpers.len() as u64;
-        if k_eff > 1 {
+        let k = 1 + helpers.len() as u64;
+        if k > 1 {
             self.pipeline_starts += 1;
         }
 
-        // Resolve through the registry backend (delta-only transfer in
-        // content-addressed mode); the head owns the registry connection,
-        // so the retry rolls above keep the whole-fetch key schedule even
-        // under chunked transfers.
-        let plan = (needs_fetch && !degraded).then(|| {
-            self.ctx
-                .registry
-                .resolve(model, &self.nodes[i].chunks, self.profile)
+        let fetch_ns = plan.as_ref().map_or(0, |p| {
+            self.ctx.registry.fetch(model, p, self.profile).as_nanos()
         });
-        let fetch_ns = match &plan {
-            Some(p) => self.ctx.registry.fetch(model, p, self.profile).as_nanos(),
-            None => 0,
-        };
         let total_ns = if degraded {
+            // No artifact to restore: vanilla-path loading.
             self.profile.degraded_loading.as_nanos()
         } else {
             self.profile.loading_for(model).as_nanos() + fetch_ns
@@ -2134,24 +1957,23 @@ impl FleetSim<'_> {
                 }
             }
         }
-        let stage_span = total_ns / k_eff;
-        let ready = t + retry_ns + stage_span;
+        let span = total_ns / k;
+        let ready = t + retry_ns + span;
 
-        // Work split: every participant restores 1/k of the artifact;
-        // the head additionally owns the retry attempts, the registry
-        // fetch, and the division remainder.
+        // Work split: every rank of every participant restores 1/k of the
+        // artifact; the head additionally owns the retry attempts, the
+        // registry fetch (the cache is shared across local ranks), and the
+        // division remainder.
         let restore_work = if degraded {
             self.profile.degraded_loading.as_nanos() * self.nodes[i].spec.tp as u64
         } else {
             self.profile.coldstart_work_for(model).as_nanos()
         };
-        let share = restore_work / k_eff;
-        let epoch = {
-            let node = &mut self.nodes[i];
-            node.cold_ns += retry_ns + stage_span;
-            node.work_ns += restore_work - share * (k_eff - 1) + retry_ns + fetch_ns;
-            node.epoch
-        };
+        let share = restore_work / k;
+        let node = &mut self.nodes[i];
+        node.cold_ns += retry_ns + span;
+        node.work_ns += restore_work - share * (k - 1) + retry_ns + fetch_ns;
+        let epoch = node.epoch;
         if let Some(tl) = self.tele {
             tl.inc("cluster_cold_starts_total", 1);
             tl.inc(&format!("cluster_node{i}_cold_starts_total"), 1);
@@ -2161,7 +1983,7 @@ impl FleetSim<'_> {
             if degraded {
                 tl.inc("cluster_degraded_coldstarts_total", 1);
             }
-            if k_eff > 1 {
+            if k > 1 {
                 tl.inc("cluster_pipeline_starts_total", 1);
             }
             tl.span(
@@ -2171,69 +1993,67 @@ impl FleetSim<'_> {
                 ready / 1_000,
             );
         }
-        // Head crash roll: same key schedule as the single-node path, at
-        // the midpoint of the head's own stage.
-        if faults.node_crash_per_mille > 0 {
-            let roll = roll_per_mille(faults.seed ^ 0xc7a5_11fe, i, head_cold_starts, 0);
-            if roll < faults.node_crash_per_mille {
-                let crash_at = t + (retry_ns + stage_span) / 2;
-                self.events
-                    .schedule(crash_at, FleetEvent::NodeCrash { node: i, epoch });
-            }
+        // A crashing member schedules its crash at the midpoint of its own
+        // stage; the crash bumps the epoch and retracts the stage events.
+        // Lane 0 is the head, lane j + 1 helper j, so member fates stay
+        // independent.
+        let crash_at = |node: usize, lane: u64| {
+            let crashes = faults.node_crash_per_mille > 0
+                && roll_per_mille(faults.seed ^ 0xc7a5_11fe, node, start, lane as u32)
+                    < faults.node_crash_per_mille;
+            crashes.then(|| {
+                if lane == 0 {
+                    t + (retry_ns + span) / 2
+                } else {
+                    t + retry_ns + lane * span + span / 2
+                }
+            })
+        };
+        if let Some(at) = crash_at(i, 0) {
+            self.events
+                .schedule(at, FleetEvent::NodeCrash { node: i, epoch });
         }
-        let fetch_tok = (needs_fetch && !degraded).then(|| {
+        // The start's whole stage timeline is determined here (every fault
+        // roll happens at start time), so every stage goes on the queue
+        // now: the registry fetch (cache-miss Medusa starts only), the
+        // restore whose completion makes the head ready, then each
+        // helper's shard range.
+        let fetch_tok = plan.is_some().then(|| {
             self.events.schedule(
-                t + retry_ns + fetch_ns / k_eff,
+                t + retry_ns + fetch_ns / k,
                 FleetEvent::RegistryFetchDone { node: i, epoch },
             )
         });
         let ready_tok = self
             .events
             .schedule(ready, FleetEvent::ColdStartStageDone { node: i, epoch });
-        {
-            let node = &mut self.nodes[i];
-            node.stage_fetch = fetch_tok;
-            node.stage_ready = Some(ready_tok);
-        }
-        // Helper stages: helper j restores shard range j+1, landing at
-        // (j+2)·span after the retries.
-        for (j, &h) in helpers.iter().enumerate() {
-            let done = t + retry_ns + (j as u64 + 2) * stage_span;
-            let hep = {
-                let helper = &mut self.nodes[h];
-                helper.state = NodeState::Starting;
-                helper.model = Some(model);
-                helper.idle_since = None;
-                helper.pipeline_head = Some(i);
-                helper.work_ns += share;
-                helper.epoch
-            };
+        let node = &mut self.nodes[i];
+        node.stage_fetch = fetch_tok;
+        node.stage_ready = Some(ready_tok);
+        // Helper j restores shard range j + 1, landing at (j + 2)·span
+        // after the retries.
+        for (lane, h) in (1..).zip(helpers) {
+            let helper = &mut self.nodes[h];
+            helper.state = NodeState::Starting;
+            helper.model = Some(model);
+            helper.idle_since = None;
+            helper.pipeline_head = Some(i);
+            helper.work_ns += share;
+            let epoch = helper.epoch;
             let tok = self.events.schedule(
-                done,
+                t + retry_ns + (lane + 1) * span,
                 FleetEvent::PipelineShardDone {
                     node: h,
                     head: i,
-                    epoch: hep,
+                    epoch,
                 },
             );
             self.nodes[h].stage_ready = Some(tok);
             self.nodes[i].pipeline_members.push(h);
             self.sync(h);
-            // Helper crash roll: attempt lane j+1 keeps helper fates
-            // independent of the head's roll (attempt 0).
-            if faults.node_crash_per_mille > 0 {
-                let roll =
-                    roll_per_mille(faults.seed ^ 0xc7a5_11fe, h, head_cold_starts, j as u32 + 1);
-                if roll < faults.node_crash_per_mille {
-                    let mid = t + retry_ns + (j as u64 + 1) * stage_span + stage_span / 2;
-                    self.events.schedule(
-                        mid,
-                        FleetEvent::NodeCrash {
-                            node: h,
-                            epoch: hep,
-                        },
-                    );
-                }
+            if let Some(at) = crash_at(h, lane) {
+                self.events
+                    .schedule(at, FleetEvent::NodeCrash { node: h, epoch });
             }
         }
     }

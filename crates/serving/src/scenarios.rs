@@ -247,6 +247,24 @@ pub fn differential_matrix() -> Vec<Scenario> {
         policy: Policy::ColdStartAware,
         trace: trace_mt(42),
     });
+    // Pipeline starts over the content-addressed registry: the head's
+    // per-chunk retry schedule, multi-tenant caches, and group crashes.
+    out.push(Scenario {
+        name: "s42-mt-pipeline-k3-cas-crashy".to_string(),
+        profile: medusa_profile().with_scaled_models(6),
+        cluster: mt_cluster(
+            ClusterFaults {
+                seed: 5,
+                registry_fail_per_mille: 250,
+                node_crash_per_mille: 120,
+            },
+            EvictionPolicy::CostAware,
+        )
+        .with_registry_mode(RegistryMode::ContentAddressed(catalog(6)))
+        .with_pipeline(3),
+        policy: Policy::Pipeline,
+        trace: trace_mt(42),
+    });
     out
 }
 

@@ -25,7 +25,9 @@
 //! -- golden results/golden`.
 
 use medusa_serving::scenarios::differential_matrix;
-use medusa_serving::{simulate_fleet, ArrivalCursor, EventQueue, EventToken, FleetEvent};
+use medusa_serving::{
+    simulate_fleet, ArrivalCursor, ClusterFaults, EventQueue, EventToken, FleetEvent, Policy,
+};
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -102,6 +104,40 @@ fn same_seed_runs_are_byte_identical() {
             s.name
         );
         assert_eq!(a.stats, b.stats, "scenario `{}`", s.name);
+    }
+}
+
+/// A pipeline start that recruits no helper is the single-node start: on a
+/// one-node fleet, asking for pipeline degree 3 changes nothing but the
+/// (zero) pipeline-start counter — the same registry retry schedule (per
+/// chunk under the content-addressed registry), the same crash rolls, the
+/// same timeline — across every matrix scenario's profile, registry,
+/// cache and trace.
+#[test]
+fn helperless_pipeline_start_is_the_single_node_start() {
+    for s in &differential_matrix() {
+        for crash in [0, 120] {
+            let mut cluster = s.cluster.clone().with_faults(ClusterFaults {
+                seed: 5,
+                registry_fail_per_mille: 350,
+                node_crash_per_mille: crash,
+            });
+            cluster.nodes.truncate(1);
+            cluster.pipeline_k = None;
+            let piped_cluster = cluster.clone().with_pipeline(3);
+            let single = simulate_fleet(&s.profile, &cluster, Policy::Locality, &s.trace);
+            let mut piped = simulate_fleet(&s.profile, &piped_cluster, Policy::Locality, &s.trace);
+            assert_eq!(single.report.pipeline_starts, None, "`{}`", s.name);
+            assert_eq!(piped.report.pipeline_starts, Some(0), "`{}`", s.name);
+            piped.report.pipeline_starts = None;
+            assert_eq!(
+                piped.report.to_json(),
+                single.report.to_json(),
+                "scenario `{}` at {crash}‰ crashes: a helperless pipeline \
+                 start diverged from the single-node start",
+                s.name
+            );
+        }
     }
 }
 

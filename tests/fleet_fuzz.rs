@@ -217,8 +217,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Multi-tenant Zipf traffic against bounded caches: every policy,
-    /// eviction policy and registry backend, with prewarm and pipeline
-    /// starts drawn on top of crash and registry-failure injection.
+    /// eviction policy and registry backend, with prewarm, pipeline starts
+    /// and tensor-parallel workers drawn on top of crash and
+    /// registry-failure injection.
     #[test]
     fn multi_tenant_bounded_cache_fleets_conserve_requests(
         seed in any::<u64>(),
@@ -234,8 +235,10 @@ proptest! {
         pipeline_k in 0u32..4,
         crash_pm in 0u32..200,
         regfail_pm in 0u32..300,
+        tp in 1u32..3,
     ) {
         let mut cluster = fleet(nodes, nodes / 2, keep_alive_s, crash_pm, regfail_pm, seed)
+            .with_tp(tp)
             .with_cache(CacheConfig {
                 capacity: CacheCapacity::Artifacts(cache_cap),
                 eviction: EvictionPolicy::ALL[eviction_idx],
