@@ -4,9 +4,10 @@
 # `medusa_bench::smoke::SCENARIOS` (each re-runs its scenario fresh and
 # compares it with the committed results/BENCH_<scenario>.json, metric by
 # metric, plus the scenario's declared invariants), every example
-# end-to-end, a build and a 1 s smoke run per workload of the fixed
-# perfbench harness, the proptest regression-corpus check, and the
-# concurrency stress test (sized for --release, hence run separately).
+# end-to-end, the paper record (`repro all` against results/repro_all.txt),
+# a build and a 1 s smoke run per workload of the fixed perfbench harness,
+# the proptest regression-corpus check, and the concurrency stress test
+# (sized for --release, hence run separately).
 #
 # `./ci.sh` runs everything; `./ci.sh --gate <name>` runs one simulator
 # gate in isolation (as the CI matrix does), where <name> is `golden` or a
@@ -159,6 +160,11 @@ for ex in examples/*.rs; do
   echo "    running example $name"
   cargo run --release -q --example "$name" >/dev/null
 done
+
+echo "==> paper record (repro all matches results/repro_all.txt)"
+# The committed figure/table record is what `repro all` prints; any change
+# to a simulated number must regenerate it on purpose.
+cargo run --release -q -p medusa-bench --bin repro -- all | diff results/repro_all.txt -
 
 echo "==> perfbench (the fixed benchmark harness) builds against the current API"
 # perfbench/ is never edited alongside the code it measures, so a public

@@ -20,9 +20,8 @@
 use std::time::{Duration, Instant};
 
 use medusa::{
-    analyze, count_naive_mismatches, materialize_offline, materialize_offline_tp_with,
-    replay_allocations, restore_graph, ColdStart, ColdStartOptions, KernelResolver, Parallelism,
-    Strategy,
+    analyze, count_naive_mismatches, materialize_offline, replay_allocations, restore_graph,
+    ColdStart, ColdStartOptions, KernelResolver, Parallelism, Strategy,
 };
 use medusa_gpu::{AllocTag, CostModel, GpuSpec, ParamBuffer, ProcessRuntime};
 use medusa_model::{build_catalog, ModelSpec};
@@ -357,7 +356,12 @@ fn bench_parallel_cold_start() {
     let tp = 4u32;
     let run = |mode: Parallelism| {
         let t0 = Instant::now();
-        let (arts, _) = materialize_offline_tp_with(&s, tp, gpu.clone(), cost.clone(), 31, mode)
+        let (arts, _) = ColdStart::new(&s)
+            .gpu(gpu.clone())
+            .cost(cost.clone())
+            .tp(tp)
+            .parallelism(mode)
+            .materialize(31)
             .expect("tp offline");
         let opts = ColdStartOptions {
             seed: 32,

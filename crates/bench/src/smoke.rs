@@ -11,9 +11,8 @@
 //! [`Kind::Info`] and enter only the declared checks.
 
 use medusa::{
-    encode_maf2_bundle, materialize_offline, materialize_offline_tp, materialize_offline_tp_with,
-    ArtifactTemplate, ArtifactValidator, ChunkStore, ColdStart, ColdStartOptions, Maf2Reader,
-    MaterializedState, Parallelism, Strategy,
+    encode_maf2_bundle, materialize_offline, ArtifactTemplate, ArtifactValidator, ChunkStore,
+    ColdStart, ColdStartOptions, Maf2Reader, MaterializedState, Parallelism, Strategy,
 };
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
 use medusa_model::ModelSpec;
@@ -118,9 +117,13 @@ pub fn run_mode(mode: Parallelism, tele: Option<&Registry>) -> u64 {
     let spec = ModelSpec::by_name(MODEL).expect("catalog model");
     let gpu = GpuSpec::a100_40gb();
     let cost = CostModel::default();
-    let (arts, _) =
-        materialize_offline_tp_with(&spec, TP, gpu.clone(), cost.clone(), SEED_OFFLINE, mode)
-            .expect("tp offline");
+    let (arts, _) = ColdStart::new(&spec)
+        .gpu(gpu.clone())
+        .cost(cost.clone())
+        .tp(TP)
+        .parallelism(mode)
+        .materialize(SEED_OFFLINE)
+        .expect("tp offline");
     let opts = ColdStartOptions {
         seed: SEED_ONLINE,
         warm_container: true,
@@ -402,14 +405,10 @@ pub const ARTIFACT_SCALES: [u32; 3] = [1, 10, 100];
 /// with each shard's graph list cut to [`ARTIFACT_BASE_GRAPHS`], re-sealed.
 fn artifact_base() -> Vec<MaterializedState> {
     let spec = ModelSpec::by_name(MODEL).expect("catalog model");
-    let (arts, _) = materialize_offline_tp(
-        &spec,
-        ARTIFACT_TP,
-        GpuSpec::a100_40gb(),
-        CostModel::default(),
-        ARTIFACT_SEED,
-    )
-    .expect("offline tp phase");
+    let (arts, _) = ColdStart::new(&spec)
+        .tp(ARTIFACT_TP)
+        .materialize(ARTIFACT_SEED)
+        .expect("offline tp phase");
     arts.iter()
         .map(|shard| {
             let mut s = shard.clone();

@@ -30,22 +30,27 @@
 //! fire inside the pipeline. The fallback attempt runs clean — an injected
 //! fault fires at most once.
 //!
-//! Seed semantics: the single-instance path (no [`ColdStart::tp`] call)
-//! consumes `opts.seed` directly, while the tensor-parallel path (any
-//! `tp(n)` call, including `n = 1`) derives a seed per rank from it.
+//! Every cold start runs a group of `tp` ranks: the degree is
+//! [`ColdStart::tp`], else the degree of [`ColdStart::artifacts`], else 1 —
+//! a single GPU is simply `tp = 1`. One seed rule holds for every degree:
+//! rank `r` of a restore runs with `seed ^ (0x9a_0000 + r)`, and rank `r`
+//! of [`ColdStart::materialize`] with `seed ^ (0x7a_0000 + r)`.
 
+use crate::artifact::maf2::Maf2Reader;
 use crate::artifact::MaterializedState;
+use crate::engine::par_map;
 use crate::error::{MedusaError, MedusaResult};
 use crate::faults::FaultPlan;
 use crate::pipeline::{
     cold_start_impl, materialize_offline_shard_impl, ColdStartOptions, ColdStartReport,
     OfflineReport, Parallelism, ReadyEngine, Strategy, TriggeringMode,
 };
-use crate::tp::{cold_start_tp_impl, TpArtifacts, TpColdStart};
+use crate::tp::TpArtifacts;
 use crate::validator::ArtifactValidator;
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
 use medusa_model::ModelSpec;
 use medusa_telemetry::Registry;
+use std::borrow::Cow;
 
 /// Why a cold start was downgraded to the vanilla path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,14 +68,13 @@ pub struct Fallback {
 /// the degradation record.
 #[derive(Debug)]
 pub struct ColdStartOutcome {
-    /// Serving-ready engines, rank order (one entry on the single path).
+    /// Serving-ready engines, rank order (one entry for `tp = 1`).
     pub engines: Vec<ReadyEngine>,
     /// Per-rank timing reports.
     pub reports: Vec<ColdStartReport>,
     /// The parallelism mode the instance restored under.
     pub parallelism: Parallelism,
-    /// End-of-loading synchronization across ranks (zero on the single
-    /// path and for `tp = 1`).
+    /// End-of-loading synchronization across ranks (zero for `tp = 1`).
     pub sync: SimDuration,
     requested: Strategy,
     used: Strategy,
@@ -168,25 +172,11 @@ impl ColdStartOutcome {
     }
 }
 
-impl From<TpColdStart> for ColdStartOutcome {
-    fn from(tp: TpColdStart) -> Self {
-        ColdStartOutcome {
-            engines: tp.engines,
-            reports: tp.reports,
-            parallelism: tp.parallelism,
-            sync: tp.sync,
-            requested: Strategy::Vanilla,
-            used: Strategy::Vanilla,
-            fallback: None,
-        }
-    }
-}
-
 enum ArtifactSource<'a> {
-    Single(&'a MaterializedState),
-    Tp(&'a TpArtifacts),
-    /// MAF2-encoded bundle bytes, validated header-first and materialized
-    /// lazily (only the ranks this cold start restores).
+    /// Per-rank artifacts, rank order.
+    Ranks(Vec<&'a MaterializedState>),
+    /// MAF2-encoded bundle bytes, validated header-first, then decoded
+    /// shard by shard.
     Bytes(&'a [u8]),
 }
 
@@ -209,7 +199,7 @@ pub struct ColdStart<'a> {
 impl<'a> ColdStart<'a> {
     /// Starts a builder for `spec` with defaults: [`Strategy::Vanilla`] on
     /// an A100-40GB with the default cost model and options, artifact
-    /// validation on, no faults, no telemetry, single instance.
+    /// validation on, no faults, no telemetry, one GPU.
     pub fn new(spec: &'a ModelSpec) -> Self {
         ColdStart {
             spec,
@@ -291,37 +281,32 @@ impl<'a> ColdStart<'a> {
         self
     }
 
-    /// Runs as a `tp`-way tensor-parallel instance. Calling `tp(1)` still
-    /// routes through the tensor-parallel path (per-rank seed derivation
-    /// and barrier accounting); *not* calling it runs the plain
-    /// single-process path that consumes the seed directly.
+    /// Runs as a `tp`-way tensor-parallel instance (default: the degree of
+    /// [`ColdStart::artifacts`], else 1).
     pub fn tp(mut self, tp: u32) -> Self {
         self.tp = Some(tp);
         self
     }
 
-    /// Supplies the materialized artifact for the single-instance path.
+    /// Supplies the materialized artifact of a single-GPU (`tp = 1`)
+    /// instance.
     pub fn artifact(mut self, artifact: &'a MaterializedState) -> Self {
-        self.artifact = Some(ArtifactSource::Single(artifact));
+        self.artifact = Some(ArtifactSource::Ranks(vec![artifact]));
         self
     }
 
     /// Supplies per-rank artifacts; implies `tp(artifacts.tp())` unless
     /// [`ColdStart::tp`] was called explicitly.
     pub fn artifacts(mut self, artifacts: &'a TpArtifacts) -> Self {
-        if self.tp.is_none() {
-            self.tp = Some(artifacts.tp());
-        }
-        self.artifact = Some(ArtifactSource::Tp(artifacts));
+        self.tp.get_or_insert(artifacts.tp());
+        self.artifact = Some(ArtifactSource::Ranks(artifacts.iter().collect()));
         self
     }
 
     /// Supplies a MAF2-encoded artifact bundle (see
     /// [`TpArtifacts::to_maf2`]) — the path a registry fetch feeds. The
-    /// bundle is validated header-first against the shared section index
-    /// and only the ranks this cold start restores are materialized; on the
-    /// single-instance path that means reading one shard's sections, not
-    /// the whole file. Binary fault classes
+    /// bundle is validated header-first against the shared section index,
+    /// then every shard is materialized for its rank. Binary fault classes
     /// ([`FaultPlan::apply_to_maf2`]) tamper the byte stream before open.
     pub fn artifact_bytes(mut self, bytes: &'a [u8]) -> Self {
         self.artifact = Some(ArtifactSource::Bytes(bytes));
@@ -342,8 +327,11 @@ impl<'a> ColdStart<'a> {
     }
 
     /// Runs the offline materialization phase for this builder's target:
-    /// one artifact per rank (a single rank without [`ColdStart::tp`]),
-    /// using the builder's parallelism mode for cross-rank scheduling.
+    /// one artifact per rank, rank `r` capturing with
+    /// `seed ^ (0x7a_0000 + r)`. Under [`Parallelism::Serial`] ranks
+    /// materialize one after another (the reported durations are the sum);
+    /// otherwise every rank runs on its own worker thread — real host
+    /// parallelism — and the reported durations are the slowest rank's.
     ///
     /// The offline phase has its own process, hence its own `seed` —
     /// artifacts must restore across *different* process seeds.
@@ -352,28 +340,35 @@ impl<'a> ColdStart<'a> {
     ///
     /// Propagates capture/analysis failures.
     pub fn materialize(&self, seed: u64) -> MedusaResult<(TpArtifacts, OfflineReport)> {
-        let tp = self.tp.unwrap_or(1);
-        match self.tp {
-            None => {
-                let (artifact, report) = materialize_offline_shard_impl(
-                    self.spec,
-                    0,
-                    1,
-                    self.gpu.clone(),
-                    self.cost.clone(),
-                    seed,
-                )?;
-                Ok((TpArtifacts::new(vec![artifact])?, report))
-            }
-            Some(_) => crate::tp::materialize_offline_tp_with(
+        let tp = self.degree();
+        let parallelism = self.opts.parallelism;
+        let results = for_each_rank(tp, parallelism, |rank| {
+            materialize_offline_shard_impl(
                 self.spec,
+                rank,
                 tp,
                 self.gpu.clone(),
                 self.cost.clone(),
-                seed,
-                self.opts.parallelism,
-            ),
+                seed ^ (0x7a_0000 + rank as u64),
+            )
+        });
+        let mut ranks = Vec::with_capacity(tp as usize);
+        let mut report = OfflineReport {
+            capture: SimDuration::ZERO,
+            analysis: SimDuration::ZERO,
+        };
+        for result in results {
+            let (artifact, r) = result?;
+            if parallelism == Parallelism::Serial {
+                report.capture += r.capture;
+                report.analysis += r.analysis;
+            } else {
+                report.capture = report.capture.max(r.capture);
+                report.analysis = report.analysis.max(r.analysis);
+            }
+            ranks.push(artifact);
         }
+        Ok((TpArtifacts::new(ranks)?, report))
     }
 
     /// Runs the cold start.
@@ -389,6 +384,8 @@ impl<'a> ColdStart<'a> {
     ///
     /// * [`MedusaError::ArtifactRequired`] for [`Strategy::Medusa`] with no
     ///   artifact supplied.
+    /// * [`MedusaError::ArtifactMismatch`] when the artifacts' degree is
+    ///   not the group's and the strategy cannot degrade.
     /// * Propagated errors from non-degradable attempts.
     pub fn run(self) -> MedusaResult<ColdStartOutcome> {
         let requested = self.strategy;
@@ -396,164 +393,108 @@ impl<'a> ColdStart<'a> {
         if let Some(plan) = self.faults {
             opts.fault = Some(plan);
         }
-        // A binary source is opened header-first and materialized lazily;
-        // decode/validation failures degrade like any validation failure.
-        // Binary fault classes tamper the byte stream before open, so the
-        // decoded-artifact tampering below never applies to this path.
-        if let Some(ArtifactSource::Bytes(raw)) = &self.artifact {
-            let tampered_bytes: Option<Vec<u8>> = match self.faults {
-                Some(plan) if !plan.is_empty() => Some(plan.apply_to_maf2(raw)),
-                _ => None,
-            };
-            let bytes: &[u8] = tampered_bytes.as_deref().unwrap_or(raw);
-            let decoded = match self.decode_validated(bytes, &opts) {
-                Ok(ranks) => ranks,
-                Err(err) if requested == Strategy::Medusa => {
-                    if let Some(t) = self.tele {
-                        t.inc_labeled("artifact_validation_failed", err.kind(), 1);
-                    }
-                    let fb = Fallback {
-                        from: requested,
-                        reason: err.kind(),
-                        detail: err.to_string(),
-                    };
-                    return self.finish_fallback(requested, fb, opts);
-                }
-                Err(err) => return Err(err),
-            };
-            let refs: Vec<&MaterializedState> = decoded.iter().collect();
-            return self.finish_attempt(requested, Some(&refs), opts);
-        }
-
-        // Artifact-level faults tamper copies; healthy runs borrow.
-        let tampered: Option<Vec<MaterializedState>> = match (&self.artifact, self.faults) {
-            (Some(src), Some(plan)) if !plan.is_empty() => {
-                let ranks: Vec<MaterializedState> = match src {
-                    ArtifactSource::Single(a) => vec![plan.apply_to_artifact(a)],
-                    ArtifactSource::Tp(arts) => {
-                        arts.iter().map(|a| plan.apply_to_artifact(a)).collect()
-                    }
-                    ArtifactSource::Bytes(_) => unreachable!("handled above"),
-                };
-                Some(ranks)
-            }
-            _ => None,
-        };
-        let rank_artifacts: Option<Vec<&MaterializedState>> = match (&tampered, &self.artifact) {
-            (Some(t), _) => Some(t.iter().collect()),
-            (None, Some(ArtifactSource::Single(a))) => Some(vec![a]),
-            (None, Some(ArtifactSource::Tp(arts))) => Some(arts.iter().collect()),
-            (None, Some(ArtifactSource::Bytes(_))) | (None, None) => None,
-        };
-
-        // Pre-restore validation (Medusa only): any failing check records
-        // the reason and downgrades to the vanilla path (§7).
-        let mut fallback: Option<Fallback> = None;
-        if requested == Strategy::Medusa && self.validate_artifact {
-            if let Some(ranks) = &rank_artifacts {
+        let ranks = match self.checked_ranks() {
+            Ok(ranks) => ranks,
+            // Pre-restore rejection (§7): record the reason and degrade.
+            Err(err) if requested == Strategy::Medusa => {
                 if let Some(t) = self.tele {
-                    t.inc("artifact_validation_total", ranks.len() as u64);
+                    t.inc_labeled("artifact_validation_failed", err.kind(), 1);
                 }
-                let base = ArtifactValidator::for_target(self.spec, &self.gpu);
-                for (rank, artifact) in ranks.iter().enumerate() {
-                    let validator = match self.tp {
-                        Some(n) => base.clone().shard(rank as u32, n),
-                        None => base.clone().shard(opts.rank, opts.tp),
-                    };
-                    if let Err(err) = validator.validate(artifact).ok() {
-                        if let Some(t) = self.tele {
-                            t.inc_labeled("artifact_validation_failed", err.kind(), 1);
-                        }
-                        fallback = Some(Fallback {
-                            from: requested,
-                            reason: err.kind(),
-                            detail: err.to_string(),
-                        });
-                        break;
-                    }
-                }
+                return self.finish_fallback(requested, &err, opts);
             }
-        }
-
-        if let Some(fb) = fallback {
-            // Degraded before the attempt: run vanilla, clean.
-            return self.finish_fallback(requested, fb, opts);
-        }
-
-        self.finish_attempt(requested, rank_artifacts.as_deref(), opts)
-    }
-
-    /// The shared run tail: attempt the requested strategy, degrading a
-    /// failed Medusa attempt (that had an artifact) to a clean vanilla run.
-    fn finish_attempt(
-        &self,
-        requested: Strategy,
-        rank_artifacts: Option<&[&MaterializedState]>,
-        opts: ColdStartOptions,
-    ) -> MedusaResult<ColdStartOutcome> {
-        match self.attempt(requested, rank_artifacts, opts) {
+            Err(err) => return Err(err),
+        };
+        let refs: Option<Vec<&MaterializedState>> = ranks
+            .as_ref()
+            .map(|r| r.iter().map(|a| a.as_ref()).collect());
+        match self.attempt(requested, refs.as_deref(), opts) {
             Ok(outcome) => Ok(self.stamp(outcome, requested, requested, None)),
             Err(err)
                 if requested == Strategy::Medusa
                     && self.artifact.is_some()
                     && !matches!(err, MedusaError::ArtifactRequired) =>
             {
-                let fb = Fallback {
-                    from: requested,
-                    reason: err.kind(),
-                    detail: err.to_string(),
-                };
-                self.finish_fallback(requested, fb, opts)
+                self.finish_fallback(requested, &err, opts)
             }
             Err(err) => Err(err),
         }
     }
 
-    /// Opens a MAF2 bundle and validates it header-first against the shared
-    /// section index (one open, per-rank ShardMeta reads — validation work
-    /// no longer scales with tp), then materializes only the ranks this
-    /// cold start restores: every rank on the tensor-parallel path, exactly
-    /// `opts.rank`'s sections on the single path.
-    fn decode_validated(
-        &self,
-        bytes: &[u8],
-        opts: &ColdStartOptions,
-    ) -> MedusaResult<Vec<MaterializedState>> {
-        let mut reader = crate::artifact::maf2::Maf2Reader::open(bytes)?;
-        if self.validate_artifact && self.strategy == Strategy::Medusa {
-            if let Some(t) = self.tele {
-                t.inc("artifact_validation_total", reader.shard_count() as u64);
-            }
-            let base = ArtifactValidator::for_target(self.spec, &self.gpu);
-            match self.tp {
-                Some(_) => {
+    /// The group's tensor-parallel degree: [`ColdStart::tp`], else the
+    /// degree of [`ColdStart::artifacts`] (which sets it), else 1.
+    fn degree(&self) -> u32 {
+        let tp = self.tp.unwrap_or(1);
+        assert!(tp > 0, "tensor-parallel degree must be positive");
+        tp
+    }
+
+    /// The artifact ranks this start restores, validated before the restore
+    /// when the strategy is Medusa. Artifact-level faults tamper copies
+    /// (healthy in-memory artifacts are borrowed); a binary bundle is
+    /// tampered as bytes, then opened, validated header-first against the
+    /// shared section index (one open, per-rank ShardMeta reads) and
+    /// materialized shard by shard.
+    fn checked_ranks(&self) -> MedusaResult<Option<Vec<Cow<'a, MaterializedState>>>> {
+        let plan = self.faults.filter(|p| !p.is_empty());
+        let medusa_checks = self.validate_artifact && self.strategy == Strategy::Medusa;
+        let ranks: Vec<Cow<'a, MaterializedState>> = match &self.artifact {
+            None => return Ok(None),
+            Some(ArtifactSource::Bytes(raw)) => {
+                let tampered = plan.map(|p| p.apply_to_maf2(raw));
+                let mut reader = Maf2Reader::open(tampered.as_deref().unwrap_or(raw))?;
+                if medusa_checks {
+                    if let Some(t) = self.tele {
+                        t.inc("artifact_validation_total", reader.shard_count() as u64);
+                    }
+                    let base = ArtifactValidator::for_target(self.spec, &self.gpu);
                     for (_rank, report) in base.validate_bundle(&reader) {
                         report.ok()?;
                     }
                 }
-                None => {
-                    base.shard(opts.rank, opts.tp).validate_maf2(&reader).ok()?;
-                }
+                let shards: MedusaResult<Vec<_>> = reader
+                    .shard_ranks()
+                    .into_iter()
+                    .map(|rank| reader.take_shard(rank).map(Cow::Owned))
+                    .collect();
+                return shards.map(Some);
+            }
+            Some(ArtifactSource::Ranks(arts)) => match plan {
+                Some(p) => arts
+                    .iter()
+                    .map(|a| Cow::Owned(p.apply_to_artifact(a)))
+                    .collect(),
+                None => arts.iter().map(|&a| Cow::Borrowed(a)).collect(),
+            },
+        };
+        if medusa_checks {
+            if let Some(t) = self.tele {
+                t.inc("artifact_validation_total", ranks.len() as u64);
+            }
+            let tp = self.degree();
+            let base = ArtifactValidator::for_target(self.spec, &self.gpu);
+            for (rank, artifact) in ranks.iter().enumerate() {
+                base.clone()
+                    .shard(rank as u32, tp)
+                    .validate(artifact)
+                    .ok()?;
             }
         }
-        match self.tp {
-            Some(_) => reader
-                .shard_ranks()
-                .into_iter()
-                .map(|rank| reader.take_shard(rank))
-                .collect(),
-            None => Ok(vec![reader.take_shard(opts.rank)?]),
-        }
+        Ok(Some(ranks))
     }
 
     /// Runs the clean vanilla attempt after a degradation and stamps the
-    /// fallback record onto the outcome.
+    /// fallback record (from `err`) onto the outcome.
     fn finish_fallback(
         &self,
         requested: Strategy,
-        fb: Fallback,
+        err: &MedusaError,
         mut opts: ColdStartOptions,
     ) -> MedusaResult<ColdStartOutcome> {
+        let fb = Fallback {
+            from: requested,
+            reason: err.kind(),
+            detail: err.to_string(),
+        };
         if let Some(t) = self.tele {
             t.inc("coldstart_fallback_total", 1);
             t.inc_labeled("coldstart_fallback", fb.reason, 1);
@@ -577,56 +518,83 @@ impl<'a> ColdStart<'a> {
         outcome
     }
 
-    /// One attempt with the given strategy: routes to the single-process
-    /// impl (no `tp()` call) or the tensor-parallel impl.
+    /// One attempt with the given strategy: cold-starts ranks `0..tp`, rank
+    /// `r` with process seed `seed ^ (0x9a_0000 + r)`, then accounts the
+    /// cross-rank barrier (`tp_sync_us`). With telemetry, every rank shares
+    /// the registry: per-rank stage spans land under `rank{r}/`-prefixed
+    /// names when `tp > 1`; the registry is internally synchronized and
+    /// every write is commutative or rank-keyed, so concurrent rank threads
+    /// still produce a deterministic snapshot.
     fn attempt(
         &self,
         strategy: Strategy,
-        rank_artifacts: Option<&[&MaterializedState]>,
+        ranks: Option<&[&MaterializedState]>,
         opts: ColdStartOptions,
     ) -> MedusaResult<ColdStartOutcome> {
-        match self.tp {
-            None => {
-                let art = rank_artifacts.and_then(|r| r.first().copied());
-                let (engine, report) = cold_start_impl(
-                    strategy,
-                    self.spec,
-                    self.gpu.clone(),
-                    self.cost.clone(),
-                    art,
-                    opts,
-                    self.tele,
-                )?;
-                Ok(ColdStartOutcome {
-                    engines: vec![engine],
-                    reports: vec![report],
-                    parallelism: opts.parallelism,
-                    sync: SimDuration::ZERO,
-                    requested: strategy,
-                    used: strategy,
-                    fallback: None,
-                })
-            }
-            Some(tp) => {
-                let owned_tp: Option<TpArtifacts> = match rank_artifacts {
-                    None => None,
-                    Some(ranks) => Some(TpArtifacts::new(
-                        ranks.iter().map(|a| (*a).clone()).collect(),
-                    )?),
-                };
-                let out = cold_start_tp_impl(
-                    strategy,
-                    self.spec,
-                    tp,
-                    self.gpu.clone(),
-                    self.cost.clone(),
-                    owned_tp.as_ref(),
-                    opts,
-                    self.tele,
-                )?;
-                Ok(ColdStartOutcome::from(out))
+        let tp = self.degree();
+        if let Some(ranks) = ranks {
+            if ranks.len() != tp as usize {
+                return Err(MedusaError::ArtifactMismatch {
+                    artifact: format!("tp={}", ranks.len()),
+                    target: format!("tp={tp}"),
+                });
             }
         }
+        let results = for_each_rank(tp, opts.parallelism, |rank| {
+            let rank_opts = ColdStartOptions {
+                seed: opts.seed ^ (0x9a_0000 + rank as u64),
+                ..opts
+            };
+            cold_start_impl(
+                strategy,
+                self.spec,
+                self.gpu.clone(),
+                self.cost.clone(),
+                ranks.map(|r| r[rank as usize]),
+                (rank, tp),
+                rank_opts,
+                self.tele,
+            )
+        });
+        let (engines, reports) = results
+            .into_iter()
+            .collect::<MedusaResult<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        let sync = if tp > 1 {
+            SimDuration::from_nanos(self.cost.sync_ns * tp as u64)
+        } else {
+            SimDuration::ZERO
+        };
+        if let Some(t) = self.tele {
+            t.inc("tp_cold_starts_total", 1);
+            t.observe_us("tp_sync_us", sync.as_nanos() / 1_000);
+        }
+        Ok(ColdStartOutcome {
+            engines,
+            reports,
+            parallelism: opts.parallelism,
+            sync,
+            requested: strategy,
+            used: strategy,
+            fallback: None,
+        })
+    }
+}
+
+/// Runs `f` for ranks `0..tp`: one after another under
+/// [`Parallelism::Serial`], otherwise on worker threads. Each rank owns an
+/// independent process runtime, so simulated results never observe host
+/// scheduling.
+fn for_each_rank<R: Send>(
+    tp: u32,
+    parallelism: Parallelism,
+    f: impl Fn(u32) -> R + Sync,
+) -> Vec<R> {
+    if parallelism == Parallelism::Serial {
+        (0..tp).map(f).collect()
+    } else {
+        par_map((0..tp).collect(), f)
     }
 }
 
@@ -650,13 +618,19 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let (_e, direct) = cold_start_impl(
+        // A single GPU is rank 0 of a tp = 1 group: it runs on the derived
+        // rank seed, not on the raw one.
+        let (direct_engine, direct) = cold_start_impl(
             Strategy::Vanilla,
             &s,
             GpuSpec::a100_40gb(),
             CostModel::default(),
             None,
-            opts,
+            (0, 1),
+            ColdStartOptions {
+                seed: 7 ^ 0x9a_0000,
+                ..opts
+            },
             None,
         )
         .unwrap();
@@ -664,34 +638,12 @@ mod tests {
         assert_eq!(outcome.report(), &direct);
         assert_eq!(outcome.loading(), direct.loading);
         assert_eq!(outcome.total(), direct.total);
+        assert_eq!(outcome.sync, SimDuration::ZERO);
         assert!(outcome.fallback().is_none());
-        let (_engine, report) = outcome.into_single();
+        let (engine, report) = outcome.into_single();
         assert_eq!(report, direct);
-    }
-
-    #[test]
-    fn builder_tp_path_matches_the_tp_function() {
-        let s = spec();
-        let direct = cold_start_tp_impl(
-            Strategy::NoCudaGraph,
-            &s,
-            2,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            None,
-            ColdStartOptions::default(),
-            None,
-        )
-        .unwrap();
-        let outcome = ColdStart::new(&s)
-            .strategy(Strategy::NoCudaGraph)
-            .tp(2)
-            .run()
-            .unwrap();
-        assert_eq!(outcome.reports, direct.reports);
-        assert_eq!(outcome.sync, direct.sync);
-        assert_eq!(outcome.loading(), direct.loading());
-        assert_eq!(outcome.aggregate_work(), direct.aggregate_work());
+        assert_eq!(engine.rt.seed(), direct_engine.rt.seed());
+        assert_eq!(engine.rt.seed(), 7 ^ 0x9a_0000);
     }
 
     #[test]

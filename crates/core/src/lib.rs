@@ -99,6 +99,6 @@ pub use pipeline::{
     materialize_offline, ColdStartOptions, ColdStartReport, OfflineReport, Parallelism,
     ReadyEngine, Stage, StageSpan, Strategy, TriggeringMode,
 };
-pub use tp::{materialize_offline_tp, materialize_offline_tp_with, TpArtifacts, TpColdStart};
+pub use tp::TpArtifacts;
 pub use trace::{AllocEvent, TraceWalker};
 pub use validator::{ArtifactValidator, ValidationCheck, ValidationReport};

@@ -238,10 +238,6 @@ pub struct ColdStartOptions {
     pub first_token_prompt: u32,
     /// How hidden kernel modules are triggered during restoration.
     pub triggering: TriggeringMode,
-    /// Tensor-parallel rank of this process (0 for single GPU; §8).
-    pub rank: u32,
-    /// Tensor-parallel degree (1 for single GPU; §8).
-    pub tp: u32,
     /// How much parallelism the cold-start engine exploits across stages
     /// and ranks.
     pub parallelism: Parallelism,
@@ -259,8 +255,6 @@ impl Default for ColdStartOptions {
             validate: false,
             first_token_prompt: 161,
             triggering: TriggeringMode::FirstLayer,
-            rank: 0,
-            tp: 1,
             parallelism: Parallelism::Overlapped,
             fault: None,
         }
@@ -408,26 +402,29 @@ pub(crate) fn materialize_offline_shard_impl(
     ))
 }
 
-/// Single-rank cold start behind the [`crate::builder::ColdStart`]
-/// builder: runs `strategy` and returns the serving-ready engine and the
-/// stage-timing report. With `tele`, stage spans (with critical-path parent
-/// linkage), per-stage duration histograms, and loading/total histograms
-/// are recorded in simulated time, so same-seed runs record identically.
-/// Under tensor parallelism (`opts.tp > 1`) span names are
-/// `rank{r}/`-prefixed and lanes `/rank{r}`-suffixed, keeping per-rank
-/// timelines on separate rows of the Chrome trace.
+/// One rank's cold start behind the [`crate::builder::ColdStart`] builder:
+/// runs `strategy` for rank `rank` of a `tp`-way instance (`(0, 1)` on a
+/// single GPU) and returns the serving-ready engine and the stage-timing
+/// report. With `tele`, stage spans (with critical-path parent linkage),
+/// per-stage duration histograms, and loading/total histograms are recorded
+/// in simulated time, so same-seed runs record identically. Under tensor
+/// parallelism (`tp > 1`) span names are `rank{r}/`-prefixed and lanes
+/// `/rank{r}`-suffixed, keeping per-rank timelines on separate rows of the
+/// Chrome trace.
 ///
 /// # Errors
 ///
 /// * [`MedusaError::ArtifactRequired`] for [`Strategy::Medusa`] without an
 ///   artifact.
 /// * Propagated driver / KV / restoration errors.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn cold_start_impl(
     strategy: Strategy,
     spec: &ModelSpec,
     gpu: GpuSpec,
     cost: CostModel,
     artifact: Option<&MaterializedState>,
+    (rank, tp): (u32, u32),
     opts: ColdStartOptions,
     tele: Option<&Registry>,
 ) -> MedusaResult<(ReadyEngine, ColdStartReport)> {
@@ -447,7 +444,7 @@ pub(crate) fn cold_start_impl(
 
     // ❶ structure initialization (all strategies).
     let s0 = rt.now();
-    let mut inst = ModelInstance::initialize_sharded(&mut rt, spec, opts.rank, opts.tp)?;
+    let mut inst = ModelInstance::initialize_sharded(&mut rt, spec, rank, tp)?;
     let structure_end = rt.now();
     spans.push(StageSpan {
         stage: Stage::StructureInit,
@@ -457,9 +454,13 @@ pub(crate) fn cold_start_impl(
     fault_gate(&opts, AbortPoint::AfterStructureInit, Stage::StructureInit)?;
 
     let weights_bytes = inst.weight_bytes();
-    let (engine, loading_end, critical_path) = match strategy {
-        Strategy::Vanilla | Strategy::NoCudaGraph => {
-            // Synchronous by definition: the parallelism knob is a no-op.
+    let (rt, inst, kv, tokenizer, graphs, end, critical) = match (strategy, opts.parallelism) {
+        // Vanilla and NoCudaGraph are synchronous by definition (the
+        // parallelism knob is a no-op); under Serial the async weights lane
+        // of VanillaAsync degenerates to the same synchronous load — no
+        // overlap, hence no §7.3 interference.
+        (Strategy::Vanilla | Strategy::NoCudaGraph, _)
+        | (Strategy::VanillaAsync, Parallelism::Serial) => {
             // ❷ weights, synchronous.
             weights_fault_gate(&opts, weights_bytes)?;
             let w0 = rt.now();
@@ -487,98 +488,28 @@ pub(crate) fn cold_start_impl(
                 start: k0,
                 end: rt.now(),
             });
-            // ❺ capturing (skipped by NoCudaGraph).
-            let graphs = if strategy == Strategy::Vanilla {
-                let c0 = rt.now();
-                let graphs = capture_all_graphs(&mut rt, &mut inst, &kv.view())?;
-                spans.push(StageSpan {
-                    stage: Stage::Capture,
-                    start: c0,
-                    end: rt.now(),
-                });
-                graphs
-            } else {
-                Vec::new()
-            };
-            let end = rt.now();
             let mut critical = vec![
                 Stage::StructureInit,
                 Stage::WeightsLoad,
                 Stage::TokenizerLoad,
                 Stage::KvCacheInit,
             ];
-            if strategy == Strategy::Vanilla {
+            // ❺ capturing (skipped by NoCudaGraph).
+            let mut graphs = Vec::new();
+            if strategy != Strategy::NoCudaGraph {
+                let c0 = rt.now();
+                graphs = capture_all_graphs(&mut rt, &mut inst, &kv.view())?;
+                spans.push(StageSpan {
+                    stage: Stage::Capture,
+                    start: c0,
+                    end: rt.now(),
+                });
                 critical.push(Stage::Capture);
             }
-            (
-                ReadyEngine {
-                    rt,
-                    inst,
-                    kv,
-                    tokenizer,
-                    graphs,
-                    step: 0,
-                },
-                end,
-                critical,
-            )
-        }
-        Strategy::VanillaAsync if opts.parallelism == Parallelism::Serial => {
-            // Serial mode: the async weights lane degenerates to a
-            // synchronous load — no overlap, hence no §7.3 interference.
-            weights_fault_gate(&opts, weights_bytes)?;
-            let w0 = rt.now();
-            medusa_model::load_weights(&mut rt, &inst, 1.0)?;
-            spans.push(StageSpan {
-                stage: Stage::WeightsLoad,
-                start: w0,
-                end: rt.now(),
-            });
-            let t0 = rt.now();
-            let (tokenizer, tok_dur) = Tokenizer::load(spec.vocab(), rt.cost());
-            rt.advance(tok_dur);
-            spans.push(StageSpan {
-                stage: Stage::TokenizerLoad,
-                start: t0,
-                end: rt.now(),
-            });
-            let k0 = rt.now();
-            let (kv, _free) = kv_cache_init_stage_traced(&mut rt, &mut inst, tele)?;
-            inst.ensure_workspace(&mut rt)?;
-            spans.push(StageSpan {
-                stage: Stage::KvCacheInit,
-                start: k0,
-                end: rt.now(),
-            });
-            let c0 = rt.now();
-            let graphs = capture_all_graphs(&mut rt, &mut inst, &kv.view())?;
-            spans.push(StageSpan {
-                stage: Stage::Capture,
-                start: c0,
-                end: rt.now(),
-            });
             let end = rt.now();
-            let critical = vec![
-                Stage::StructureInit,
-                Stage::WeightsLoad,
-                Stage::TokenizerLoad,
-                Stage::KvCacheInit,
-                Stage::Capture,
-            ];
-            (
-                ReadyEngine {
-                    rt,
-                    inst,
-                    kv,
-                    tokenizer,
-                    graphs,
-                    step: 0,
-                },
-                end,
-                critical,
-            )
+            (rt, inst, kv, tokenizer, graphs, end, critical)
         }
-        Strategy::VanillaAsync => {
+        (Strategy::VanillaAsync, _) => {
             // ❷ weights on the storage lane starting now.
             weights_fault_gate(&opts, weights_bytes)?;
             let w0 = rt.now();
@@ -607,8 +538,13 @@ pub(crate) fn cold_start_impl(
             } else {
                 1.0
             };
-            let (w_dur, w_delay) =
-                weights_lane_timing(weights_bytes, rt.cost(), base_slowdown, &opts);
+            let (w_dur, w_delay) = weights_lane_timing(
+                weights_bytes,
+                rt.cost(),
+                base_slowdown,
+                opts.parallelism,
+                (rank, tp),
+            );
             // ❺ capture waits for the profiled workspace AND the weights.
             rt.advance_to(w0 + w_delay + w_dur);
             let c0 = rt.now();
@@ -628,41 +564,15 @@ pub(crate) fn cold_start_impl(
             }
             let end = sched.makespan_end();
             rt.advance_to(end);
-            (
-                ReadyEngine {
-                    rt,
-                    inst,
-                    kv,
-                    tokenizer,
-                    graphs,
-                    step: 0,
-                },
-                end,
-                sched.critical_path(),
-            )
+            (rt, inst, kv, tokenizer, graphs, end, sched.critical_path())
         }
-        Strategy::Medusa if opts.parallelism == Parallelism::Serial => {
+        (Strategy::Medusa, Parallelism::Serial) => {
             let artifact = artifact.ok_or(MedusaError::ArtifactRequired)?;
-            artifact.check_target(spec.name(), rt.spec().name(), opts.rank, opts.tp)?;
             // Materialized KV init + allocation replay; the §7.2 reorder
             // (KV before weights) is kept even when strictly serial.
             let k0 = rt.now();
-            let (layout, _replay_dur) = replay_allocations(&mut rt, artifact)?;
-            let kv_view = layout.kv_view(16)?;
-            inst.bind_workspace(layout.workspace()?);
-            inst.bind_magic(layout.magic_pairs(spec.layers())?);
-            let config = KvCacheConfig::for_shard(spec, opts.tp);
-            let kv = KvCache::from_restored(
-                config,
-                kv_view.kcache,
-                kv_view.vcache,
-                kv_view.block_table,
-                config.blocks_for(artifact.kv_free_bytes),
-            );
-            if let Some(t) = tele {
-                t.inc("kv_restore_total", 1);
-                t.gauge_max("kv_free_bytes", artifact.kv_free_bytes);
-            }
+            let (layout, kv_view, kv) =
+                restore_kv(&mut rt, &mut inst, spec, artifact, (rank, tp), tele)?;
             spans.push(StageSpan {
                 stage: Stage::KvCacheInit,
                 start: k0,
@@ -703,41 +613,15 @@ pub(crate) fn cold_start_impl(
                 Stage::TokenizerLoad,
                 Stage::Capture,
             ];
-            (
-                ReadyEngine {
-                    rt,
-                    inst,
-                    kv,
-                    tokenizer,
-                    graphs,
-                    step: 0,
-                },
-                end,
-                critical,
-            )
+            (rt, inst, kv, tokenizer, graphs, end, critical)
         }
-        Strategy::Medusa => {
+        (Strategy::Medusa, _) => {
             let artifact = artifact.ok_or(MedusaError::ArtifactRequired)?;
-            artifact.check_target(spec.name(), rt.spec().name(), opts.rank, opts.tp)?;
             // Materialized KV init + allocation replay (reordered before
             // weight loading, §7.2).
             let k0 = rt.now();
-            let (layout, _replay_dur) = replay_allocations(&mut rt, artifact)?;
-            let kv_view = layout.kv_view(16)?;
-            inst.bind_workspace(layout.workspace()?);
-            inst.bind_magic(layout.magic_pairs(spec.layers())?);
-            let config = KvCacheConfig::for_shard(spec, opts.tp);
-            let kv = KvCache::from_restored(
-                config,
-                kv_view.kcache,
-                kv_view.vcache,
-                kv_view.block_table,
-                config.blocks_for(artifact.kv_free_bytes),
-            );
-            if let Some(t) = tele {
-                t.inc("kv_restore_total", 1);
-                t.gauge_max("kv_free_bytes", artifact.kv_free_bytes);
-            }
+            let (layout, kv_view, kv) =
+                restore_kv(&mut rt, &mut inst, spec, artifact, (rank, tp), tele)?;
             let kv_end = rt.now();
 
             // ❷ weights on the storage lane (no profiling → no
@@ -745,7 +629,8 @@ pub(crate) fn cold_start_impl(
             weights_fault_gate(&opts, weights_bytes)?;
             let w0 = rt.now();
             apply_weights(&mut rt, &inst)?;
-            let (w_dur, w_delay) = weights_lane_timing(weights_bytes, rt.cost(), 1.0, &opts);
+            let (w_dur, w_delay) =
+                weights_lane_timing(weights_bytes, rt.cost(), 1.0, opts.parallelism, (rank, tp));
 
             // ❸ tokenizer on a real host thread, ❺ restoration (first-layer
             // triggering-kernels + per-graph restore, §5.2/§7.3) on the
@@ -776,23 +661,19 @@ pub(crate) fn cold_start_impl(
             // Loading ends when every lane drains.
             let end = sched.makespan_end();
             rt.advance_to(end);
-            (
-                ReadyEngine {
-                    rt,
-                    inst,
-                    kv,
-                    tokenizer,
-                    graphs,
-                    step: 0,
-                },
-                end,
-                sched.critical_path(),
-            )
+            (rt, inst, kv, tokenizer, graphs, end, sched.critical_path())
         }
     };
 
-    let mut engine = engine;
-    let loading = loading_end - loading_start;
+    let mut engine = ReadyEngine {
+        rt,
+        inst,
+        kv,
+        tokenizer,
+        graphs,
+        step: 0,
+    };
+    let loading = end - loading_start;
     fault_gate(&opts, AbortPoint::BeforeFirstToken, Stage::FirstToken)?;
 
     // First token: one eager prefill.
@@ -811,12 +692,44 @@ pub(crate) fn cold_start_impl(
         spans,
         loading,
         total,
-        critical_path,
+        critical_path: critical,
     };
     if let Some(t) = tele {
-        record_cold_start_telemetry(t, &report, &opts);
+        record_cold_start_telemetry(t, &report, (rank, tp));
     }
     Ok((engine, report))
+}
+
+/// Medusa's materialized KV cache initialization (❹): checks that the
+/// artifact targets this shard, replays its allocation sequence, binds the
+/// restored workspace and magic pairs, and rebuilds the KV cache from the
+/// replayed layout with the materialized free-memory figure.
+fn restore_kv(
+    rt: &mut ProcessRuntime,
+    inst: &mut ModelInstance,
+    spec: &ModelSpec,
+    artifact: &MaterializedState,
+    (rank, tp): (u32, u32),
+    tele: Option<&Registry>,
+) -> MedusaResult<(ReplayedLayout, KvView, KvCache)> {
+    artifact.check_target(spec.name(), rt.spec().name(), rank, tp)?;
+    let (layout, _replay_dur) = replay_allocations(rt, artifact)?;
+    let kv_view = layout.kv_view(16)?;
+    inst.bind_workspace(layout.workspace()?);
+    inst.bind_magic(layout.magic_pairs(spec.layers())?);
+    let config = KvCacheConfig::for_shard(spec, tp);
+    let kv = KvCache::from_restored(
+        config,
+        kv_view.kcache,
+        kv_view.vcache,
+        kv_view.block_table,
+        config.blocks_for(artifact.kv_free_bytes),
+    );
+    if let Some(t) = tele {
+        t.inc("kv_restore_total", 1);
+        t.gauge_max("kv_free_bytes", artifact.kv_free_bytes);
+    }
+    Ok((layout, kv_view, kv))
 }
 
 /// The engine lane a stage occupies on the telemetry timeline (the same
@@ -855,17 +768,17 @@ fn stage_ident(stage: Stage) -> &'static str {
 /// off-path loading stages point at structure init (the fan-out root);
 /// structure init points at runtime init when present; the first token
 /// points at the last loading stage of the critical path.
-fn record_cold_start_telemetry(tele: &Registry, report: &ColdStartReport, opts: &ColdStartOptions) {
+fn record_cold_start_telemetry(tele: &Registry, report: &ColdStartReport, (rank, tp): (u32, u32)) {
     let name_of = |stage: Stage| {
-        if opts.tp > 1 {
-            format!("rank{}/{}", opts.rank, stage)
+        if tp > 1 {
+            format!("rank{rank}/{stage}")
         } else {
             stage.to_string()
         }
     };
     let lane_of = |stage: Stage| {
-        if opts.tp > 1 {
-            format!("{}/rank{}", stage_lane(stage).name(), opts.rank)
+        if tp > 1 {
+            format!("{}/rank{rank}", stage_lane(stage).name())
         } else {
             stage_lane(stage).name().to_string()
         }
@@ -933,25 +846,26 @@ fn weights_fault_gate(opts: &ColdStartOptions, expected: u64) -> MedusaResult<()
 const TP_CONTENTION_EFFICIENCY: f64 = 0.85;
 
 /// Duration of the weights lane and the extra start delay it suffers,
-/// given the parallelism mode and tensor-parallel geometry in `opts`.
+/// given the parallelism mode and the rank's `(rank, tp)` geometry.
 fn weights_lane_timing(
     bytes: u64,
     cost: &CostModel,
     base_slowdown: f64,
-    opts: &ColdStartOptions,
+    parallelism: Parallelism,
+    (rank, tp): (u32, u32),
 ) -> (SimDuration, SimDuration) {
-    match opts.parallelism {
-        Parallelism::Overlapped if opts.tp > 1 => {
-            let slowdown = base_slowdown * TP_CONTENTION_EFFICIENCY / opts.tp as f64;
+    match parallelism {
+        Parallelism::Overlapped if tp > 1 => {
+            let slowdown = base_slowdown * TP_CONTENTION_EFFICIENCY / tp as f64;
             (load_duration(bytes, cost, slowdown), SimDuration::ZERO)
         }
-        Parallelism::PipelinedTp if opts.tp > 1 => {
+        Parallelism::PipelinedTp if tp > 1 => {
             // Ranks stagger by one full sequential read each: rank r waits
             // for r earlier streams, then reads at full bandwidth.
             let stream = SimStorage::from_cost_model(cost).read_duration(bytes);
             (
                 load_duration(bytes, cost, base_slowdown),
-                stream * opts.rank as u64,
+                stream * rank as u64,
             )
         }
         // Serial (ranks restore one after another on exclusive storage)
@@ -1059,6 +973,7 @@ mod tests {
             GpuSpec::a100_40gb(),
             CostModel::default(),
             art,
+            (0, 1),
             opts,
             None,
         )
@@ -1221,6 +1136,7 @@ mod tests {
             GpuSpec::a100_40gb(),
             CostModel::default(),
             None,
+            (0, 1),
             ColdStartOptions::default(),
             None,
         )
@@ -1238,6 +1154,7 @@ mod tests {
             GpuSpec::a100_40gb(),
             CostModel::default(),
             Some(&art),
+            (0, 1),
             ColdStartOptions::default(),
             None,
         )
@@ -1264,6 +1181,7 @@ mod tests {
                 GpuSpec::a100_40gb(),
                 CostModel::default(),
                 Some(&art),
+                (0, 1),
                 opts,
                 None,
             )
@@ -1285,6 +1203,7 @@ mod tests {
             GpuSpec::a100_40gb(),
             CostModel::default(),
             None,
+            (0, 1),
             opts,
             None,
         )

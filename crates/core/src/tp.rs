@@ -8,20 +8,13 @@
 //! A `tp`-way instance runs one process per GPU. Each rank's control flow
 //! is deterministic *per rank*, so each rank gets its **own** indirect
 //! index pointer table, replay sequence and kernel name table: the offline
-//! phase produces one artifact per rank, and the online phase restores all
+//! phase ([`crate::ColdStart::materialize`]) produces one artifact per
+//! rank, and the online phase ([`crate::ColdStart::run`]) restores all
 //! ranks (conceptually in parallel — cold-start loading is the slowest
-//! rank's loading).
+//! rank's loading). A single GPU is the `tp = 1` case of the same path.
 
 use crate::artifact::MaterializedState;
-use crate::engine::par_map;
-use crate::error::{MedusaError, MedusaResult};
-use crate::pipeline::{
-    cold_start_impl, materialize_offline_shard_impl, ColdStartOptions, ColdStartReport,
-    OfflineReport, Parallelism, ReadyEngine, Strategy,
-};
-use medusa_gpu::{CostModel, GpuSpec, SimDuration};
-use medusa_model::ModelSpec;
-use medusa_telemetry::Registry;
+use crate::error::MedusaResult;
 
 /// The per-rank artifacts of one `<GPU type, model type, tp>` combination.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +27,8 @@ impl TpArtifacts {
     ///
     /// # Errors
     ///
-    /// Returns [`MedusaError::ArtifactMismatch`] if the ranks disagree on
-    /// model, GPU or degree, or are out of order.
+    /// Returns [`crate::MedusaError::ArtifactMismatch`] if the ranks
+    /// disagree on model, GPU or degree, or are out of order.
     pub fn new(ranks: Vec<MaterializedState>) -> MedusaResult<Self> {
         let tp = ranks.len() as u32;
         for (i, a) in ranks.iter().enumerate() {
@@ -66,7 +59,7 @@ impl TpArtifacts {
     ///
     /// # Errors
     ///
-    /// Returns [`MedusaError::ArtifactCorrupt`] on encoder failure.
+    /// Returns [`crate::MedusaError::ArtifactCorrupt`] on encoder failure.
     pub fn to_maf2(&self) -> MedusaResult<Vec<u8>> {
         let refs: Vec<&MaterializedState> = self.ranks.iter().collect();
         crate::artifact::maf2::encode_bundle(&refs)
@@ -83,252 +76,26 @@ impl TpArtifacts {
     }
 }
 
-/// Runs the offline phase for every rank of a `tp`-way instance with the
-/// default [`Parallelism::Overlapped`] mode: ranks materialize in parallel
-/// on their own GPUs, and the reported durations are the slowest rank's.
-///
-/// # Errors
-///
-/// Propagates per-rank capture/analysis failures.
-pub fn materialize_offline_tp(
-    spec: &ModelSpec,
-    tp: u32,
-    gpu: GpuSpec,
-    cost: CostModel,
-    seed: u64,
-) -> MedusaResult<(TpArtifacts, OfflineReport)> {
-    materialize_offline_tp_with(spec, tp, gpu, cost, seed, Parallelism::Overlapped)
-}
-
-/// [`materialize_offline_tp`] with an explicit parallelism mode.
-///
-/// Under [`Parallelism::Serial`] ranks materialize one after another (the
-/// reported durations are the sum); otherwise every rank runs on its own
-/// worker thread — real host parallelism — and the reported durations are
-/// the slowest rank's.
-///
-/// # Errors
-///
-/// Propagates per-rank capture/analysis failures.
-pub fn materialize_offline_tp_with(
-    spec: &ModelSpec,
-    tp: u32,
-    gpu: GpuSpec,
-    cost: CostModel,
-    seed: u64,
-    parallelism: Parallelism,
-) -> MedusaResult<(TpArtifacts, OfflineReport)> {
-    assert!(tp > 0, "tensor-parallel degree must be positive");
-    let run_rank = |rank: u32| {
-        materialize_offline_shard_impl(
-            spec,
-            rank,
-            tp,
-            gpu.clone(),
-            cost.clone(),
-            seed ^ (0x7a_0000 + rank as u64),
-        )
-    };
-    let results: Vec<MedusaResult<(MaterializedState, OfflineReport)>> =
-        if parallelism == Parallelism::Serial {
-            (0..tp).map(run_rank).collect()
-        } else {
-            par_map((0..tp).collect(), run_rank)
-        };
-    let mut ranks = Vec::with_capacity(tp as usize);
-    let mut report = OfflineReport {
-        capture: SimDuration::ZERO,
-        analysis: SimDuration::ZERO,
-    };
-    for result in results {
-        let (artifact, r) = result?;
-        if parallelism == Parallelism::Serial {
-            report.capture += r.capture;
-            report.analysis += r.analysis;
-        } else {
-            report.capture = report.capture.max(r.capture);
-            report.analysis = report.analysis.max(r.analysis);
-        }
-        ranks.push(artifact);
-    }
-    Ok((TpArtifacts::new(ranks)?, report))
-}
-
-/// Result of a tensor-parallel cold start.
-#[derive(Debug)]
-pub struct TpColdStart {
-    /// Per-rank serving-ready engines, rank order.
-    pub engines: Vec<ReadyEngine>,
-    /// Per-rank timing reports.
-    pub reports: Vec<ColdStartReport>,
-    /// The parallelism mode the instance restored under.
-    pub parallelism: Parallelism,
-    /// The end-of-loading synchronization point across ranks (one barrier
-    /// before serving; zero for single-GPU instances).
-    pub sync: SimDuration,
-}
-
-impl TpColdStart {
-    /// The instance's loading-phase duration.
-    ///
-    /// Under [`Parallelism::Serial`] ranks restore one after another, so
-    /// this is the sum of per-rank loadings plus the final barrier; in the
-    /// parallel modes ranks load concurrently and serving starts when the
-    /// slowest rank clears the barrier (max + sync).
-    pub fn loading(&self) -> SimDuration {
-        self.rollup(|r| r.loading) + self.sync
-    }
-
-    /// The instance's cold-start duration, rolled up like
-    /// [`TpColdStart::loading`].
-    pub fn total(&self) -> SimDuration {
-        self.rollup(|r| r.total) + self.sync
-    }
-
-    /// Aggregate loading-phase *work* across all ranks: the sum of every
-    /// rank's stage durations regardless of overlap — the resource-time
-    /// the instance consumed, as opposed to the wall-clock it occupied.
-    pub fn aggregate_work(&self) -> SimDuration {
-        self.reports.iter().map(ColdStartReport::work).sum()
-    }
-
-    fn rollup(&self, f: impl Fn(&ColdStartReport) -> SimDuration) -> SimDuration {
-        if self.parallelism == Parallelism::Serial {
-            self.reports.iter().map(f).sum()
-        } else {
-            self.reports
-                .iter()
-                .map(f)
-                .max()
-                .unwrap_or(SimDuration::ZERO)
-        }
-    }
-}
-
-/// Multi-rank cold start behind the [`crate::builder::ColdStart`] builder:
-/// cold-starts every rank of a `tp`-way instance with `strategy`. With
-/// `tele`, every rank shares the registry: per-rank stage spans land under
-/// `rank{r}/`-prefixed names on `/rank{r}`-suffixed lanes, and the
-/// cross-rank barrier is recorded as `tp_sync_us`. The registry is
-/// internally synchronized and every write is commutative or rank-keyed,
-/// so concurrent rank threads still produce a deterministic snapshot.
-///
-/// # Errors
-///
-/// * [`MedusaError::ArtifactRequired`] for [`Strategy::Medusa`] without
-///   artifacts.
-/// * [`MedusaError::ArtifactMismatch`] if `artifacts` has a different
-///   degree.
-/// * Propagated per-rank errors.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cold_start_tp_impl(
-    strategy: Strategy,
-    spec: &ModelSpec,
-    tp: u32,
-    gpu: GpuSpec,
-    cost: CostModel,
-    artifacts: Option<&TpArtifacts>,
-    opts: ColdStartOptions,
-    tele: Option<&Registry>,
-) -> MedusaResult<TpColdStart> {
-    assert!(tp > 0, "tensor-parallel degree must be positive");
-    if let Some(a) = artifacts {
-        if a.tp() != tp {
-            return Err(MedusaError::ArtifactMismatch {
-                artifact: format!("tp={}", a.tp()),
-                target: format!("tp={tp}"),
-            });
-        }
-    }
-    let run_rank = |rank: u32| {
-        let rank_opts = ColdStartOptions {
-            rank,
-            tp,
-            seed: opts.seed ^ (0x9a_0000 + rank as u64),
-            ..opts
-        };
-        let art = artifacts.map(|a| a.rank(rank));
-        cold_start_impl(
-            strategy,
-            spec,
-            gpu.clone(),
-            cost.clone(),
-            art,
-            rank_opts,
-            tele,
-        )
-    };
-    // Each rank owns an independent ProcessRuntime, so the parallel modes
-    // restore all ranks on real worker threads; simulated timings are
-    // computed per rank and never observe host scheduling.
-    let results: Vec<MedusaResult<(ReadyEngine, ColdStartReport)>> =
-        if opts.parallelism == Parallelism::Serial {
-            (0..tp).map(run_rank).collect()
-        } else {
-            par_map((0..tp).collect(), run_rank)
-        };
-    let mut engines = Vec::with_capacity(tp as usize);
-    let mut reports = Vec::with_capacity(tp as usize);
-    for result in results {
-        let (engine, report) = result?;
-        engines.push(engine);
-        reports.push(report);
-    }
-    let sync = if tp > 1 {
-        SimDuration::from_nanos(cost.sync_ns * tp as u64)
-    } else {
-        SimDuration::ZERO
-    };
-    if let Some(t) = tele {
-        t.inc("tp_cold_starts_total", 1);
-        t.observe_us("tp_sync_us", sync.as_nanos() / 1_000);
-    }
-    Ok(TpColdStart {
-        engines,
-        reports,
-        parallelism: opts.parallelism,
-        sync,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Stage;
+    use crate::builder::ColdStart;
+    use crate::error::MedusaError;
+    use crate::pipeline::{cold_start_impl, ColdStartOptions, Parallelism, Stage, Strategy};
+    use medusa_gpu::{CostModel, GpuSpec, SimDuration};
+    use medusa_model::ModelSpec;
 
     fn spec() -> ModelSpec {
         ModelSpec::by_name("Qwen1.5-0.5B").unwrap()
     }
 
-    // Test helpers: the `*_impl` entry points without telemetry.
-    fn cold_start_tp(
-        strategy: Strategy,
-        spec: &ModelSpec,
-        tp: u32,
-        gpu: GpuSpec,
-        cost: CostModel,
-        artifacts: Option<&TpArtifacts>,
-        opts: ColdStartOptions,
-    ) -> MedusaResult<TpColdStart> {
-        cold_start_tp_impl(strategy, spec, tp, gpu, cost, artifacts, opts, None)
-    }
-
-    fn cold_start(
-        strategy: Strategy,
-        spec: &ModelSpec,
-        gpu: GpuSpec,
-        cost: CostModel,
-        artifact: Option<&MaterializedState>,
-        opts: ColdStartOptions,
-    ) -> MedusaResult<(ReadyEngine, ColdStartReport)> {
-        cold_start_impl(strategy, spec, gpu, cost, artifact, opts, None)
+    fn arts(seed: u64) -> TpArtifacts {
+        ColdStart::new(&spec()).tp(2).materialize(seed).unwrap().0
     }
 
     #[test]
     fn tp_offline_produces_per_rank_artifacts() {
-        let (arts, report) =
-            materialize_offline_tp(&spec(), 2, GpuSpec::a100_40gb(), CostModel::default(), 501)
-                .unwrap();
+        let (arts, report) = ColdStart::new(&spec()).tp(2).materialize(501).unwrap();
         assert_eq!(arts.tp(), 2);
         assert_eq!(arts.rank(0).rank, 0);
         assert_eq!(arts.rank(1).rank, 1);
@@ -358,43 +125,19 @@ mod tests {
     #[test]
     fn tp_medusa_cold_start_restores_all_ranks() {
         let s = spec();
-        let (arts, _) =
-            materialize_offline_tp(&s, 2, GpuSpec::a100_40gb(), CostModel::default(), 502).unwrap();
+        let arts = arts(502);
+        let medusa = || {
+            ColdStart::new(&s)
+                .strategy(Strategy::Medusa)
+                .artifacts(&arts)
+        };
         // Validation correctness first (timing-independent)...
-        cold_start_tp(
-            Strategy::Medusa,
-            &s,
-            2,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            Some(&arts),
-            ColdStartOptions {
-                validate: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let validated = medusa().validate_graphs(true).run().unwrap();
+        assert!(validated.fallback().is_none());
         // ...then the timing comparison without the validation forwardings.
-        let medusa = cold_start_tp(
-            Strategy::Medusa,
-            &s,
-            2,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            Some(&arts),
-            ColdStartOptions::default(),
-        )
-        .unwrap();
-        let vanilla = cold_start_tp(
-            Strategy::Vanilla,
-            &s,
-            2,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            None,
-            ColdStartOptions::default(),
-        )
-        .unwrap();
+        let medusa = medusa().run().unwrap();
+        let vanilla = ColdStart::new(&s).tp(2).run().unwrap();
+        assert!(medusa.fallback().is_none());
         assert_eq!(medusa.engines.len(), 2);
         assert!(
             medusa.loading() < vanilla.loading(),
@@ -412,20 +155,17 @@ mod tests {
     #[test]
     fn tp_rank_artifacts_cannot_cross_restore() {
         let s = spec();
-        let (arts, _) =
-            materialize_offline_tp(&s, 2, GpuSpec::a100_40gb(), CostModel::default(), 503).unwrap();
+        let arts = arts(503);
         // Restoring rank 1's artifact into rank 0 must be rejected.
-        let err = cold_start(
+        let err = cold_start_impl(
             Strategy::Medusa,
             &s,
             GpuSpec::a100_40gb(),
             CostModel::default(),
             Some(arts.rank(1)),
-            ColdStartOptions {
-                rank: 0,
-                tp: 2,
-                ..Default::default()
-            },
+            (0, 2),
+            ColdStartOptions::default(),
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, MedusaError::ArtifactMismatch { .. }));
@@ -434,46 +174,43 @@ mod tests {
     #[test]
     fn tp_degree_mismatch_rejected() {
         let s = spec();
-        let (arts, _) =
-            materialize_offline_tp(&s, 2, GpuSpec::a100_40gb(), CostModel::default(), 504).unwrap();
-        let err = cold_start_tp(
-            Strategy::Medusa,
-            &s,
-            4,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            Some(&arts),
-            ColdStartOptions::default(),
-        )
-        .unwrap_err();
+        let arts = arts(504);
+        // A Medusa start degrades: the validator rejects the degree.
+        let medusa = ColdStart::new(&s)
+            .strategy(Strategy::Medusa)
+            .tp(4)
+            .artifacts(&arts)
+            .run()
+            .unwrap();
+        assert_eq!(medusa.strategy_used(), Strategy::Vanilla);
+        assert_eq!(medusa.fallback().unwrap().reason, "artifact_mismatch");
+        // A start with nothing to degrade to surfaces the typed error.
+        let err = ColdStart::new(&s)
+            .strategy(Strategy::NoCudaGraph)
+            .tp(4)
+            .artifacts(&arts)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, MedusaError::ArtifactMismatch { .. }));
     }
 
     #[test]
     fn parallel_modes_beat_serial_and_preserve_work() {
         let s = spec();
-        let (arts, _) =
-            materialize_offline_tp(&s, 2, GpuSpec::a100_40gb(), CostModel::default(), 505).unwrap();
+        let arts = arts(505);
         let run = |mode: Parallelism| {
-            cold_start_tp(
-                Strategy::Medusa,
-                &s,
-                2,
-                GpuSpec::a100_40gb(),
-                CostModel::default(),
-                Some(&arts),
-                ColdStartOptions {
-                    parallelism: mode,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+            ColdStart::new(&s)
+                .strategy(Strategy::Medusa)
+                .artifacts(&arts)
+                .parallelism(mode)
+                .run()
+                .unwrap()
         };
         let serial = run(Parallelism::Serial);
         let overlapped = run(Parallelism::Overlapped);
         let pipelined = run(Parallelism::PipelinedTp);
-        // ISSUE acceptance: overlapped+tp-pipelined strictly beats serial
-        // simulated loading for tp >= 2.
+        // Overlapped+tp-pipelined strictly beats serial simulated loading
+        // for tp >= 2.
         assert!(
             pipelined.loading() < serial.loading(),
             "pipelined {} must beat serial {}",
@@ -497,26 +234,15 @@ mod tests {
     #[test]
     fn sharded_weights_shrink_per_rank() {
         let s = spec();
-        let v1 = cold_start_tp(
-            Strategy::NoCudaGraph,
-            &s,
-            1,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            None,
-            ColdStartOptions::default(),
-        )
-        .unwrap();
-        let v4 = cold_start_tp(
-            Strategy::NoCudaGraph,
-            &s,
-            4,
-            GpuSpec::a100_40gb(),
-            CostModel::default(),
-            None,
-            ColdStartOptions::default(),
-        )
-        .unwrap();
+        let run = |tp: u32| {
+            ColdStart::new(&s)
+                .strategy(Strategy::NoCudaGraph)
+                .tp(tp)
+                .run()
+                .unwrap()
+        };
+        let v1 = run(1);
+        let v4 = run(4);
         let w1 = v1.engines[0].inst.weight_bytes();
         let w4 = v4.engines[0].inst.weight_bytes();
         assert!(

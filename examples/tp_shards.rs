@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example tp_shards [tp]`
 
-use medusa::{materialize_offline_tp, ColdStart, ColdStartOptions, Stage, Strategy};
+use medusa::{ColdStart, ColdStartOptions, Stage, Strategy};
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
 
@@ -23,7 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.name(),
         tp
     );
-    let (artifacts, report) = materialize_offline_tp(&spec, tp, gpu.clone(), cost.clone(), 7)?;
+    let (artifacts, report) = ColdStart::new(&spec)
+        .gpu(gpu.clone())
+        .cost(cost.clone())
+        .tp(tp)
+        .materialize(7)?;
     for artifact in artifacts.iter() {
         println!(
             "  rank {}/{}: {} graphs / {} nodes / {} replay ops / kv free {:.1} GiB",

@@ -20,9 +20,8 @@
 //!    with a typed error instead of being decoded.
 
 use medusa::{
-    encode_maf2_bundle, is_maf2, materialize_offline, materialize_offline_tp, ArtifactValidator,
-    ChunkStore, ColdStart, Maf2Reader, MaterializedState, Strategy, TpArtifacts, ValidationCheck,
-    ARTIFACT_VERSION,
+    encode_maf2_bundle, is_maf2, materialize_offline, ArtifactValidator, ChunkStore, ColdStart,
+    Maf2Reader, MaterializedState, Strategy, TpArtifacts, ValidationCheck, ARTIFACT_VERSION,
 };
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
@@ -55,15 +54,11 @@ fn bundle(tp: u32, seed: u64) -> TpArtifacts {
     let mut pool = pool.lock().expect("bundle pool");
     pool.entry((tp, seed))
         .or_insert_with(|| {
-            materialize_offline_tp(
-                &spec(),
-                tp,
-                GpuSpec::a100_40gb(),
-                CostModel::default(),
-                seed,
-            )
-            .expect("offline tp phase")
-            .0
+            ColdStart::new(&spec())
+                .tp(tp)
+                .materialize(seed)
+                .expect("offline tp phase")
+                .0
         })
         .clone()
 }

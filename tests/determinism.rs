@@ -4,15 +4,18 @@
 //! worker threads, but every reported timing is computed from the stage
 //! dependency graph — never from host thread timing. These tests pin that
 //! contract: same seed ⇒ byte-identical reports and identical engine
-//! state, per parallelism mode; and serial vs overlapped differ only in
-//! how the same work is laid out on the timeline.
+//! state, per parallelism mode; serial vs overlapped differ only in how
+//! the same work is laid out on the timeline; and a single-GPU start is
+//! the `tp = 1` start, whichever way the builder is told about it.
 
 use medusa::{
-    materialize_offline, ColdStart, ColdStartOptions, MaterializedState, Parallelism, ReadyEngine,
-    Strategy,
+    materialize_offline, ColdStart, ColdStartOptions, ColdStartReport, MaterializedState,
+    Parallelism, ReadyEngine, Strategy, TpArtifacts,
 };
 use medusa_gpu::{CostModel, GpuSpec, SimTime};
 use medusa_model::ModelSpec;
+use medusa_telemetry::export::prometheus;
+use medusa_telemetry::Registry;
 
 fn spec() -> ModelSpec {
     ModelSpec::by_name("Qwen1.5-0.5B").expect("catalog model")
@@ -145,5 +148,74 @@ fn vanilla_async_interference_inflates_work_but_overlap_still_wins() {
     assert!(
         overlapped.loading < serial.loading,
         "overlap should still beat serial despite interference"
+    );
+}
+
+/// A traced Medusa builder on process seed 9.
+fn medusa_seed_9<'a>(s: &'a ModelSpec, tele: &'a Registry) -> ColdStart<'a> {
+    ColdStart::new(s)
+        .strategy(Strategy::Medusa)
+        .seed(9)
+        .telemetry(tele)
+}
+
+#[test]
+fn a_single_gpu_start_is_the_tp1_start() {
+    // One path for every degree: a single artifact, an explicit `tp(1)`
+    // and a one-rank bundle all run rank 0 of a tp = 1 group on the
+    // derived rank seed, with the same timeline and the same telemetry.
+    let s = spec();
+    let a = artifact();
+    let arts = TpArtifacts::new(vec![a.clone()]).expect("one rank");
+    let teles = [Registry::new(), Registry::new(), Registry::new()];
+    let runs = [
+        medusa_seed_9(&s, &teles[0]).artifact(&a).run(),
+        medusa_seed_9(&s, &teles[1]).tp(1).artifact(&a).run(),
+        medusa_seed_9(&s, &teles[2]).artifacts(&arts).run(),
+    ]
+    .map(|r| r.expect("cold start"));
+    let prom = prometheus::render(&teles[0].snapshot());
+    for (outcome, tele) in runs.iter().zip(&teles) {
+        assert!(outcome.fallback().is_none());
+        assert_eq!(outcome.reports, runs[0].reports);
+        assert_eq!(outcome.total(), runs[0].total());
+        assert_eq!(outcome.engines[0].rt.seed(), 9 ^ 0x9a_0000);
+        assert_eq!(prometheus::render(&tele.snapshot()), prom);
+    }
+    let bytes = arts.to_maf2().expect("encode bundle");
+    let from_bytes = ColdStart::new(&s)
+        .strategy(Strategy::Medusa)
+        .seed(9)
+        .tp(1)
+        .artifact_bytes(&bytes)
+        .run()
+        .expect("cold start from bytes");
+    assert!(from_bytes.fallback().is_none());
+    assert_eq!(from_bytes.reports, runs[0].reports);
+    assert_eq!(from_bytes.engines[0].rt.seed(), 9 ^ 0x9a_0000);
+}
+
+#[test]
+fn serial_vanilla_async_is_the_vanilla_timeline() {
+    // Under Serial the async weights lane degenerates to a synchronous
+    // load, so VanillaAsync runs Vanilla's timeline stage for stage.
+    let run = |strategy| {
+        ColdStart::new(&spec())
+            .strategy(strategy)
+            .options(opts(Parallelism::Serial))
+            .run()
+            .expect("cold start")
+            .into_single()
+            .1
+    };
+    let vanilla = run(Strategy::Vanilla);
+    let serial_async = run(Strategy::VanillaAsync);
+    assert_eq!(serial_async.strategy, Strategy::VanillaAsync);
+    assert_eq!(
+        ColdStartReport {
+            strategy: Strategy::Vanilla,
+            ..serial_async
+        },
+        vanilla
     );
 }

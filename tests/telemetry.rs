@@ -5,10 +5,7 @@
 
 use std::collections::HashMap;
 
-use medusa::{
-    materialize_offline, materialize_offline_tp_with, ColdStart, ColdStartOptions, Parallelism,
-    Strategy,
-};
+use medusa::{materialize_offline, ColdStart, ColdStartOptions, Parallelism, Strategy};
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
 use medusa_telemetry::export::{chrome, prometheus};
@@ -43,15 +40,13 @@ fn traced_tp_cold_start() -> Snapshot {
     let s = spec();
     let gpu = GpuSpec::a100_40gb();
     let cost = CostModel::default();
-    let (arts, _) = materialize_offline_tp_with(
-        &s,
-        2,
-        gpu.clone(),
-        cost.clone(),
-        SEED,
-        Parallelism::PipelinedTp,
-    )
-    .expect("tp offline");
+    let (arts, _) = ColdStart::new(&s)
+        .gpu(gpu.clone())
+        .cost(cost.clone())
+        .tp(2)
+        .parallelism(Parallelism::PipelinedTp)
+        .materialize(SEED)
+        .expect("tp offline");
     let tele = Registry::new();
     ColdStart::new(&s)
         .strategy(Strategy::Medusa)
