@@ -265,6 +265,24 @@ pub fn differential_matrix() -> Vec<Scenario> {
         policy: Policy::Pipeline,
         trace: trace_mt(42),
     });
+    // Locality routing priced from chunk residency, with prewarm and
+    // per-chunk retries: the path of the multi-tenant host benchmark.
+    out.push(Scenario {
+        name: "s42-mt-locality-cas-prewarm-flaky".to_string(),
+        profile: medusa_profile().with_scaled_models(6),
+        cluster: mt_cluster(
+            ClusterFaults {
+                seed: 5,
+                registry_fail_per_mille: 150,
+                node_crash_per_mille: 0,
+            },
+            EvictionPolicy::CostAware,
+        )
+        .with_registry_mode(RegistryMode::ContentAddressed(catalog(6)))
+        .with_prewarm(PrewarmConfig::default()),
+        policy: Policy::Locality,
+        trace: trace_mt(42),
+    });
     out
 }
 
