@@ -54,7 +54,7 @@ prune_stale() {
   # golden.diff or BENCH_*.json would be diffed/uploaded in place of
   # this run's output. Gates always start from a clean slate.
   mkdir -p target
-  rm -rf target/golden-check
+  rm -rf target/golden-check target/golden-check-release
   rm -f target/golden.diff target/BENCH_*.json
 }
 
@@ -63,13 +63,18 @@ gate_golden() {
   # Regenerate the seed x scheduler x fault matrix into a scratch dir and
   # byte-diff against the committed oracle; any observable change to the
   # fleet simulator's semantics must re-commit results/golden/ on purpose.
+  # Both builds: debug builds re-run the drains a release build skips and
+  # assert they change nothing, so only the release build takes the skip.
   cargo run -q -p medusa-bench --bin ci-check-bench -- golden target/golden-check
-  if ! diff -ru results/golden target/golden-check >target/golden.diff; then
-    echo "FAIL: event core diverged from committed golden reports:"
-    cat target/golden.diff
-    exit 1
-  fi
-  echo "    all golden reports byte-identical"
+  cargo run --release -q -p medusa-bench --bin ci-check-bench -- golden target/golden-check-release
+  for dir in target/golden-check target/golden-check-release; do
+    if ! diff -ru results/golden "$dir" >target/golden.diff; then
+      echo "FAIL: event core diverged from committed golden reports ($dir):"
+      cat target/golden.diff
+      exit 1
+    fi
+  done
+  echo "    all golden reports byte-identical (debug and release)"
 }
 
 gate_bench() {

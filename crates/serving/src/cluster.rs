@@ -195,14 +195,16 @@ pub trait Registry {
     /// Backend name (reports and telemetry).
     fn name(&self) -> &'static str;
 
-    /// Resolves the fetch plan of `model` against the chunk digests
-    /// already resident on the fetching node.
-    fn resolve(
-        &self,
-        model: u32,
-        resident: &std::collections::BTreeSet<u64>,
-        profile: &FleetProfile,
-    ) -> FetchPlan;
+    /// Marks in `resident` the chunks a node holds once `model`'s artifact
+    /// is in its cache. The default marks nothing: a backend without
+    /// chunk-level residency.
+    fn add_resident(&self, _model: u32, _resident: &mut ChunkSet) {}
+
+    /// Resolves the fetch plan of `model` against the chunks already
+    /// resident on the fetching node (as marked by
+    /// [`Registry::add_resident`]). `missing` lists the units to transfer
+    /// in manifest order.
+    fn resolve(&self, model: u32, resident: &ChunkSet, profile: &FleetProfile) -> FetchPlan;
 
     /// Simulated transfer duration of `plan`'s missing units. Backends
     /// scale the profile's measured per-model fetch cost by the fraction
@@ -222,12 +224,7 @@ impl Registry for WholeArtifact {
         "whole"
     }
 
-    fn resolve(
-        &self,
-        model: u32,
-        _resident: &std::collections::BTreeSet<u64>,
-        profile: &FleetProfile,
-    ) -> FetchPlan {
+    fn resolve(&self, model: u32, _resident: &ChunkSet, profile: &FleetProfile) -> FetchPlan {
         let bytes = profile.artifact_bytes_for(model);
         FetchPlan {
             missing: vec![FetchUnit {
@@ -315,21 +312,133 @@ impl RegistryCatalog {
     pub fn units_for(&self, model: u32, profile: &FleetProfile) -> Vec<FetchUnit> {
         match self.models.get(model as usize) {
             Some(m) if !m.units.is_empty() => m.units.clone(),
-            _ => vec![FetchUnit {
-                digest: mix(0xca7a_1070 ^ u64::from(model)),
-                bytes: profile.artifact_bytes_for(model),
-            }],
+            _ => vec![fallback_unit(model, profile)],
         }
     }
+}
+
+/// The synthetic whole-artifact unit of a model the catalog has no
+/// manifest for.
+fn fallback_unit(model: u32, profile: &FleetProfile) -> FetchUnit {
+    FetchUnit {
+        digest: fallback_digest(model),
+        bytes: profile.artifact_bytes_for(model),
+    }
+}
+
+fn fallback_digest(model: u32) -> u64 {
+    mix(0xca7a_1070 ^ u64::from(model))
+}
+
+/// Chunk-level residency of one node: a dense bitset over the chunk ids
+/// its fleet's [`Registry`] numbers (see [`ContentAddressed`]). Always
+/// empty under a backend without chunk residency.
+#[derive(Debug, Clone, Default)]
+pub struct ChunkSet {
+    words: Vec<u64>,
+}
+
+impl ChunkSet {
+    /// Whether chunk `id` is resident.
+    pub fn contains(&self, id: usize) -> bool {
+        self.words
+            .get(id / 64)
+            .is_some_and(|w| w & (1 << (id % 64)) != 0)
+    }
+
+    /// Marks chunk `id` resident.
+    pub fn insert(&mut self, id: usize) {
+        if self.words.len() <= id / 64 {
+            self.words.resize(id / 64 + 1, 0);
+        }
+        self.words[id / 64] |= 1 << (id % 64);
+    }
+
+    /// Whether no chunk is resident.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Marks every chunk of `other` resident.
+    fn union_with(&mut self, other: &ChunkSet) {
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+}
+
+/// One model's manifest as [`ContentAddressed`] resolves it.
+#[derive(Debug, Clone, Default)]
+struct DenseManifest {
+    /// `(chunk id, unit)` in manifest order.
+    units: Vec<(usize, FetchUnit)>,
+    /// The chunk ids of `units`.
+    mask: ChunkSet,
 }
 
 /// Content-addressed registry: resolves each fetch against the node's
 /// resident chunk set and transfers only the missing chunks, priced as the
 /// missing fraction of the model's measured whole-artifact fetch cost.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// Building it numbers the catalog's distinct digests once, in ascending
+/// order, and turns every manifest into `(chunk id, unit)` pairs plus a
+/// mask, so a resolution is one bit test per unit. The fallback unit of a
+/// model without a manifest takes the id of an equal cataloged digest,
+/// else `distinct digests + model`.
+#[derive(Debug, Clone, Default)]
 pub struct ContentAddressed {
-    /// Per-model chunk manifests.
-    pub catalog: RegistryCatalog,
+    /// The catalog's distinct digests, ascending: chunk id `k` is
+    /// `digests[k]`.
+    digests: Vec<u64>,
+    /// Per model id; an empty manifest resolves to the fallback unit.
+    models: Vec<DenseManifest>,
+}
+
+impl ContentAddressed {
+    /// Numbers `catalog`'s chunks.
+    pub fn new(catalog: &RegistryCatalog) -> Self {
+        let mut digests: Vec<u64> = catalog
+            .models
+            .iter()
+            .flat_map(|m| &m.units)
+            .map(|u| u.digest)
+            .collect();
+        digests.sort_unstable();
+        digests.dedup();
+        let models = catalog
+            .models
+            .iter()
+            .map(|m| {
+                let mut dense = DenseManifest::default();
+                for &u in &m.units {
+                    let id = digests
+                        .binary_search(&u.digest)
+                        .expect("a cataloged digest");
+                    dense.units.push((id, u));
+                    dense.mask.insert(id);
+                }
+                dense
+            })
+            .collect();
+        ContentAddressed { digests, models }
+    }
+
+    /// The manifest of `model`, if the catalog has a non-empty one.
+    fn manifest(&self, model: u32) -> Option<&DenseManifest> {
+        self.models
+            .get(model as usize)
+            .filter(|m| !m.units.is_empty())
+    }
+
+    /// The chunk id of `model`'s fallback unit.
+    fn fallback_id(&self, model: u32) -> usize {
+        self.digests
+            .binary_search(&fallback_digest(model))
+            .unwrap_or(self.digests.len() + model as usize)
+    }
 }
 
 impl Registry for ContentAddressed {
@@ -337,15 +446,25 @@ impl Registry for ContentAddressed {
         "cas"
     }
 
-    fn resolve(
-        &self,
-        model: u32,
-        resident: &std::collections::BTreeSet<u64>,
-        profile: &FleetProfile,
-    ) -> FetchPlan {
+    fn add_resident(&self, model: u32, resident: &mut ChunkSet) {
+        match self.manifest(model) {
+            Some(m) => resident.union_with(&m.mask),
+            None => resident.insert(self.fallback_id(model)),
+        }
+    }
+
+    fn resolve(&self, model: u32, resident: &ChunkSet, profile: &FleetProfile) -> FetchPlan {
+        let fallback;
+        let units = match self.manifest(model) {
+            Some(m) => &m.units[..],
+            None => {
+                fallback = [(self.fallback_id(model), fallback_unit(model, profile))];
+                &fallback[..]
+            }
+        };
         let mut plan = FetchPlan::default();
-        for u in self.catalog.units_for(model, profile) {
-            if resident.contains(&u.digest) {
+        for &(id, u) in units {
+            if resident.contains(id) {
                 plan.bytes_resolved += u.bytes;
                 plan.chunk_hits += 1;
             } else {
@@ -382,9 +501,7 @@ impl RegistryMode {
     pub fn build(&self) -> Box<dyn Registry> {
         match self {
             RegistryMode::Whole => Box::new(WholeArtifact),
-            RegistryMode::ContentAddressed(catalog) => Box::new(ContentAddressed {
-                catalog: catalog.clone(),
-            }),
+            RegistryMode::ContentAddressed(catalog) => Box::new(ContentAddressed::new(catalog)),
         }
     }
 }
@@ -971,6 +1088,12 @@ pub enum Decision {
 /// through a [`FleetQuery`] for one request: its candidate sets answer
 /// in time independent of the fleet's size, and start costs are priced
 /// only for the nodes a policy asks about.
+///
+/// Contract: a [`Decision::Queue`] answer must depend only on the query,
+/// and a scheduler changes its own state only when it places a request.
+/// The fleet relies on it to skip re-routing a queue against a fleet
+/// that has not changed since the last attempt, so a scheduler may not
+/// see every request on every event.
 pub trait Scheduler {
     /// Policy name (embedded in reports and telemetry).
     fn name(&self) -> &'static str;
@@ -1520,10 +1643,10 @@ struct Node {
     /// Node-local §6 artifact cache (linear scan: capacities are small).
     cache: Vec<CacheEntry>,
     /// Chunk-level residency under [`RegistryMode::ContentAddressed`]:
-    /// the digests of every chunk backing a resident cache entry. Always
-    /// empty in whole-artifact mode. Replaced only through
-    /// [`Node::set_chunks`], which drops `fetch_memo`.
-    chunks: std::collections::BTreeSet<u64>,
+    /// every chunk backing a resident cache entry. Always empty in
+    /// whole-artifact mode. Replaced only through [`Node::set_chunks`],
+    /// which drops `fetch_memo`.
+    chunks: ChunkSet,
     /// Memoised content-addressed fetch estimates against `chunks`,
     /// `(model, ns)`; filled on demand by routing queries.
     fetch_memo: RefCell<Vec<(u32, u64)>>,
@@ -1587,7 +1710,7 @@ impl Node {
             work_ns: 0,
             model: None,
             cache,
-            chunks: std::collections::BTreeSet::new(),
+            chunks: ChunkSet::default(),
             fetch_memo: RefCell::new(Vec::new()),
             epoch: 0,
             degraded_start: false,
@@ -1618,7 +1741,7 @@ impl Node {
 
     /// Replaces the chunk residency, invalidating the fetch estimates
     /// priced against the old set.
-    fn set_chunks(&mut self, chunks: std::collections::BTreeSet<u64>) {
+    fn set_chunks(&mut self, chunks: ChunkSet) {
         self.chunks = chunks;
         self.fetch_memo.get_mut().clear();
     }
@@ -1659,6 +1782,12 @@ struct FleetSim<'a> {
     #[cfg(debug_assertions)]
     reference: index::reference::ReferenceScan,
     queue: VecDeque<usize>,
+    /// Whether nothing has been re-filed in the index or pushed onto
+    /// `queue` since the last drain began. A drain's outcome is a function
+    /// of the index slots and the queue (a [`Scheduler`] changes its own
+    /// state only when it places a request), so a drain of a settled fleet
+    /// would place and start nothing and is skipped.
+    settled: bool,
     events: EventQueue<FleetEvent>,
     keep_alive_ns: u64,
     arrived: usize,
@@ -1715,7 +1844,30 @@ impl FleetSim<'_> {
 
     /// Re-files node `i` in the index after a transition.
     fn sync(&mut self, i: usize) {
-        self.index.sync(i, &self.nodes[i]);
+        if self.index.sync(i, &self.nodes[i]) {
+            self.settled = false;
+        }
+    }
+
+    /// Every node's view for a request of `model` needing `need` KV
+    /// tokens, as the reference scan prices it: content-addressed
+    /// residency is the union of the cached models' manifest digests.
+    #[cfg(debug_assertions)]
+    fn views(&self, need: u64, model: u32) -> Vec<index::reference::NodeView> {
+        let empty = RegistryCatalog::default();
+        let catalog = match &self.cluster.registry_mode {
+            RegistryMode::ContentAddressed(catalog) => catalog,
+            RegistryMode::Whole => &empty,
+        };
+        let resident = |i: usize| {
+            let cache = &self.nodes[i].cache;
+            cache
+                .iter()
+                .flat_map(|e| catalog.units_for(e.model, self.profile))
+                .map(|u| u.digest)
+                .collect()
+        };
+        index::reference::views(&self.nodes, &self.ctx, need, model, catalog, resident)
     }
 
     /// The policy's routing decision for request `r`.
@@ -1724,8 +1876,7 @@ impl FleetSim<'_> {
         let decision = sched.route(&self.query(need, model));
         #[cfg(debug_assertions)]
         {
-            let views = index::reference::views(&self.nodes, &self.ctx, need, model);
-            let expected = self.reference.route(&views);
+            let expected = self.reference.route(&self.views(need, model));
             debug_assert_eq!(decision, expected, "indexed route diverged from the scan");
         }
         decision
@@ -1737,8 +1888,7 @@ impl FleetSim<'_> {
         let pick = sched.pick_cold(&self.query(need, model));
         #[cfg(debug_assertions)]
         {
-            let views = index::reference::views(&self.nodes, &self.ctx, need, model);
-            let expected = self.reference.pick_cold(&views);
+            let expected = self.reference.pick_cold(&self.views(need, model));
             debug_assert_eq!(pick, expected, "indexed pick_cold diverged from the scan");
         }
         pick
@@ -1802,15 +1952,11 @@ impl FleetSim<'_> {
         // set is exactly the union of the resident models' manifests, so
         // an eviction drops the victim's unshared chunks but keeps the
         // template chunks other residents still reference.
-        if let RegistryMode::ContentAddressed(catalog) = &self.cluster.registry_mode {
-            let chunks = node
-                .cache
-                .iter()
-                .flat_map(|e| catalog.units_for(e.model, profile))
-                .map(|u| u.digest)
-                .collect();
-            node.set_chunks(chunks);
+        let mut chunks = ChunkSet::default();
+        for e in &node.cache {
+            self.ctx.registry.add_resident(e.model, &mut chunks);
         }
+        node.set_chunks(chunks);
     }
 
     /// Begins a cold start of `model` headed by node `i` at time `t`.
@@ -2105,7 +2251,17 @@ impl FleetSim<'_> {
     /// Multi-tenant traces route with skip-ahead instead: a head whose
     /// model has no live affine node must not stall tenants whose warm
     /// nodes sit idle behind it.
+    ///
+    /// A drain of a settled fleet (see `settled`) returns at once. Debug
+    /// builds run it anyway and check that it placed, started, and
+    /// re-filed nothing.
     fn drain(&mut self, t: u64, sched: &mut dyn Scheduler) {
+        let settled = std::mem::replace(&mut self.settled, true);
+        if settled && !cfg!(debug_assertions) {
+            return;
+        }
+        #[cfg(debug_assertions)]
+        let before = (self.queue.len(), self.cold_starts);
         if self.multi_tenant {
             // One sweep in queue order: placed requests drop out, the
             // rest keep their relative order.
@@ -2155,6 +2311,11 @@ impl FleetSim<'_> {
                 None => break,
             }
         }
+        #[cfg(debug_assertions)]
+        assert!(
+            !settled || (self.settled && (self.queue.len(), self.cold_starts) == before),
+            "a drain of a settled fleet placed, started, or re-filed"
+        );
     }
 
     // -----------------------------------------------------------------
@@ -2179,6 +2340,7 @@ impl FleetSim<'_> {
             }
         }
         self.queue.push_back(r);
+        self.settled = false;
         self.drain(t, sched);
     }
 
@@ -2279,6 +2441,7 @@ impl FleetSim<'_> {
         for r in rerouted.into_iter().rev() {
             self.queue.push_front(r);
         }
+        self.settled = false;
         self.drain(t, sched);
     }
 
@@ -2568,16 +2731,11 @@ pub fn simulate_fleet_traced(
         .pipeline_k
         .unwrap_or(if policy == Policy::Pipeline { 2 } else { 1 })
         .max(1);
+    let registry = cluster.registry_mode.build();
     // Pre-seeded caches hold model 0's artifact; in content-addressed mode
     // that means its chunks are resident too.
-    let seeded_chunks: std::collections::BTreeSet<u64> = match &cluster.registry_mode {
-        RegistryMode::ContentAddressed(catalog) => catalog
-            .units_for(0, profile)
-            .iter()
-            .map(|u| u.digest)
-            .collect(),
-        RegistryMode::Whole => Default::default(),
-    };
+    let mut seeded_chunks = ChunkSet::default();
+    registry.add_resident(0, &mut seeded_chunks);
     let nodes: Vec<Node> = cluster
         .nodes
         .iter()
@@ -2598,7 +2756,7 @@ pub fn simulate_fleet_traced(
         nodes,
         ctx: RouteCtx::new(
             profile,
-            cluster.registry_mode.build(),
+            registry,
             matches!(cluster.registry_mode, RegistryMode::ContentAddressed(_)),
             cluster.max_running,
             trace.len(),
@@ -2606,6 +2764,7 @@ pub fn simulate_fleet_traced(
         #[cfg(debug_assertions)]
         reference: index::reference::ReferenceScan::new(policy),
         queue: VecDeque::new(),
+        settled: false,
         events: EventQueue::new(),
         keep_alive_ns: (cluster.autoscaler.keep_alive_s * 1e9) as u64,
         arrived: 0,

@@ -117,11 +117,14 @@ enum Slot {
     /// `cold_holding` set of every model its cache holds.
     Cold { stocked: bool },
     /// Counted in its model's `live`; in its model's `warm`/`starting`
-    /// set at `(load, index)` unless it is a pipeline helper.
+    /// set at `(load, index)` unless it is a pipeline helper. `kv_tokens`
+    /// files nothing, but with it every routing input of a live node is
+    /// in its slot.
     Live {
         model: u32,
         state: NodeState,
         load: usize,
+        kv_tokens: u64,
         helper: bool,
     },
 }
@@ -179,10 +182,10 @@ impl FleetIndex {
         index
     }
 
-    /// Re-files node `i` after any change to its state, model, load,
-    /// helper role, or (while warm) cache. A no-op when its slot is
-    /// unchanged.
-    pub(super) fn sync(&mut self, i: usize, n: &Node) {
+    /// Re-files node `i` after any change to its state, model, load, KV
+    /// reservation, helper role, or (while warm) cache. A no-op when its
+    /// slot is unchanged; returns whether it re-filed the node.
+    pub(super) fn sync(&mut self, i: usize, n: &Node) -> bool {
         let slot = match n.state {
             NodeState::Cold => {
                 debug_assert!(
@@ -197,12 +200,13 @@ impl FleetIndex {
                 model: n.model.expect("a live node hosts a model"),
                 state,
                 load: n.load(),
+                kv_tokens: n.kv_tokens,
                 helper: n.pipeline_head.is_some(),
             },
         };
         let old = self.slots[i];
         if old == slot {
-            return;
+            return false;
         }
         match old {
             Slot::None => {}
@@ -222,6 +226,7 @@ impl FleetIndex {
                 state,
                 load,
                 helper,
+                ..
             } => {
                 let k = self.model_slot(model);
                 let sets = &mut self.per_model[k];
@@ -248,6 +253,7 @@ impl FleetIndex {
                 state,
                 load,
                 helper,
+                ..
             } => {
                 let k = self.model_slot(model);
                 let sets = &mut self.per_model[k];
@@ -258,6 +264,7 @@ impl FleetIndex {
             }
         }
         self.slots[i] = slot;
+        true
     }
 
     /// The candidate-set slot of `model`, created on first use.
@@ -502,13 +509,39 @@ impl<'a> FleetQuery<'a> {
 }
 
 /// The O(nodes) scan routing did before the index: one [`NodeView`] per
-/// node per decision and the policies' original bodies over them. Debug
-/// builds check every indexed decision against it; the index proptests
-/// compare the two on random fleet states.
+/// node per decision and the policies' original bodies over them, with
+/// content-addressed fetches resolved against digest sets instead of
+/// numbered chunks. Debug builds check every indexed decision against it;
+/// the index proptests compare the two on random fleet states.
 #[cfg(any(test, debug_assertions))]
 pub(super) mod reference {
-    use super::super::{Decision, Node, NodeState, Policy, Strategy};
+    use super::super::{
+        Decision, FetchPlan, FleetProfile, Node, NodeState, Policy, RegistryCatalog, Strategy,
+    };
     use super::RouteCtx;
+    use std::collections::BTreeSet;
+
+    /// Resolves the fetch plan of `model` against a node's resident chunk
+    /// digests: a [`ContentAddressed`](super::super::ContentAddressed)
+    /// resolution over the matching chunk ids must equal it.
+    pub(in super::super) fn resolve(
+        catalog: &RegistryCatalog,
+        model: u32,
+        resident: &BTreeSet<u64>,
+        profile: &FleetProfile,
+    ) -> FetchPlan {
+        let mut plan = FetchPlan::default();
+        for u in catalog.units_for(model, profile) {
+            if resident.contains(&u.digest) {
+                plan.bytes_resolved += u.bytes;
+                plan.chunk_hits += 1;
+            } else {
+                plan.bytes_needed += u.bytes;
+                plan.missing.push(u);
+            }
+        }
+        plan
+    }
 
     /// Read-only view of one node for one request.
     #[derive(Debug, Clone, Copy)]
@@ -521,16 +554,20 @@ pub(super) mod reference {
     }
 
     /// Builds every node's view for a request of `model` needing `need`
-    /// KV tokens, pricing start costs without the index's memo.
+    /// KV tokens. Content-addressed start costs resolve `catalog` against
+    /// `resident(i)`, the chunk digests resident on node `i`.
     pub(in super::super) fn views(
         nodes: &[Node],
         ctx: &RouteCtx<'_>,
         need: u64,
         model: u32,
+        catalog: &RegistryCatalog,
+        resident: impl Fn(usize) -> BTreeSet<u64>,
     ) -> Vec<NodeView> {
         nodes
             .iter()
-            .map(|n| {
+            .enumerate()
+            .map(|(i, n)| {
                 let load = n.load();
                 let cached = n.cache_holds(model);
                 let live_accepts = load < ctx.max_running
@@ -550,7 +587,7 @@ pub(super) mod reference {
                     if cached || ctx.profile.strategy != Strategy::Medusa {
                         return loading;
                     }
-                    let plan = ctx.registry.resolve(model, &n.chunks, ctx.profile);
+                    let plan = resolve(catalog, model, &resident(i), ctx.profile);
                     loading + ctx.registry.fetch(model, &plan, ctx.profile).as_nanos()
                 };
                 NodeView {
@@ -639,10 +676,11 @@ pub(super) mod reference {
 #[cfg(test)]
 mod tests {
     use super::super::{
-        CacheEntry, ColdStartAware, Decision, FetchUnit, ModelManifest, Node, NodeSpec, Policy,
-        RegistryCatalog, RegistryMode, RoundRobin, Scheduler, ServerlessLlmLocality, WholeArtifact,
+        fallback_unit, CacheEntry, ChunkSet, ColdStartAware, ContentAddressed, Decision, FetchUnit,
+        ModelManifest, Node, NodeSpec, Policy, Registry, RegistryCatalog, RoundRobin, Scheduler,
+        ServerlessLlmLocality, WholeArtifact,
     };
-    use super::reference::{views, ReferenceScan};
+    use super::reference::{resolve, views, ReferenceScan};
     use super::{FleetIndex, FleetProfile, FleetQuery, NodeState, RouteCtx};
     use crate::params::PerfModel;
     use medusa::Strategy;
@@ -702,15 +740,40 @@ mod tests {
         }
     }
 
-    /// A random node: cache, chunk set, state, load, KV, helper role.
+    /// The chunk ids of `digests` under `reg`'s numbering: the cataloged
+    /// digests, plus the fallback unit of every model up to `models` whose
+    /// digest is listed.
+    fn chunk_set(
+        reg: &ContentAddressed,
+        digests: &BTreeSet<u64>,
+        models: u32,
+        profile: &FleetProfile,
+    ) -> ChunkSet {
+        let mut set = ChunkSet::default();
+        for d in digests {
+            if let Ok(id) = reg.digests.binary_search(d) {
+                set.insert(id);
+            }
+        }
+        for m in 0..=models {
+            if digests.contains(&fallback_unit(m, profile).digest) {
+                set.insert(reg.fallback_id(m));
+            }
+        }
+        set
+    }
+
+    /// A random node: cache, chunk residency, state, load, KV, helper
+    /// role. With a numbered catalog the node's chunks are set, and
+    /// returned as digests for the reference scan.
     fn node(
         rng: &mut TestRng,
         profile: &FleetProfile,
-        registry: &RegistryMode,
+        cas: Option<(&RegistryCatalog, &ContentAddressed)>,
         models: u32,
         max_running: u32,
         n_nodes: usize,
-    ) -> Node {
+    ) -> (Node, BTreeSet<u64>) {
         let spec = NodeSpec {
             gpu: "A100-40GB".to_string(),
             tp: 1,
@@ -725,18 +788,19 @@ mod tests {
                 uses: 0,
             });
         }
-        if let RegistryMode::ContentAddressed(catalog) = registry {
-            let mut chunks: BTreeSet<u64> = n
+        let mut digests = BTreeSet::new();
+        if let Some((catalog, reg)) = cas {
+            digests = n
                 .cache
                 .iter()
                 .flat_map(|e| catalog.units_for(e.model, profile))
                 .map(|u| u.digest)
                 .collect();
-            // Now and then a stray chunk set that no cache entry explains.
+            // Now and then a stray chunk that no cache entry explains.
             if rng.next_u64().is_multiple_of(4) {
-                chunks.insert(0xc0 + rng.next_u64() % 6);
+                digests.insert(0xc0 + rng.next_u64() % 6);
             }
-            n.set_chunks(chunks);
+            n.set_chunks(chunk_set(reg, &digests, models, profile));
         }
         match rng.next_u64() % 3 {
             0 => {}
@@ -756,17 +820,18 @@ mod tests {
                 }
             }
         }
-        n
+        (n, digests)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
-        /// On random fleet states — loads, KV, caches, chunk sets,
+        /// On random fleet states — loads, KV, caches, chunk residency,
         /// pipeline helpers, measured decode tables that tie or fall with
         /// load — every policy's indexed `route` and `pick_cold` equal the
         /// node-by-node scan, in both registry modes, and every start cost
-        /// the query prices equals the scan's.
+        /// the query prices from numbered chunks equals the scan's price
+        /// from digest sets.
         #[test]
         fn indexed_decisions_match_the_scan(
             seed in any::<u64>(),
@@ -781,17 +846,22 @@ mod tests {
             let mut rng = TestRng::for_case("fleet", (seed % 1_000_000) as u32);
             // fetch 0 ms makes hit and miss cost the same.
             let profile = profile(medusa, fetch_ms * 150, decode_ms, models);
-            let registry = if cas {
-                RegistryMode::ContentAddressed(catalog(&mut rng, models))
+            let catalog = catalog(&mut rng, models);
+            let dense = ContentAddressed::new(&catalog);
+            let registry: Box<dyn Registry> = if cas {
+                Box::new(dense.clone())
             } else {
-                RegistryMode::Whole
+                Box::new(WholeArtifact)
             };
-            let mut nodes: Vec<Node> = (0..n_nodes)
-                .map(|_| node(&mut rng, &profile, &registry, models, max_running, n_nodes))
-                .collect();
+            let (mut nodes, mut resident): (Vec<Node>, Vec<BTreeSet<u64>>) = (0..n_nodes)
+                .map(|_| {
+                    let numbered = cas.then_some((&catalog, &dense));
+                    node(&mut rng, &profile, numbered, models, max_running, n_nodes)
+                })
+                .unzip();
             let mut ctx = RouteCtx::new(
                 &profile,
-                registry.build(),
+                registry,
                 cas,
                 max_running,
                 max_running as usize,
@@ -821,7 +891,8 @@ mod tests {
                     // fetch estimates priced against the old set.
                     let i = rng.next_u64() as usize % n_nodes;
                     let chunks = (0..6u64).filter(|_| rng.next_u64().is_multiple_of(2)).map(|d| 0xc0 + d);
-                    nodes[i].set_chunks(chunks.collect());
+                    resident[i] = chunks.collect();
+                    nodes[i].set_chunks(chunk_set(&dense, &resident[i], models, &profile));
                     index.sync(i, &nodes[i]);
                     index.check(&nodes);
                 }
@@ -829,7 +900,7 @@ mod tests {
                 for model in 0..=models {
                     let need = rng.next_u64() % 400;
                     let fleet = FleetQuery::new(&nodes, &index, &ctx, model, need);
-                    let scan = views(&nodes, &ctx, need, model);
+                    let scan = views(&nodes, &ctx, need, model, &catalog, |i| resident[i].clone());
                     for (i, v) in scan.iter().enumerate() {
                         prop_assert_eq!(fleet.start_cost(i), v.start_cost_ns, "start cost of node {}", i);
                         prop_assert_eq!(fleet.accepts(i), v.accepts, "admission of node {}", i);
@@ -856,6 +927,75 @@ mod tests {
                             "{:?} pick_cold, model {}", policy, model
                         );
                     }
+                }
+            }
+        }
+
+        /// Resolving against numbered chunks equals resolving against
+        /// digest sets (and `fetch` prices only the plan) on random
+        /// catalogs:
+        /// manifests that repeat a digest, empty manifests, models past
+        /// the catalog, and a cataloged digest equal to an out-of-catalog
+        /// model's fallback unit. Marking cached models resident equals
+        /// numbering the union of their units.
+        #[test]
+        fn chunk_ids_resolve_like_digest_sets(
+            seed in any::<u64>(),
+            models in 0u32..6,
+            pool in 1u64..10,
+        ) {
+            let mut rng = TestRng::for_case("resolve", (seed % 1_000_000) as u32);
+            let profile = profile(true, 300, [5, 5, 5, 5], 3);
+            let past = models + 3;
+            // The pool's last digest is the fallback unit of a model past
+            // the catalog.
+            let digest = |d: u64| {
+                if d + 1 == pool {
+                    fallback_unit(models + 1, &profile).digest
+                } else {
+                    0xc0 + d
+                }
+            };
+            let catalog = RegistryCatalog {
+                models: (0..models)
+                    .map(|_| ModelManifest {
+                        units: (0..rng.next_u64() % 8)
+                            .map(|_| FetchUnit {
+                                digest: digest(rng.next_u64() % pool),
+                                bytes: rng.next_u64() % 3000,
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+            };
+            let reg = ContentAddressed::new(&catalog);
+            for _ in 0..4 {
+                let mut digests: BTreeSet<u64> = (0..pool)
+                    .filter(|_| rng.next_u64().is_multiple_of(2))
+                    .map(digest)
+                    .collect();
+                let cached: Vec<u32> = (0..past).filter(|_| rng.next_u64().is_multiple_of(3)).collect();
+                let mut marked = ChunkSet::default();
+                for &m in &cached {
+                    reg.add_resident(m, &mut marked);
+                }
+                let union: BTreeSet<u64> = cached
+                    .iter()
+                    .flat_map(|&m| catalog.units_for(m, &profile))
+                    .map(|u| u.digest)
+                    .collect();
+                digests.extend(&union);
+                let bits = chunk_set(&reg, &digests, past, &profile);
+                let union_bits = chunk_set(&reg, &union, past, &profile);
+                for model in 0..past {
+                    let plan = reg.resolve(model, &bits, &profile);
+                    let expected = resolve(&catalog, model, &digests, &profile);
+                    prop_assert_eq!(&plan, &expected, "model {}", model);
+                    prop_assert_eq!(
+                        reg.resolve(model, &marked, &profile),
+                        reg.resolve(model, &union_bits, &profile),
+                        "cached {:?}, model {}", &cached, model
+                    );
                 }
             }
         }
