@@ -283,7 +283,48 @@ pub fn differential_matrix() -> Vec<Scenario> {
         policy: Policy::Locality,
         trace: trace_mt(42),
     });
+    // Twin requests: every request twice at the same nanosecond, so
+    // nodes run in lockstep and iteration boundaries tie, against a
+    // small batch bound that keeps the queue filling and emptying.
+    out.push(Scenario {
+        name: "s3-least-loaded-twins".to_string(),
+        profile: medusa_profile(),
+        cluster: twins_cluster(),
+        policy: Policy::LeastLoaded,
+        trace: twins(TraceConfig::interactive(6.0, 20.0).with_seed(3).generate()),
+    });
+    out.push(Scenario {
+        name: "s5-mt-locality-twins".to_string(),
+        profile: medusa_profile().with_scaled_models(4),
+        cluster: twins_cluster(),
+        policy: Policy::Locality,
+        trace: twins(
+            TraceConfig::sharegpt(5.0, 30.0)
+                .with_seed(5)
+                .with_models(ModelMix::zipf(4, 1.0))
+                .generate(),
+        ),
+    });
     out
+}
+
+/// The twin scenarios' fleet: [`base_cluster`] with two pre-seeded
+/// caches, two running sequences per node and a 1 s keep-alive.
+fn twins_cluster() -> ClusterSpec {
+    let mut c = base_cluster(ClusterFaults::default())
+        .with_cached_prefix(2)
+        .with_keep_alive(1.0);
+    c.max_running = 2;
+    c
+}
+
+/// Every request of `trace` twice, with the same arrival, lengths and
+/// model; request `k` becomes ids `2k` and `2k + 1`.
+fn twins(trace: Vec<Request>) -> Vec<Request> {
+    trace
+        .into_iter()
+        .flat_map(|r| [2 * r.id, 2 * r.id + 1].map(|id| Request { id, ..r }))
+        .collect()
 }
 
 /// The multi-tenant fleet shape: [`base_cluster`] with 2-artifact caches
