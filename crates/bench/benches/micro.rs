@@ -7,9 +7,10 @@
 //! the build is fully offline): each benchmark runs a timed loop around a
 //! closure and reports the per-iteration mean and median.
 //!
-//! Run with: `cargo bench --bench micro`. The `fleet_route/*` rows report
-//! the fleet simulator's host ns per event at 100, 1,000 and 10,000 nodes;
-//! the `event_queue/*` rows report its event queue's ns per operation.
+//! Run with: `cargo bench -p medusa-bench --bench micro`. The
+//! `fleet_route/*` rows report the fleet simulator's host ns per request
+//! and per event at 100, 1,000 and 10,000 nodes; the `event_queue/*` rows
+//! report its event queue's ns per operation.
 //!
 //! `-- --emit-telemetry DIR` additionally exports Chrome traces and
 //! Prometheus snapshots for every cold-start mode and both fleet sides of
@@ -248,9 +249,12 @@ fn bench_serving_and_workload() {
 
 /// Host cost of fleet routing as the fleet grows: one `scale`-scenario-shaped
 /// run (pre-seeded caches, `ColdStartAware`, interactive Poisson trace)
-/// per fleet size, reported as wall-clock ns per processed event. Routing
-/// queries the fleet index instead of scanning every node, so the figure
-/// should stay near-flat from 100 to 10,000 nodes. Print-only.
+/// per fleet size, reported as wall-clock ns per request and per processed
+/// event. Routing queries the fleet index instead of scanning every node,
+/// so the figures should stay near-flat from 100 to 10,000 nodes. Compare
+/// builds by ns per request: a change in how many events the same trace
+/// takes moves ns per event even when the run costs the same.
+/// Print-only.
 fn bench_fleet_route() {
     use medusa_serving::{simulate_fleet, ClusterSpec, FleetProfile, Policy};
     use medusa_workload::TraceConfig;
@@ -273,10 +277,12 @@ fn bench_fleet_route() {
         let out = simulate_fleet(&profile, &cluster, Policy::ColdStartAware, &trace);
         let elapsed = t0.elapsed();
         let events = out.stats.events_processed.max(1);
+        let ns = elapsed.as_nanos() as f64;
         println!(
-            "{:<44} {:>8.1} ns/event   ({} events, {} requests, {elapsed:.3?})",
+            "{:<44} {:>8.1} ns/request {:>8.1} ns/event   ({} events, {} requests, {elapsed:.3?})",
             format!("fleet_route/{nodes}_nodes"),
-            elapsed.as_nanos() as f64 / events as f64,
+            ns / trace.len().max(1) as f64,
+            ns / events as f64,
             events,
             trace.len()
         );

@@ -52,7 +52,8 @@
 //! queries an incrementally maintained index of the nodes (see
 //! [`FleetQuery`]), so the per-event cost stays near-flat as the fleet
 //! grows and thousand-node, multi-million-event fleets simulate in
-//! wall-clock seconds.
+//! wall-clock seconds. While no request is queued, a node's decode steps
+//! up to the one that finishes a sequence take one event, not one each.
 
 mod index;
 
@@ -1612,6 +1613,30 @@ struct RunningSeq {
     model: u32,
 }
 
+/// A node's open run of silent decode steps: `steps` steps of `step_ns`
+/// each from `t0`, accounted up front, with one
+/// [`FleetEvent::IterationDone`] (`token`) at the last boundary,
+/// `t0 + steps · step_ns`, where the step that finishes a sequence
+/// starts.
+#[derive(Debug, Clone, Copy)]
+struct DecodeRun {
+    t0: u64,
+    step_ns: u64,
+    steps: u32,
+    token: EventToken,
+}
+
+impl DecodeRun {
+    /// The steps begun before the first boundary an event at `t` can
+    /// observe, `max(1, ⌈(t − t0) / step_ns⌉)`, at most `steps`. An event
+    /// exactly on a boundary observes that boundary: arrivals fire before
+    /// a same-nanosecond boundary, so its step has not begun yet.
+    fn steps_begun(&self, t: u64) -> u32 {
+        let k = (t - self.t0).div_ceil(self.step_ns).max(1);
+        k.min(u64::from(self.steps)) as u32
+    }
+}
+
 /// One resident artifact of a node-local cache.
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
@@ -1659,6 +1684,9 @@ struct Node {
     /// Pending [`FleetEvent::KeepAliveExpiry`]; retracted the moment work
     /// lands on the node, so a cancelled expiry never fires.
     keep_alive: Option<EventToken>,
+    /// The open run of silent decode steps, if any; its token is the
+    /// node's one pending [`FleetEvent::IterationDone`].
+    run: Option<DecodeRun>,
     /// Pending [`FleetEvent::RegistryFetchDone`] of the in-flight cold
     /// start (Medusa cache-miss starts only); retracted on crash.
     stage_fetch: Option<EventToken>,
@@ -1715,6 +1743,7 @@ impl Node {
             epoch: 0,
             degraded_start: false,
             keep_alive: None,
+            run: None,
             stage_fetch: None,
             stage_ready: None,
             prewarmed: false,
@@ -1725,6 +1754,11 @@ impl Node {
 
     fn load(&self) -> usize {
         self.pending.len() + self.running.len()
+    }
+
+    /// Whether the node's open run is the one whose event is `token`.
+    fn has_run(&self, token: EventToken) -> bool {
+        self.run.is_some_and(|run| run.token == token)
     }
 
     fn cache_holds(&self, model: u32) -> bool {
@@ -1763,6 +1797,10 @@ fn kv_need(r: &Request) -> u64 {
     r.prompt_tokens as u64 + r.output_tokens as u64
 }
 
+/// Stale entries tolerated in `FleetSim::runs` beyond twice the open
+/// runs before it is compacted.
+const RUNS_SLACK: usize = 32;
+
 /// The fleet simulator's mutable state. Every transition happens inside
 /// the handler of exactly one [`FleetEvent`]; handlers communicate only
 /// by scheduling further events on `events`.
@@ -1788,6 +1826,14 @@ struct FleetSim<'a> {
     /// state only when it places a request), so a drain of a settled fleet
     /// would place and start nothing and is skipped.
     settled: bool,
+    /// Nodes whose run may be open, with the run's token, in creation
+    /// order; an entry is stale once its node's run is no longer that
+    /// token's. Runs exist only while `queue` is empty.
+    runs: Vec<(usize, EventToken)>,
+    /// `runs` is compacted to its open runs when it grows to this length.
+    runs_mark: usize,
+    /// Run nodes that got work since the last [`FleetSim::split_runs`].
+    run_work: Vec<usize>,
     events: EventQueue<FleetEvent>,
     keep_alive_ns: u64,
     arrived: usize,
@@ -2222,9 +2268,12 @@ impl FleetSim<'_> {
         node.prewarmed = false;
         node.pending.push_back(r);
         // Work landed: the pending keep-alive expiry (if any) must never
-        // fire.
+        // fire, and an open run must end at the next boundary.
         if let Some(tok) = node.keep_alive.take() {
             self.events.cancel(tok);
+        }
+        if node.run.is_some() {
+            self.run_work.push(i);
         }
         self.sync(i);
         if let Some(tl) = self.tele {
@@ -2316,6 +2365,96 @@ impl FleetSim<'_> {
             !settled || (self.settled && (self.queue.len(), self.cold_starts) == before),
             "a drain of a settled fleet placed, started, or re-filed"
         );
+    }
+
+    /// Splits, at time `t`, the runs whose next boundary became
+    /// observable: every open run when the queue is non-empty (each
+    /// boundary's drain could place work), else the runs of the nodes that
+    /// got work (their prefill starts at the next boundary). Runs split in
+    /// creation order, so the re-filed boundaries of lockstep nodes keep
+    /// the order their per-step events had. The event loop calls this
+    /// after every event, except between arrivals due at the same
+    /// nanosecond, so that same-time arrivals split as one batch.
+    fn split_runs(&mut self, t: u64) {
+        if !self.queue.is_empty() {
+            self.run_work.clear();
+            for (i, token) in std::mem::take(&mut self.runs) {
+                if self.nodes[i].has_run(token) {
+                    self.split_run(t, i);
+                }
+            }
+        } else if !self.run_work.is_empty() {
+            let mut work = std::mem::take(&mut self.run_work);
+            work.sort_by_key(|&i| self.nodes[i].run.map(|run| run.token));
+            for &i in &work {
+                self.split_run(t, i);
+            }
+            work.clear();
+            self.run_work = work;
+        }
+    }
+
+    /// Ends node `i`'s open run at the first boundary an event at `t` can
+    /// observe, `t_b`, and hands back the steps after it. If `t_b` is the
+    /// run's own end, its event stands; otherwise the event moves to
+    /// `t_b`.
+    fn split_run(&mut self, t: u64, i: usize) {
+        if let Some((t_b, token)) = self.close_run(t, i) {
+            self.events.cancel(token);
+            self.events
+                .schedule(t_b, FleetEvent::IterationDone { node: i });
+        }
+    }
+
+    /// Closes node `i`'s open run (if any) as [`FleetSim::split_run`]
+    /// does, without re-filing: returns the boundary `t_b` and the run's
+    /// token when steps were handed back.
+    fn close_run(&mut self, t: u64, i: usize) -> Option<(u64, EventToken)> {
+        let node = &mut self.nodes[i];
+        let run = node.run.take()?;
+        let begun = run.steps_begun(t);
+        let back = run.steps - begun;
+        if back == 0 {
+            return None;
+        }
+        for s in &mut node.running {
+            s.remaining += back;
+        }
+        let ns = u64::from(back) * run.step_ns;
+        node.busy_ns -= ns;
+        node.work_ns -= ns * node.spec.tp as u64;
+        Some((run.t0 + u64::from(begun) * run.step_ns, run.token))
+    }
+
+    /// Opens a run on node `i` (see [`FleetSim::iteration`]).
+    fn open_run(&mut self, i: usize, run: DecodeRun) {
+        self.nodes[i].run = Some(run);
+        if self.runs.len() >= self.runs_mark {
+            let nodes = &self.nodes;
+            self.runs.retain(|&(n, token)| nodes[n].has_run(token));
+            self.runs_mark = 2 * self.runs.len() + RUNS_SLACK;
+        }
+        self.runs.push((i, run.token));
+    }
+
+    /// Checks the run invariants after an event: runs are open only while
+    /// the queue is empty, on Warm, busy nodes with nothing pending.
+    #[cfg(debug_assertions)]
+    fn check_runs(&self) {
+        for &(i, token) in &self.runs {
+            let node = &self.nodes[i];
+            if !node.has_run(token) {
+                continue;
+            }
+            assert!(
+                self.queue.is_empty(),
+                "run open on n{i} with requests queued"
+            );
+            assert!(
+                node.state == NodeState::Warm && node.busy && node.pending.is_empty(),
+                "run open on n{i}, which is not a Warm, busy node with nothing pending"
+            );
+        }
     }
 
     // -----------------------------------------------------------------
@@ -2576,7 +2715,9 @@ impl FleetSim<'_> {
     /// [`FleetEvent::IterationDone`]: the iteration's time elapsed; give
     /// the scheduler a chance to top the node up, then iterate again.
     fn on_iteration_done(&mut self, t: u64, i: usize, sched: &mut dyn Scheduler) {
-        self.nodes[i].busy = false;
+        let node = &mut self.nodes[i];
+        node.busy = false;
+        node.run = None;
         self.drain(t, sched);
         self.iteration(t, i);
     }
@@ -2641,11 +2782,22 @@ impl FleetSim<'_> {
                 .schedule(end, FleetEvent::IterationDone { node: i });
             self.sync(i);
         } else if !node.running.is_empty() {
-            // Batched decode step.
-            let dur = perf.decode_duration(node.running.len() as u32).as_nanos();
+            // Batched decode steps. With the queue empty, the steps before
+            // the first one that finishes a sequence are silent: they move
+            // no index slot, and the drain at each of their boundaries is
+            // a no-op. Two or more of them run as one `DecodeRun`, with
+            // one event where the finishing step starts.
+            let step_ns = perf.decode_duration(node.running.len() as u32).as_nanos();
+            let first_finish = node.running.iter().map(|s| s.remaining).min().unwrap_or(1);
+            let steps = if self.queue.is_empty() && step_ns > 0 {
+                first_finish.saturating_sub(1).max(1)
+            } else {
+                1
+            };
+            let dur = step_ns * u64::from(steps);
             let end = t + dur;
             for s in &mut node.running {
-                s.remaining -= 1;
+                s.remaining -= steps;
             }
             let released: u64 = node
                 .running
@@ -2669,8 +2821,18 @@ impl FleetSim<'_> {
             node.busy = true;
             node.busy_ns += dur;
             node.work_ns += dur * node.spec.tp as u64;
-            self.events
+            let token = self
+                .events
                 .schedule(end, FleetEvent::IterationDone { node: i });
+            if steps > 1 {
+                let run = DecodeRun {
+                    t0: t,
+                    step_ns,
+                    steps,
+                    token,
+                };
+                self.open_run(i, run);
+            }
             self.sync(i);
         } else {
             // Idle: arm the keep-alive countdown. When scale-to-zero is
@@ -2765,6 +2927,9 @@ pub fn simulate_fleet_traced(
         reference: index::reference::ReferenceScan::new(policy),
         queue: VecDeque::new(),
         settled: false,
+        runs: Vec::new(),
+        runs_mark: RUNS_SLACK,
+        run_work: Vec::new(),
         events: EventQueue::new(),
         keep_alive_ns: (cluster.autoscaler.keep_alive_s * 1e9) as u64,
         arrived: 0,
@@ -2838,9 +3003,16 @@ pub fn simulate_fleet_traced(
         last_t = t;
         if t > horizon {
             truncated = true;
+            // Steps of open runs that begin after the horizon never run.
+            for (i, token) in std::mem::take(&mut sim.runs) {
+                if sim.nodes[i].has_run(token) {
+                    sim.close_run(horizon + 1, i);
+                }
+            }
             break;
         }
         events_processed += 1;
+        let is_arrival = matches!(ev, FleetEvent::Arrival { .. });
         match ev {
             FleetEvent::Arrival { req } => sim.on_arrival(t, req, sched.as_mut()),
             FleetEvent::Route { node } => sim.on_route(t, node),
@@ -2858,9 +3030,21 @@ pub fn simulate_fleet_traced(
             }
             FleetEvent::IterationDone { node } => sim.on_iteration_done(t, node, sched.as_mut()),
         }
+        // Same-nanosecond arrivals split runs as one batch.
+        if !(is_arrival && arrivals.next_ns(|i| trace[i].arrival_ns) == Some(t)) {
+            sim.split_runs(t);
+            #[cfg(debug_assertions)]
+            sim.check_runs();
+        }
     }
     #[cfg(debug_assertions)]
-    sim.index.check(&sim.nodes);
+    {
+        sim.index.check(&sim.nodes);
+        assert!(
+            sim.nodes.iter().all(|n| n.run.is_none()),
+            "a run outlived the event loop"
+        );
+    }
     let truncated = truncated || !sim.events.is_empty() || arrivals.remaining() > 0;
     // Prewarmed nodes that never got work by the end of the run count as
     // waste too (a node a request landed on cleared the flag).
@@ -3169,6 +3353,66 @@ mod tests {
         // per sequence would end 45 ms later.
         let expected_ms = 100 + 20 + 20 + 9 * 6;
         assert_eq!(out.report.makespan_ns, expected_ms * 1_000_000);
+    }
+
+    #[test]
+    fn a_split_observes_the_first_boundary_an_event_can_see() {
+        let mut events = EventQueue::new();
+        let token = events.schedule(0, FleetEvent::IterationDone { node: 0 });
+        let run = DecodeRun {
+            t0: 1_000,
+            step_ns: 10,
+            steps: 5,
+            token,
+        };
+        // At t0 the first step has begun: its end is the next boundary.
+        assert_eq!(run.steps_begun(1_000), 1);
+        // Exactly on a boundary, that boundary has not fired yet.
+        assert_eq!(run.steps_begun(1_020), 2);
+        // Between boundaries, the step in flight finishes first.
+        assert_eq!(run.steps_begun(1_021), 3);
+        // On the run's last boundary every step has begun: nothing is
+        // handed back and the run's own event stands.
+        assert_eq!(run.steps_begun(1_050), 5);
+    }
+
+    #[test]
+    fn a_request_landing_on_a_run_prefills_at_the_next_boundary() {
+        // Request 0 starts a node at 100 ms, prefills until 120 ms, then
+        // has 11 tokens to decode in 5 ms steps: 10 silent steps run as
+        // one event at 170 ms, where the finishing step starts. Request 1
+        // (one output token) lands on the same node mid-run.
+        let profile = FleetProfile::from_perf(Strategy::Vanilla, perf(100));
+        let run = |arrival_us: u64| {
+            let mut late = req(1, 0, 100, 1);
+            late.arrival_ns = arrival_us * 1_000;
+            let trace = [req(0, 0, 100, 12), late];
+            simulate_fleet(
+                &profile,
+                &ClusterSpec::paper_testbed(),
+                Policy::ColdStartAware,
+                &trace,
+            )
+        };
+        // (arrival, prefill start): on a boundary, between two, and on the
+        // run's last boundary.
+        for (arrival_us, prefill_us) in [(130_000, 130_000), (131_000, 135_000), (170_000, 170_000)]
+        {
+            let out = run(arrival_us);
+            assert_eq!(out.report.cold_starts, 1);
+            assert_eq!(
+                out.ttfts[1],
+                SimDuration::from_micros(prefill_us + 20_000 - arrival_us),
+                "arrival at {arrival_us} us"
+            );
+            // Steps past the split are handed back: the node is busy for
+            // two prefills and eleven decode steps, as stepped one by one.
+            assert_eq!(out.report.nodes[0].busy_ns, (2 * 20 + 11 * 5) * 1_000_000);
+            // Request 0's steps resume after the 20 ms prefill.
+            let begun = (prefill_us - 120_000) / 5_000;
+            let last_end = prefill_us + 20_000 + (11 - begun) * 5_000;
+            assert_eq!(out.report.makespan_ns, last_end * 1_000);
+        }
     }
 
     #[test]

@@ -47,8 +47,8 @@ use std::collections::BinaryHeap;
 ///
 /// Tokens are unique per [`EventQueue`] for its whole lifetime (they wrap
 /// the event's insertion `seq`), so a stale token can never cancel a
-/// different, later event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// different, later event. Tokens order as their events were scheduled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventToken(u64);
 
 /// One heap entry: the payload travels with its `(t, seq)` key. Ordered
@@ -297,6 +297,11 @@ impl ArrivalCursor {
         Some(self.order.as_ref().map_or(self.pos, |o| o[self.pos]))
     }
 
+    /// Time of the next arrival, if any remain.
+    pub fn next_ns(&self, arrival_ns: impl Fn(usize) -> u64) -> Option<u64> {
+        self.peek().map(arrival_ns)
+    }
+
     /// Arrivals not yet consumed.
     pub fn remaining(&self) -> usize {
         self.len - self.pos
@@ -402,7 +407,8 @@ pub enum FleetEvent {
         epoch: u32,
     },
     /// Node `node` finished a serving iteration (prefill or batched decode
-    /// step).
+    /// step), or reached the last boundary of a run of decode steps that
+    /// finish no sequence, which the fleet files as one event.
     IterationDone {
         /// Node index.
         node: usize,

@@ -17,7 +17,11 @@
 //! Cases draw from all five policies and include multi-tenant Zipf traces
 //! against bounded caches, both registry backends, prewarm, and pipeline
 //! starts, so a debug build checks every routing-index path against the
-//! node-by-node scan on every decision.
+//! node-by-node scan on every decision. Traces may have long outputs, so
+//! nodes spend most of their time in runs of silent decode steps, and
+//! twin requests (every request twice at the same nanosecond), so nodes
+//! run in lockstep and runs split at tied boundaries; a debug build checks
+//! the run invariants after every event.
 
 use medusa::Strategy;
 use medusa_gpu::SimDuration;
@@ -27,7 +31,7 @@ use medusa_serving::{
     FetchPolicy, FetchUnit, FleetOutcome, FleetProfile, ModelManifest, Policy, PrewarmConfig,
     RegistryCatalog, RegistryMode,
 };
-use medusa_workload::{ArrivalPattern, ModelMix, Request, TraceConfig};
+use medusa_workload::{ArrivalPattern, LengthSampler, ModelMix, Request, TraceConfig};
 use proptest::prelude::*;
 
 /// Synthetic per-instance cost tables — milliseconds-scale so a whole
@@ -107,6 +111,28 @@ fn family_catalog(models: u32) -> RegistryCatalog {
     }
 }
 
+/// Generates `config`'s trace, with long outputs instead of its own
+/// lengths when `long_outputs`, and with every request twice (same
+/// arrival, lengths and model) when `twins`.
+fn shaped_trace(config: TraceConfig, long_outputs: bool, twins: bool) -> Vec<Request> {
+    let config = if long_outputs {
+        config.with_lengths(
+            LengthSampler::new(64.0, 0.6, 8, 256),
+            LengthSampler::new(200.0, 0.5, 40, 512),
+        )
+    } else {
+        config
+    };
+    let trace = config.generate();
+    if !twins {
+        return trace;
+    }
+    trace
+        .into_iter()
+        .flat_map(|r| [2 * r.id, 2 * r.id + 1].map(|id| Request { id, ..r }))
+        .collect()
+}
+
 /// The shared postcondition bundle every fuzz case must satisfy.
 fn assert_fleet_invariants(out: &FleetOutcome, trace: &[Request], label: &str) {
     assert_eq!(
@@ -164,13 +190,18 @@ proptest! {
         crash_pm in 0u32..300,
         regfail_pm in 0u32..500,
         medusa_side in any::<bool>(),
+        long_outputs in any::<bool>(),
+        twins in any::<bool>(),
     ) {
         let policy = policy(policy_idx);
         let cluster = fleet(nodes, cached, keep_alive_s, crash_pm, regfail_pm, seed);
-        let trace = TraceConfig::sharegpt(rps, 20.0)
-            .with_seed(seed ^ 0x5eed_f00d)
-            .with_pattern(ArrivalPattern::sharegpt_bursty())
-            .generate();
+        let trace = shaped_trace(
+            TraceConfig::sharegpt(rps, 20.0)
+                .with_seed(seed ^ 0x5eed_f00d)
+                .with_pattern(ArrivalPattern::sharegpt_bursty()),
+            long_outputs,
+            twins,
+        );
         let out = simulate_fleet(&profile(medusa_side), &cluster, policy, &trace);
         assert_fleet_invariants(&out, &trace, "bursty");
     }
@@ -236,6 +267,8 @@ proptest! {
         crash_pm in 0u32..200,
         regfail_pm in 0u32..300,
         tp in 1u32..3,
+        long_outputs in any::<bool>(),
+        twins in any::<bool>(),
     ) {
         let mut cluster = fleet(nodes, nodes / 2, keep_alive_s, crash_pm, regfail_pm, seed)
             .with_tp(tp)
@@ -252,11 +285,14 @@ proptest! {
         if pipeline_k >= 2 {
             cluster = cluster.with_pipeline(pipeline_k);
         }
-        let trace = TraceConfig::sharegpt(rps, 20.0)
-            .with_seed(seed ^ 0x7e4a_47f5)
-            .with_models(ModelMix::zipf(models, 1.0))
-            .with_pattern(ArrivalPattern::sharegpt_bursty())
-            .generate();
+        let trace = shaped_trace(
+            TraceConfig::sharegpt(rps, 20.0)
+                .with_seed(seed ^ 0x7e4a_47f5)
+                .with_models(ModelMix::zipf(models, 1.0))
+                .with_pattern(ArrivalPattern::sharegpt_bursty()),
+            long_outputs,
+            twins,
+        );
         let profile = profile(true).with_scaled_models(models);
         let out = simulate_fleet(&profile, &cluster, policy(policy_idx), &trace);
         assert_fleet_invariants(&out, &trace, "multi-tenant");
