@@ -21,10 +21,13 @@
 
 use medusa::{
     encode_maf2_bundle, is_maf2, materialize_offline, ArtifactValidator, ChunkStore, ColdStart,
-    Maf2Reader, MaterializedState, Strategy, TpArtifacts, ValidationCheck, ARTIFACT_VERSION,
+    FaultKind, FaultPlan, Maf2Reader, MaterializedState, SectionKind, Strategy, TpArtifacts,
+    ValidationCheck, ARTIFACT_VERSION,
 };
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
+use medusa_telemetry::export::{chrome, prometheus};
+use medusa_telemetry::Registry;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -220,4 +223,231 @@ fn version_2_files_are_rejected_not_misdecoded() {
         outcome.fallback().expect("fallback").reason,
         "artifact_corrupt"
     );
+}
+
+/// The three `perfbench` restore targets: `(model, tp)`.
+const BYTE_PATH_TARGETS: [(&str, u32); 3] =
+    [("Qwen1.5-0.5B", 1), ("Llama2-7B", 1), ("Qwen1.5-0.5B", 2)];
+
+/// A Medusa restore from MAF2 bytes and one from the same artifacts in
+/// memory run the same simulated cold start, for every restore target.
+#[test]
+fn byte_path_matches_in_memory_artifacts_for_every_target() {
+    for (name, tp) in BYTE_PATH_TARGETS {
+        let spec = ModelSpec::by_name(name).expect("catalog model");
+        let (arts, _) = ColdStart::new(&spec)
+            .tp(tp)
+            .materialize(23)
+            .expect("offline phase");
+        let bytes = arts.to_maf2().expect("encode");
+        let run = |from_bytes: bool| {
+            let b = ColdStart::new(&spec)
+                .strategy(Strategy::Medusa)
+                .warm(true)
+                .seed(31);
+            let b = if from_bytes {
+                b.tp(tp).artifact_bytes(&bytes)
+            } else {
+                b.artifacts(&arts)
+            };
+            b.run().expect("cold start")
+        };
+        let (from_bytes, in_memory) = (run(true), run(false));
+        assert_eq!(
+            from_bytes.summary_json(),
+            in_memory.summary_json(),
+            "{name} tp={tp}"
+        );
+        assert_eq!(from_bytes.loading(), in_memory.loading(), "{name} tp={tp}");
+        assert_eq!(from_bytes.total(), in_memory.total(), "{name} tp={tp}");
+        assert!(from_bytes.fallback().is_none(), "{name} tp={tp}");
+    }
+}
+
+/// Which branch of [`FaultPlan::apply_to_maf2`] produced `bad` from
+/// `good`, read off the bytes.
+fn maf2_fault_shape(good: &[u8], bad: &[u8]) -> &'static str {
+    if bad.len() < good.len() {
+        return if bad.len() < 64 {
+            "truncate_header"
+        } else if bad.len() + 32 >= good.len() {
+            "truncate_tail"
+        } else {
+            "truncate_payload"
+        };
+    }
+    let index_off = u64::from_le_bytes(good[40..48].try_into().unwrap()) as usize;
+    let diffs: Vec<usize> = (0..good.len()).filter(|&i| good[i] != bad[i]).collect();
+    match diffs.as_slice() {
+        [i] if *i < index_off => "payload_flip",
+        [i] if (*i - index_off) % 32 == 24 => "digest_flip",
+        _ => "offset_out_of_bounds",
+    }
+}
+
+/// `bytes` with byte `at` of `rank`'s `kind` section flipped; with
+/// `reseal`, the section digest, the header's digest fold and the index
+/// digest are recomputed so that only the shard's sealed content checksum
+/// can tell.
+fn tamper_rank_section(
+    bytes: &[u8],
+    rank: u32,
+    kind: SectionKind,
+    at: usize,
+    reseal: bool,
+) -> Vec<u8> {
+    let extents = Maf2Reader::open(bytes).expect("open").section_extents();
+    let (i, e) = extents
+        .iter()
+        .enumerate()
+        .find(|(_, e)| e.kind == kind && e.shard == rank)
+        .expect("section present");
+    let mut out = bytes.to_vec();
+    let (off, len) = (e.offset as usize, e.len as usize);
+    out[off + at] ^= 0x04;
+    if reseal {
+        let index_off = u64::from_le_bytes(out[40..48].try_into().unwrap()) as usize;
+        let digest = fnv1a(&[&out[off..off + len]]);
+        let at = index_off + i * 32 + 24;
+        out[at..at + 8].copy_from_slice(&digest.to_le_bytes());
+        let digests: Vec<u8> = (0..extents.len())
+            .flat_map(|k| out[index_off + k * 32 + 24..index_off + k * 32 + 32].to_vec())
+            .collect();
+        let fold = fnv1a(&[&digests]);
+        out[48..56].copy_from_slice(&fold.to_le_bytes());
+        out = with_version(&out, ARTIFACT_VERSION);
+    }
+    out
+}
+
+/// The byte-path fault matrix, pinned: for every branch of
+/// [`FaultPlan::apply_to_maf2`], a version skew and a missing library at
+/// tp 1 and 2, plus tp=2 bundles where only a section of rank 1 is
+/// tampered (its Graphs, caught by the section digest, or its first replay
+/// op's size, resealed and caught by the sealed content checksum), the
+/// cold start's strategy, fallback reason and
+/// detail, and a digest of its telemetry export.
+#[test]
+fn byte_path_fault_matrix_is_pinned() {
+    let spec = spec();
+    let mut got = Vec::new();
+    for tp in [1u32, 2] {
+        let (arts, _) = ColdStart::new(&spec)
+            .tp(tp)
+            .materialize(29)
+            .expect("offline phase");
+        let good = arts.to_maf2().expect("encode");
+        let mut cases: Vec<(String, Vec<u8>, Option<FaultPlan>)> = Vec::new();
+        for (kind, shapes) in [
+            (
+                FaultKind::CorruptArtifact,
+                &["payload_flip", "digest_flip", "offset_out_of_bounds"][..],
+            ),
+            (
+                FaultKind::TruncatedWeights,
+                &["truncate_header", "truncate_tail", "truncate_payload"][..],
+            ),
+        ] {
+            for &shape in shapes {
+                let seed = (0u64..)
+                    .find(|&s| {
+                        maf2_fault_shape(&good, &FaultPlan::single(kind, s).apply_to_maf2(&good))
+                            == shape
+                    })
+                    .expect("every branch is reachable");
+                cases.push((
+                    format!("tp{tp}/{shape}/seed{seed}"),
+                    good.clone(),
+                    Some(FaultPlan::single(kind, seed)),
+                ));
+            }
+        }
+        cases.push((
+            format!("tp{tp}/version_skew"),
+            good.clone(),
+            Some(FaultPlan::single(FaultKind::VersionSkew, 5)),
+        ));
+        let ghost: Vec<MaterializedState> = arts
+            .iter()
+            .map(|a| FaultPlan::single(FaultKind::MissingLibrary, 5).apply_to_artifact(a))
+            .collect();
+        let ghost_refs: Vec<&MaterializedState> = ghost.iter().collect();
+        cases.push((
+            format!("tp{tp}/missing_library"),
+            encode_maf2_bundle(&ghost_refs).expect("encode"),
+            None,
+        ));
+        if tp == 2 {
+            let graphs_len = Maf2Reader::open(&good)
+                .expect("open")
+                .section_extents()
+                .iter()
+                .find(|e| e.kind == SectionKind::Graphs && e.shard == 1)
+                .expect("rank 1 graphs")
+                .len as usize;
+            cases.push((
+                "tp2/rank1_graphs_flip".to_string(),
+                tamper_rank_section(&good, 1, SectionKind::Graphs, graphs_len / 2, false),
+                None,
+            ));
+            cases.push((
+                "tp2/rank1_replay_flip_resealed".to_string(),
+                tamper_rank_section(&good, 1, SectionKind::Replay, 8, true),
+                None,
+            ));
+        }
+        for (case, bytes, plan) in cases {
+            let tele = Registry::new();
+            let b = ColdStart::new(&spec)
+                .strategy(Strategy::Medusa)
+                .tp(tp)
+                .warm(true)
+                .seed(37)
+                .artifact_bytes(&bytes)
+                .telemetry(&tele);
+            let b = match plan {
+                Some(p) => b.faults(p),
+                None => b,
+            };
+            let out = b.run().unwrap_or_else(|e| panic!("{case}: {e}"));
+            let (reason, detail) = out
+                .fallback()
+                .map_or(("none", String::new()), |f| (f.reason, f.detail.clone()));
+            let snap = tele.snapshot();
+            let tele_digest = fnv1a(&[
+                prometheus::render(&snap).as_bytes(),
+                chrome::render(&snap).as_bytes(),
+            ]);
+            got.push(format!(
+                "{case} | {} | {reason} | {detail} | {tele_digest:016x}",
+                out.strategy_used()
+            ));
+        }
+    }
+    let want: &[&str] = &[
+        "tp1/payload_flip/seed1 | vLLM | checksum_mismatch | artifact validation (checksum): artifact checksum mismatch: sealed 0x48c733674eea3622, recomputed 0x99844cfdcb013742 | 9d3a1545baa67edd",
+        "tp1/digest_flip/seed0 | vLLM | checksum_mismatch | artifact checksum mismatch: sealed 0x781deac215624f8b, recomputed 0x46b8f292c39b1bbe | 221bd89b02a8371b",
+        "tp1/offset_out_of_bounds/seed2 | vLLM | artifact_corrupt | artifact corrupt: index entry 3 (Labels shard 0) [2041303, +3728) is out of bounds | 65ac75eca150d4bd",
+        "tp1/truncate_header/seed0 | vLLM | artifact_corrupt | artifact corrupt: truncated: 10 bytes < 64-byte header | 65ac75eca150d4bd",
+        "tp1/truncate_tail/seed2 | vLLM | artifact_corrupt | artifact corrupt: truncated: header declares 2040464 bytes, have 2040441 | 65ac75eca150d4bd",
+        "tp1/truncate_payload/seed1 | vLLM | artifact_corrupt | artifact corrupt: truncated: header declares 2040464 bytes, have 189209 | 65ac75eca150d4bd",
+        "tp1/version_skew | vLLM | artifact_corrupt | artifact validation (format_version): artifact corrupt: format version 6 != supported 3 | d65ab5ccdc7cb1e7",
+        "tp1/missing_library | vLLM | kernel_unresolved | artifact validation (kernel_table): kernel `rotary_embedding_neox_f16` of `libghost-5.so.0` could not be resolved online | aeb58af1b1fd95ab",
+        "tp2/payload_flip/seed1 | vLLM | checksum_mismatch | artifact validation (checksum): artifact checksum mismatch: sealed 0x6c74b1bc3cd905fe, recomputed 0x46095021abeb9d9e | 8d668076f958a76a",
+        "tp2/digest_flip/seed0 | vLLM | checksum_mismatch | artifact checksum mismatch: sealed 0xc941db4281c1dd17, recomputed 0x54f27d1aeb08c6b6 | 04af42c641b321f8",
+        "tp2/offset_out_of_bounds/seed2 | vLLM | artifact_corrupt | artifact corrupt: index entry 11 (Labels shard 1) [4565625, +3728) is out of bounds | c5ee0651f8c3b216",
+        "tp2/truncate_header/seed0 | vLLM | artifact_corrupt | artifact corrupt: truncated: 10 bytes < 64-byte header | c5ee0651f8c3b216",
+        "tp2/truncate_tail/seed2 | vLLM | artifact_corrupt | artifact corrupt: truncated: header declares 4564786 bytes, have 4564763 | c5ee0651f8c3b216",
+        "tp2/truncate_payload/seed1 | vLLM | artifact_corrupt | artifact corrupt: truncated: header declares 4564786 bytes, have 423213 | c5ee0651f8c3b216",
+        "tp2/version_skew | vLLM | artifact_corrupt | artifact validation (format_version): artifact corrupt: format version 6 != supported 3 | 4069229ee52005ea",
+        "tp2/missing_library | vLLM | kernel_unresolved | artifact validation (kernel_table): kernel `fused_add_rms_norm_f16` of `libghost-5.so.0` could not be resolved online | 7aeb36a0997b68ec",
+        "tp2/rank1_graphs_flip | vLLM | checksum_mismatch | artifact validation (checksum): artifact checksum mismatch: sealed 0x6c74b1bc3cd905fe, recomputed 0x952691d6e2861db2 | 8d668076f958a76a",
+        "tp2/rank1_replay_flip_resealed | vLLM | checksum_mismatch | artifact validation (checksum): artifact checksum mismatch: sealed 0xa1334784f8141659, recomputed 0x4dedf3ec080ddbed | 8d668076f958a76a",
+    ];
+    if got != want {
+        for line in &got {
+            eprintln!("        {line:?},");
+        }
+        panic!("byte-path fault matrix moved");
+    }
 }
