@@ -23,25 +23,30 @@
 //!   `<GPU, model>` differ in that table and not in the graphs;
 //! * an offset-indexed, deduplicated **string table** per shard for kernel,
 //!   library, and label names;
-//! * one group of sections per `(rank, tp)` shard, **lazily materialized**
-//!   on first touch, so a rank restores by reading only its own sections.
+//! * one group of sections per `(rank, tp)` shard, **read lazily** on first
+//!   touch, so a rank restores by reading only its own sections.
 //!
 //! Opening a MAF2 file therefore costs O(header + index): length, magic,
-//! bounds, and index-digest checks — never a payload scan. Payload integrity
-//! is enforced per section, on first materialization, against the digest
-//! sealed in the index. See DESIGN.md §13 for the byte-level layout.
+//! bounds, and index-digest checks — never a payload scan. A shard's
+//! sections are read in one pass into a borrowed [`ShardView`], which checks
+//! each section against the digest sealed in the index and bounds every
+//! record count by the bytes that remain; the restore reads the view's
+//! records in place, and the owned [`MaterializedState`] is built from the
+//! view. See DESIGN.md §13 for the byte-level layout.
 //!
 //! All integers are little-endian. The format is deliberately *not*
 //! self-describing: the layout is pinned by `format_version` and the
 //! decoder rejects anything it does not understand with a typed error.
 
 use super::{
-    AnalysisStats, GraphSpec, MaterializedState, NodeSpec, ParamSpec, PtrTableEntry, ReplayOp,
-    ARTIFACT_VERSION,
+    content_fold, AnalysisStats, GraphRead, KernelName, MaterializedState, NodeRef, ParamRef,
+    ParamSpec, PtrTableEntry, ReplayOp, ShardRead, ARTIFACT_VERSION,
 };
 use crate::error::{MedusaError, MedusaResult};
-use std::cell::{Cell, OnceCell};
+use medusa_gpu::{Digest, Work};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// MAF2 magic: `MAF2` followed by the PNG-style `\r\n\x1a\n` transfer-
 /// corruption canary (detects CRLF translation and EOF truncation).
@@ -597,6 +602,23 @@ impl<'a> Cursor<'a> {
         ]))
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// Takes `count` records of `width` bytes, each made of 8-byte fields,
+    /// failing where a field-by-field read would first run out of bytes.
+    fn u64_records(&mut self, count: u64, width: usize) -> MedusaResult<&'a [u8]> {
+        let rem = self.remaining();
+        match count.checked_mul(width as u64).filter(|&n| n <= rem as u64) {
+            Some(n) => self.take(n as usize),
+            None => {
+                self.pos += rem / 8 * 8;
+                self.take(8)
+            }
+        }
+    }
+
     fn done(&self) -> MedusaResult<()> {
         if self.pos != self.bytes.len() {
             return Err(corrupt(format!(
@@ -655,34 +677,47 @@ pub struct ShardMeta {
     pub stats: AnalysisStats,
 }
 
-/// Per-shard decoded string table.
-struct ShardStrings {
-    strings: Vec<String>,
+/// Little-endian `u32` at `at` of a bounds-checked record.
+fn le32(b: &[u8], at: usize) -> u32 {
+    let mut a = [0u8; 4];
+    a.copy_from_slice(&b[at..at + 4]);
+    u32::from_le_bytes(a)
 }
 
-impl ShardStrings {
-    fn get(&self, id: u32, what: &str) -> MedusaResult<&str> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| {
-                corrupt(format!(
-                    "{what} references string #{id} out of bounds ({} strings)",
-                    self.strings.len()
-                ))
-            })
-    }
+/// Little-endian `u64` at `at` of a bounds-checked record.
+fn le64(b: &[u8], at: usize) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(&b[at..at + 8]);
+    u64::from_le_bytes(a)
+}
+
+/// Record widths of the fixed-width sections, in bytes.
+const REPLAY_REC: usize = 16;
+const LABEL_REC: usize = 16;
+const PERM_REC: usize = 24;
+const PTR_REC: usize = 16;
+const NODE_REC: usize = 40;
+const PARAM_REC: usize = 32;
+const EDGE_REC: usize = 8;
+
+/// One reader slot per ShardMeta entry: the shard's view, read on first
+/// touch, and its owned form once asked for.
+struct ShardSlot<'a> {
+    rank: u32,
+    view: OnceLock<ShardView<'a>>,
+    state: OnceLock<MaterializedState>,
 }
 
 /// A zero-copy reader over an in-memory MAF2 file.
 ///
 /// [`Maf2Reader::open`] performs only O(header + index) work: length, magic,
 /// bounds, and index-digest verification. Shard payloads stay untouched
-/// until [`Maf2Reader::shard`] materializes them on first use, verifying
-/// each section's digest as it is read. [`Maf2Reader::bytes_read`] counts
-/// every payload byte the reader has actually consumed, which tests and the
+/// until [`Maf2Reader::view`] reads them on first use, verifying each
+/// section's digest as it is read. [`Maf2Reader::bytes_read`] counts every
+/// payload byte the reader has actually consumed, which tests and the
 /// size-sweep benchmark use to prove the lazy-restore bound (a single shard
-/// reads < 1/tp of the file).
+/// reads < 1/tp of the file). A reader is `Sync`: the ranks of one restore
+/// read their shards through one reader, each on its own worker.
 pub struct Maf2Reader<'a> {
     bytes: &'a [u8],
     version: u32,
@@ -691,9 +726,9 @@ pub struct Maf2Reader<'a> {
     gpu: &'a str,
     content_checksum: u64,
     index: Vec<SectionEntry>,
-    /// One lazy slot per ShardMeta entry, same order as `shard_ranks`.
-    shards: Vec<(u32, OnceCell<MaterializedState>)>,
-    bytes_read: Cell<u64>,
+    /// One slot per ShardMeta entry, in index order.
+    shards: Vec<ShardSlot<'a>>,
+    bytes_read: AtomicU64,
 }
 
 impl<'a> Maf2Reader<'a> {
@@ -702,7 +737,7 @@ impl<'a> Maf2Reader<'a> {
     /// O(header + index) operation that never reads section payloads.
     ///
     /// A format-version skew is *not* rejected here so the validator can
-    /// report it as the `format_version` check; materialization rejects it.
+    /// report it as the `format_version` check; reading a shard rejects it.
     ///
     /// # Errors
     ///
@@ -719,23 +754,16 @@ impl<'a> Maf2Reader<'a> {
         if bytes[..8] != MAF2_MAGIC {
             return Err(corrupt("bad magic: not a MAF2 artifact"));
         }
-        let le32 =
-            |o: usize| u32::from_le_bytes([bytes[o], bytes[o + 1], bytes[o + 2], bytes[o + 3]]);
-        let le64 = |o: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&bytes[o..o + 8]);
-            u64::from_le_bytes(b)
-        };
-        let version = le32(8);
-        let tp = le32(12);
-        let shard_count = le32(16) as usize;
-        let section_count = le32(20) as usize;
-        let model_len = le32(24) as usize;
-        let gpu_len = le32(28) as usize;
-        let file_len = le64(32);
-        let index_off = le64(40) as usize;
-        let content_checksum = le64(48);
-        let index_digest = le64(56);
+        let version = le32(bytes, 8);
+        let tp = le32(bytes, 12);
+        let shard_count = le32(bytes, 16) as usize;
+        let section_count = le32(bytes, 20) as usize;
+        let model_len = le32(bytes, 24) as usize;
+        let gpu_len = le32(bytes, 28) as usize;
+        let file_len = le64(bytes, 32);
+        let index_off = le64(bytes, 40) as usize;
+        let content_checksum = le64(bytes, 48);
+        let index_digest = le64(bytes, 56);
 
         if file_len != bytes.len() as u64 {
             return Err(corrupt(format!(
@@ -777,19 +805,15 @@ impl<'a> Maf2Reader<'a> {
         }
 
         let mut index = Vec::with_capacity(section_count);
-        let mut shards: Vec<(u32, OnceCell<MaterializedState>)> = Vec::new();
+        let mut shards = Vec::new();
         for (i, entry) in index_bytes.chunks_exact(MAF2_INDEX_ENTRY_LEN).enumerate() {
-            let kind_code = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]);
+            let kind_code = le32(entry, 0);
             let kind = SectionKind::from_code(kind_code)
                 .ok_or_else(|| corrupt(format!("index entry {i} has unknown kind {kind_code}")))?;
-            let shard = u32::from_le_bytes([entry[4], entry[5], entry[6], entry[7]]);
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&entry[8..16]);
-            let off = u64::from_le_bytes(b);
-            b.copy_from_slice(&entry[16..24]);
-            let len = u64::from_le_bytes(b);
-            b.copy_from_slice(&entry[24..32]);
-            let digest = u64::from_le_bytes(b);
+            let shard = le32(entry, 4);
+            let off = le64(entry, 8);
+            let len = le64(entry, 16);
+            let digest = le64(entry, 24);
             let end = off.checked_add(len).filter(|&e| e <= file_len);
             if end.is_none() || off < key_end as u64 {
                 return Err(corrupt(format!(
@@ -797,7 +821,11 @@ impl<'a> Maf2Reader<'a> {
                 )));
             }
             if kind == SectionKind::ShardMeta {
-                shards.push((shard, OnceCell::new()));
+                shards.push(ShardSlot {
+                    rank: shard,
+                    view: OnceLock::new(),
+                    state: OnceLock::new(),
+                });
             }
             index.push(SectionEntry {
                 kind,
@@ -814,7 +842,7 @@ impl<'a> Maf2Reader<'a> {
             )));
         }
 
-        let reader = Maf2Reader {
+        Ok(Maf2Reader {
             bytes,
             version,
             tp,
@@ -823,9 +851,8 @@ impl<'a> Maf2Reader<'a> {
             content_checksum,
             index,
             shards,
-            bytes_read: Cell::new((key_end + index_len) as u64),
-        };
-        Ok(reader)
+            bytes_read: AtomicU64::new((key_end + index_len) as u64),
+        })
     }
 
     /// Declared format version (may differ from [`ARTIFACT_VERSION`]; see
@@ -857,7 +884,7 @@ impl<'a> Maf2Reader<'a> {
 
     /// Ranks present in the file, in index order.
     pub fn shard_ranks(&self) -> Vec<u32> {
-        self.shards.iter().map(|(r, _)| *r).collect()
+        self.shards.iter().map(|s| s.rank).collect()
     }
 
     /// Total file length in bytes.
@@ -883,7 +910,7 @@ impl<'a> Maf2Reader<'a> {
     /// Payload bytes actually consumed so far (header + index + every
     /// section read), the observable cost of lazy restoration.
     pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.get()
+        self.bytes_read.load(Ordering::Relaxed)
     }
 
     /// Verifies the header's streaming checksum: an FNV fold over every
@@ -909,29 +936,42 @@ impl<'a> Maf2Reader<'a> {
         Ok(())
     }
 
-    /// Fetches one section's payload, verifying its sealed digest. Counts
-    /// the payload against [`Maf2Reader::bytes_read`].
-    fn section(&self, kind: SectionKind, rank: u32) -> MedusaResult<&'a [u8]> {
+    /// Locates one section's payload and its sealed digest, without
+    /// reading the payload.
+    fn locate(&self, kind: SectionKind, rank: u32) -> MedusaResult<(&'a [u8], u64)> {
         let entry = self
             .index
             .iter()
             .find(|e| e.kind == kind && e.shard == rank)
             .ok_or_else(|| corrupt(format!("no {kind:?} section for rank {rank}")))?;
         let payload = &self.bytes[entry.off as usize..(entry.off + entry.len) as usize];
-        let actual = fnv1a(&[payload]);
-        if actual != entry.digest {
+        Ok((payload, entry.digest))
+    }
+
+    /// Accepts a section whose digest is `actual` against its `sealed`
+    /// one, counting the payload against [`Maf2Reader::bytes_read`].
+    fn accept(&self, payload: &[u8], sealed: u64, actual: u64) -> MedusaResult<()> {
+        if actual != sealed {
             return Err(MedusaError::ChecksumMismatch {
-                expected: entry.digest,
+                expected: sealed,
                 actual,
             });
         }
-        self.bytes_read.set(self.bytes_read.get() + entry.len);
+        self.bytes_read
+            .fetch_add(payload.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Fetches one section's payload, verifying its sealed digest.
+    fn section(&self, kind: SectionKind, rank: u32) -> MedusaResult<&'a [u8]> {
+        let (payload, sealed) = self.locate(kind, rank)?;
+        self.accept(payload, sealed, fnv1a(&[payload]))?;
         Ok(payload)
     }
 
     /// Reads and verifies one shard's ShardMeta section — O(1) in file
     /// size, used by the header-first validator for per-shard target and
-    /// checksum checks without materialization.
+    /// checksum checks without reading the rest of the shard.
     ///
     /// # Errors
     ///
@@ -968,24 +1008,30 @@ impl<'a> Maf2Reader<'a> {
         Ok(meta)
     }
 
-    /// Lazily materializes one shard, reading only that shard's sections
-    /// (each verified against its sealed digest on the way in). Subsequent
-    /// calls return the cached state without re-reading.
+    fn slot(&self, rank: u32) -> MedusaResult<&ShardSlot<'a>> {
+        self.shards
+            .iter()
+            .find(|s| s.rank == rank)
+            .ok_or_else(|| corrupt(format!("no shard for rank {rank} in artifact")))
+    }
+
+    /// Reads one shard's sections into a borrowed [`ShardView`], reading
+    /// only that shard's sections: each is verified against its sealed
+    /// digest, every record is checked for structure, and the content
+    /// checksum is folded over the view, in one pass. Subsequent calls
+    /// return the same view without re-reading. Judging the folded
+    /// checksum against the sealed one, and the deep checks, are the
+    /// validator's ([`crate::ArtifactValidator::validate_maf2`]).
     ///
     /// # Errors
     ///
     /// Returns [`MedusaError::ArtifactCorrupt`] on format-version skew or
     /// malformed sections, [`MedusaError::ChecksumMismatch`] on a section
     /// digest mismatch.
-    pub fn shard(&self, rank: u32) -> MedusaResult<&MaterializedState> {
-        let cell = self
-            .shards
-            .iter()
-            .find(|(r, _)| *r == rank)
-            .map(|(_, c)| c)
-            .ok_or_else(|| corrupt(format!("no shard for rank {rank} in artifact")))?;
-        if let Some(state) = cell.get() {
-            return Ok(state);
+    pub fn view(&self, rank: u32) -> MedusaResult<&ShardView<'a>> {
+        let slot = self.slot(rank)?;
+        if let Some(view) = slot.view.get() {
+            return Ok(view);
         }
         if self.version != ARTIFACT_VERSION {
             return Err(corrupt(format!(
@@ -993,167 +1039,201 @@ impl<'a> Maf2Reader<'a> {
                 self.version
             )));
         }
-        let state = self.materialize_shard(rank)?;
-        let _ = cell.set(state);
-        Ok(cell.get().expect("just set"))
+        let view = self.read_view(rank)?;
+        Ok(slot.view.get_or_init(|| view))
     }
 
-    /// Like [`Maf2Reader::shard`], but moves the decoded shard out of the
-    /// reader instead of lending it. A later access decodes it again.
+    /// The owned form of one shard, built from its [`Maf2Reader::view`] on
+    /// first use and kept; subsequent calls return the kept state.
     ///
     /// # Errors
     ///
-    /// As [`Maf2Reader::shard`].
+    /// As [`Maf2Reader::view`].
+    pub fn shard(&self, rank: u32) -> MedusaResult<&MaterializedState> {
+        let slot = self.slot(rank)?;
+        if let Some(state) = slot.state.get() {
+            return Ok(state);
+        }
+        let state = self.view(rank)?.to_state();
+        Ok(slot.state.get_or_init(|| state))
+    }
+
+    /// Like [`Maf2Reader::shard`], but moves the owned shard out of the
+    /// reader instead of lending it. A later access builds it again.
+    ///
+    /// # Errors
+    ///
+    /// As [`Maf2Reader::view`].
     pub fn take_shard(&mut self, rank: u32) -> MedusaResult<MaterializedState> {
-        self.shard(rank)?;
-        let cell = self
+        let kept = self
             .shards
             .iter_mut()
-            .find(|(r, _)| *r == rank)
-            .map(|(_, c)| c)
-            .expect("decoded above");
-        Ok(cell.take().expect("decoded above"))
+            .find(|s| s.rank == rank)
+            .and_then(|s| s.state.take());
+        match kept {
+            Some(state) => Ok(state),
+            None => Ok(self.view(rank)?.to_state()),
+        }
     }
 
-    /// Eagerly materializes every shard in the file, in index order.
+    /// Builds the owned form of every shard in the file, in index order.
     ///
     /// # Errors
     ///
-    /// Propagates the first shard failure (see [`Maf2Reader::shard`]).
+    /// Propagates the first shard failure (see [`Maf2Reader::view`]).
     pub fn materialize_all(&self) -> MedusaResult<Vec<MaterializedState>> {
-        self.shard_ranks()
-            .into_iter()
-            .map(|r| self.shard(r).cloned())
+        self.shards
+            .iter()
+            .map(|slot| match slot.state.get() {
+                Some(state) => Ok(state.clone()),
+                None => Ok(self.view(slot.rank)?.to_state()),
+            })
             .collect()
     }
 
-    fn decode_strings(&self, rank: u32) -> MedusaResult<ShardStrings> {
+    /// The one pass behind [`Maf2Reader::view`]: sections in a fixed order
+    /// (meta, strings, replay, labels, permanent contents, pointer tables,
+    /// pointer bases, graphs), each digest-checked and structure-checked
+    /// before the next is judged; the view's content checksum is folded at
+    /// the end. Every count is bounded by the bytes that remain before
+    /// anything is sized from it.
+    ///
+    /// The Graphs section, the bulk of a shard, is digested on a helper
+    /// thread while this one reads the other sections and the graph records
+    /// and folds the checksum; its digest is judged where a sequential read
+    /// would judge it, after the pointer bases and before the graph
+    /// records, so errors come in the same order.
+    fn read_view(&self, rank: u32) -> MedusaResult<ShardView<'a>> {
+        std::thread::scope(|scope| {
+            let graphs = self.locate(SectionKind::Graphs, rank);
+            let digest = graphs
+                .as_ref()
+                .ok()
+                .map(|&(payload, _)| scope.spawn(move || fnv1a(&[payload])));
+            let view = self.read_sections(rank)?;
+            let (payload, sealed) = graphs?;
+            let view = view.with_graphs(payload);
+            let actual = match digest {
+                Some(handle) => handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                None => fnv1a(&[payload]),
+            };
+            self.accept(payload, sealed, actual)?;
+            view
+        })
+    }
+
+    /// Every section of `rank` but the Graphs, into a view without graphs.
+    fn read_sections(&self, rank: u32) -> MedusaResult<ShardView<'a>> {
+        let meta = self.shard_meta(rank)?;
+        let strings = self.read_strings(rank)?;
+
+        let replay = self.section(SectionKind::Replay, rank)?;
+        if replay.len() % REPLAY_REC != 0 {
+            return Err(corrupt(format!(
+                "Replay section length {} is not a multiple of 16",
+                replay.len()
+            )));
+        }
+        if let Some(t) = replay
+            .chunks_exact(REPLAY_REC)
+            .map(|op| le64(op, 0))
+            .find(|&t| t > 1)
+        {
+            return Err(corrupt(format!("replay op has unknown tag {t}")));
+        }
+
+        let labels_payload = self.section(SectionKind::Labels, rank)?;
+        if labels_payload.len() % LABEL_REC != 0 {
+            return Err(corrupt(format!(
+                "Labels section length {} is not a multiple of 16",
+                labels_payload.len()
+            )));
+        }
+        let mut labels = labels_payload
+            .chunks_exact(LABEL_REC)
+            .map(|l| Ok((string(&strings, le32(l, 0), "label")?, le64(l, 8))))
+            .collect::<MedusaResult<Vec<(&str, u64)>>>()?;
+        // One entry per name, the last one read winning (as a map insert
+        // would), in name order.
+        labels.reverse();
+        labels.sort_by_key(|&(name, _)| name);
+        labels.dedup_by_key(|&mut (name, _)| name);
+
+        let perm = self.section(SectionKind::PermContents, rank)?;
+        if perm.len() % PERM_REC != 0 {
+            return Err(corrupt(format!(
+                "PermContents section length {} is not a multiple of 24",
+                perm.len()
+            )));
+        }
+
+        let tables_payload = self.section(SectionKind::PtrTables, rank)?;
+        let mut c = Cursor::new(tables_payload, "PtrTables");
+        let table_count = c.u64()?;
+        let mut ptr_tables = Vec::with_capacity(bounded(table_count, c.remaining(), 16));
+        for _ in 0..table_count {
+            let seq = c.u64()?;
+            let entry_count = c.u64()?;
+            ptr_tables.push((seq, c.u64_records(entry_count, PTR_REC)?));
+        }
+        c.done()?;
+
+        let bases = self.read_ptr_bases(rank)?;
+        Ok(ShardView {
+            model: self.model,
+            gpu: self.gpu,
+            meta,
+            strings,
+            replay,
+            labels,
+            perm,
+            ptr_tables,
+            base_index: dense_index(bases),
+            bases,
+            graphs: Vec::new(),
+            spill: &[],
+            kernels: Vec::new(),
+            node_kernels: Vec::new(),
+            checksum: 0,
+        })
+    }
+
+    /// Reads the Strings section: a count, `(offset, len)` entries, and the
+    /// blob they point into.
+    fn read_strings(&self, rank: u32) -> MedusaResult<Vec<&'a str>> {
         let payload = self.section(SectionKind::Strings, rank)?;
         let mut c = Cursor::new(payload, "Strings");
-        let count = c.u32()? as usize;
+        let count = c.u32()?;
         let _pad = c.u32()?;
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(bounded(u64::from(count), c.remaining(), 8));
         for _ in 0..count {
             let off = c.u32()? as usize;
             let len = c.u32()? as usize;
             entries.push((off, len));
         }
         let blob = &payload[c.pos..];
-        let mut strings = Vec::with_capacity(count);
-        for (i, (off, len)) in entries.into_iter().enumerate() {
-            let end = off.checked_add(len).filter(|&e| e <= blob.len());
-            let end = end.ok_or_else(|| {
-                corrupt(format!(
-                    "string #{i} [{off}, +{len}) exceeds blob of {} bytes",
-                    blob.len()
-                ))
-            })?;
-            let s = std::str::from_utf8(&blob[off..end])
-                .map_err(|_| corrupt(format!("string #{i} is not valid UTF-8")))?;
-            strings.push(s.to_string());
-        }
-        Ok(ShardStrings { strings })
+        entries
+            .into_iter()
+            .enumerate()
+            .map(|(i, (off, len))| {
+                let end = off.checked_add(len).filter(|&e| e <= blob.len());
+                let end = end.ok_or_else(|| {
+                    corrupt(format!(
+                        "string #{i} [{off}, +{len}) exceeds blob of {} bytes",
+                        blob.len()
+                    ))
+                })?;
+                std::str::from_utf8(&blob[off..end])
+                    .map_err(|_| corrupt(format!("string #{i} is not valid UTF-8")))
+            })
+            .collect()
     }
 
-    fn materialize_shard(&self, rank: u32) -> MedusaResult<MaterializedState> {
-        let meta = self.shard_meta(rank)?;
-        let strings = self.decode_strings(rank)?;
-
-        let replay = self.section(SectionKind::Replay, rank)?;
-        if replay.len() % 16 != 0 {
-            return Err(corrupt(format!(
-                "Replay section length {} is not a multiple of 16",
-                replay.len()
-            )));
-        }
-        let mut replay_ops = Vec::with_capacity(replay.len() / 16);
-        let mut c = Cursor::new(replay, "Replay");
-        while c.pos < replay.len() {
-            let tag = c.u64()?;
-            let value = c.u64()?;
-            replay_ops.push(match tag {
-                0 => ReplayOp::Malloc { size: value },
-                1 => ReplayOp::Free { alloc_seq: value },
-                t => return Err(corrupt(format!("replay op has unknown tag {t}"))),
-            });
-        }
-
-        let labels_payload = self.section(SectionKind::Labels, rank)?;
-        if labels_payload.len() % 16 != 0 {
-            return Err(corrupt(format!(
-                "Labels section length {} is not a multiple of 16",
-                labels_payload.len()
-            )));
-        }
-        let mut labels = HashMap::new();
-        let mut c = Cursor::new(labels_payload, "Labels");
-        while c.pos < labels_payload.len() {
-            let name_id = c.u32()?;
-            let _pad = c.u32()?;
-            let seq = c.u64()?;
-            let name = strings.get(name_id, "label")?;
-            labels.insert(name.to_string(), seq);
-        }
-
-        let perm = self.section(SectionKind::PermContents, rank)?;
-        if perm.len() % 24 != 0 {
-            return Err(corrupt(format!(
-                "PermContents section length {} is not a multiple of 24",
-                perm.len()
-            )));
-        }
-        let mut permanent_contents = Vec::with_capacity(perm.len() / 24);
-        let mut c = Cursor::new(perm, "PermContents");
-        while c.pos < perm.len() {
-            let seq = c.u64()?;
-            let raw = c.take(16)?;
-            let mut digest = [0u8; 16];
-            digest.copy_from_slice(raw);
-            permanent_contents.push((seq, digest));
-        }
-
-        let tables_payload = self.section(SectionKind::PtrTables, rank)?;
-        let mut c = Cursor::new(tables_payload, "PtrTables");
-        let table_count = c.u64()? as usize;
-        let mut permanent_ptr_tables = Vec::with_capacity(table_count);
-        for _ in 0..table_count {
-            let seq = c.u64()?;
-            let entry_count = c.u64()? as usize;
-            let mut entries = Vec::with_capacity(entry_count);
-            for _ in 0..entry_count {
-                entries.push(PtrTableEntry {
-                    alloc_seq: c.u64()?,
-                    offset: c.u64()?,
-                });
-            }
-            permanent_ptr_tables.push((seq, entries));
-        }
-        c.done()?;
-
-        let bases = self.decode_ptr_bases(rank)?;
-        let graphs = self.decode_graphs(rank, &strings, &bases)?;
-
-        Ok(MaterializedState {
-            version: self.version,
-            model: self.model.to_string(),
-            gpu: self.gpu.to_string(),
-            rank: meta.rank,
-            tp: meta.tp,
-            kv_free_bytes: meta.kv_free_bytes,
-            replay_prefix_allocs: meta.replay_prefix_allocs,
-            replay_ops,
-            labels,
-            permanent_contents,
-            permanent_ptr_tables,
-            graphs,
-            stats: meta.stats,
-            checksum: meta.checksum,
-        })
-    }
-
-    /// Reads the PtrBases section: `(alloc_seq, base)` pairs, strictly
-    /// ascending in `alloc_seq`.
-    fn decode_ptr_bases(&self, rank: u32) -> MedusaResult<Vec<(u64, u64)>> {
+    /// Reads the PtrBases section: a count, then `(alloc_seq, base)` pairs
+    /// strictly ascending in `alloc_seq`. Returns the pairs.
+    fn read_ptr_bases(&self, rank: u32) -> MedusaResult<&'a [u8]> {
         let payload = self.section(SectionKind::PtrBases, rank)?;
         let mut c = Cursor::new(payload, "PtrBases");
         let count = c.u64()?;
@@ -1163,142 +1243,457 @@ impl<'a> Maf2Reader<'a> {
                 payload.len()
             )));
         }
-        let mut bases: Vec<(u64, u64)> = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let seq = c.u64()?;
-            let base = c.u64()?;
-            if bases.last().is_some_and(|&(prev, _)| prev >= seq) {
+        let entries = c.u64_records(count, 16)?;
+        let mut prev = None;
+        for e in entries.chunks_exact(16) {
+            let seq = le64(e, 0);
+            if prev.is_some_and(|p| p >= seq) {
                 return Err(corrupt(format!(
                     "PtrBases entry for allocation #{seq} is duplicate or out of order"
                 )));
             }
-            bases.push((seq, base));
+            prev = Some(seq);
         }
         c.done()?;
-        Ok(bases)
+        Ok(entries)
     }
+}
 
-    fn decode_graphs(
-        &self,
-        rank: u32,
-        strings: &ShardStrings,
-        bases: &[(u64, u64)],
-    ) -> MedusaResult<Vec<GraphSpec>> {
-        let payload = self.section(SectionKind::Graphs, rank)?;
-        // Pass 1: walk the fixed-width headers to locate the spill blob.
+/// The record of each allocation number of an ascending PtrBases table,
+/// indexed directly, when the largest number is below `64·n + 4096` for
+/// `n` records (so the index stays within a small multiple of the table);
+/// empty otherwise.
+fn dense_index(bases: &[u8]) -> Vec<u32> {
+    let n = bases.len() / 16;
+    let Some(last) = n.checked_sub(1).map(|i| le64(bases, i * 16)) else {
+        return Vec::new();
+    };
+    if last >= 64 * n as u64 + 4096 {
+        return Vec::new();
+    }
+    let mut index = vec![u32::MAX; last as usize + 1];
+    for (i, rec) in bases.chunks_exact(16).enumerate() {
+        index[le64(rec, 0) as usize] = i as u32;
+    }
+    index
+}
+
+/// A capacity for `count` records read from `remaining` bytes at no fewer
+/// than `width` bytes each: never more than the bytes can hold.
+fn bounded(count: u64, remaining: usize, width: usize) -> usize {
+    count.min((remaining / width) as u64) as usize
+}
+
+/// String `id` of a shard's string table.
+fn string<'a>(strings: &[&'a str], id: u32, what: &str) -> MedusaResult<&'a str> {
+    strings.get(id as usize).copied().ok_or_else(|| {
+        corrupt(format!(
+            "{what} references string #{id} out of bounds ({} strings)",
+            strings.len()
+        ))
+    })
+}
+
+/// One graph's records within the Graphs section.
+#[derive(Debug)]
+struct GraphRecords<'a> {
+    batch: u32,
+    /// `node_count` 40-byte node records.
+    nodes: &'a [u8],
+    /// The nodes' 32-byte parameter records, in node order.
+    params: &'a [u8],
+    /// 8-byte edge records.
+    edges: &'a [u8],
+    /// Position of the graph's first node among the shard's nodes.
+    first_node: usize,
+}
+
+/// One shard of a MAF2 file, read in place: the records of its sections
+/// borrowed from the file bytes, with names as `&str` slices of the shard's
+/// string table. Built by [`Maf2Reader::view`], which has checked every
+/// section digest and every record's structure; the restore reads it
+/// through [`ShardRead`], and [`ShardView::to_state`] builds the owned form.
+#[derive(Debug)]
+pub struct ShardView<'a> {
+    model: &'a str,
+    gpu: &'a str,
+    meta: ShardMeta,
+    strings: Vec<&'a str>,
+    /// 16-byte `(tag, value)` replay ops.
+    replay: &'a [u8],
+    /// One `(name, alloc_seq)` per name, in name order.
+    labels: Vec<(&'a str, u64)>,
+    /// 24-byte `(alloc_seq, digest)` records.
+    perm: &'a [u8],
+    /// Per table: its allocation and its 16-byte `(alloc_seq, offset)`
+    /// entries.
+    ptr_tables: Vec<(u64, &'a [u8])>,
+    /// 16-byte `(alloc_seq, base)` records, ascending `alloc_seq`.
+    bases: &'a [u8],
+    /// Per allocation number, its record in `bases` (`u32::MAX`: none),
+    /// when the numbers are dense enough to index directly — as a
+    /// capture's are; empty otherwise.
+    base_index: Vec<u32>,
+    graphs: Vec<GraphRecords<'a>>,
+    /// Constants too long for a parameter record's inline window.
+    spill: &'a [u8],
+    /// Distinct `(library id, kernel id, exported)` in first-use order.
+    kernels: Vec<(u32, u32, bool)>,
+    /// Per node of the shard, in graph then node order: its kernel's
+    /// position in `kernels`.
+    node_kernels: Vec<u32>,
+    /// The content checksum folded over the view.
+    checksum: u64,
+}
+
+impl<'a> ShardView<'a> {
+    /// Adds the Graphs section's records (`payload`), checks their
+    /// structure and folds the content checksum of the completed view.
+    fn with_graphs(mut self, payload: &'a [u8]) -> MedusaResult<Self> {
         let mut c = Cursor::new(payload, "Graphs");
-        let graph_count = c.u64()? as usize;
-        let mut spans = Vec::with_capacity(graph_count);
+        let graph_count = c.u64()?;
+        let mut graphs = Vec::with_capacity(bounded(graph_count, c.remaining(), 16));
+        let mut first_node = 0;
         for _ in 0..graph_count {
             let batch = c.u32()?;
             let node_count = c.u32()? as usize;
             let edge_count = c.u32()? as usize;
             let param_count = c.u32()? as usize;
-            spans.push((batch, node_count, edge_count, param_count));
-            c.take(node_count * 40 + param_count * 32 + edge_count * 8)?;
+            let nodes = node_count * NODE_REC;
+            let params = param_count * PARAM_REC;
+            let body = c.take(nodes + params + edge_count * EDGE_REC)?;
+            graphs.push(GraphRecords {
+                batch,
+                nodes: &body[..nodes],
+                params: &body[nodes..nodes + params],
+                edges: &body[nodes + params..],
+                first_node,
+            });
+            first_node += node_count;
         }
-        let spill = &payload[c.pos..];
+        self.spill = &payload[c.pos..];
+        self.node_kernels.reserve_exact(first_node);
+        self.check_graphs(&graphs)?;
+        self.graphs = graphs;
+        self.checksum = content_fold(&self);
+        Ok(self)
+    }
 
-        // Pass 2: decode records.
-        let mut c = Cursor::new(payload, "Graphs");
-        let _ = c.u64()?;
-        let mut graphs = Vec::with_capacity(graph_count);
-        for (batch, node_count, edge_count, param_count) in spans {
-            let _ = c.u32()?; // batch (from pass 1)
-            let _ = c.u32()?;
-            let _ = c.u32()?;
-            let _ = c.u32()?;
-            let mut nodes = Vec::with_capacity(node_count);
-            let mut node_param_counts = Vec::with_capacity(node_count);
-            for _ in 0..node_count {
-                let kernel = strings.get(c.u32()?, "graph node kernel")?.to_string();
-                let library = strings.get(c.u32()?, "graph node library")?.to_string();
-                let flags = c.u32()?;
-                let stream = c.u32()?;
-                let n_params = c.u32()? as usize;
-                let _pad = c.u32()?;
-                let flops = f64::from_bits(c.u64()?);
-                let bytes = f64::from_bits(c.u64()?);
-                node_param_counts.push(n_params);
-                nodes.push(NodeSpec {
-                    kernel,
-                    library,
-                    exported: flags & 1 != 0,
-                    params: Vec::with_capacity(n_params),
-                    work: medusa_gpu::Work { flops, bytes },
-                    stream,
-                });
+    /// The shard's ShardMeta scalars.
+    pub fn meta(&self) -> &ShardMeta {
+        &self.meta
+    }
+
+    /// The owned form of the shard.
+    pub fn to_state(&self) -> MaterializedState {
+        MaterializedState {
+            version: ARTIFACT_VERSION,
+            model: self.model.to_string(),
+            gpu: self.gpu.to_string(),
+            rank: self.meta.rank,
+            tp: self.meta.tp,
+            kv_free_bytes: self.meta.kv_free_bytes,
+            replay_prefix_allocs: self.meta.replay_prefix_allocs,
+            replay_ops: self.replay_ops().collect(),
+            labels: self
+                .labels
+                .iter()
+                .map(|&(name, seq)| (name.to_string(), seq))
+                .collect(),
+            permanent_contents: self.permanent_contents().collect(),
+            permanent_ptr_tables: self
+                .ptr_tables()
+                .map(|(seq, entries)| (seq, entries.collect()))
+                .collect(),
+            graphs: self.graphs().map(|g| g.to_spec()).collect(),
+            stats: self.meta.stats.clone(),
+            checksum: self.meta.checksum,
+        }
+    }
+
+    fn str(&self, id: u32) -> &'a str {
+        self.strings.get(id as usize).copied().unwrap_or_default()
+    }
+
+    /// The offline base of allocation `alloc_seq`, from the base table.
+    fn base(&self, alloc_seq: u64) -> Option<u64> {
+        if !self.base_index.is_empty() {
+            let i = *usize::try_from(alloc_seq)
+                .ok()
+                .and_then(|seq| self.base_index.get(seq))?;
+            return (i != u32::MAX).then(|| le64(self.bases, i as usize * 16 + 8));
+        }
+        let (mut lo, mut hi) = (0, self.bases.len() / 16);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let seq = le64(self.bases, mid * 16);
+            match seq.cmp(&alloc_seq) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(le64(self.bases, mid * 16 + 8)),
             }
-            let declared: usize = node_param_counts.iter().sum();
+        }
+        None
+    }
+
+    /// One parameter record, read in place. Only called on records
+    /// [`ShardView::check_graphs`] accepted.
+    fn param(&self, rec: &'a [u8]) -> ParamRef<'a> {
+        let aux = le32(rec, 4) as usize;
+        if le32(rec, 0) == 1 {
+            let (alloc_seq, offset) = (le64(rec, 8), le64(rec, 16));
+            let raw = self.base(alloc_seq).unwrap_or(0).wrapping_add(offset);
+            return ParamRef::Ptr {
+                alloc_seq,
+                offset,
+                raw,
+            };
+        }
+        if aux <= PARAM_INLINE_LEN {
+            return ParamRef::Const(&rec[8..8 + aux]);
+        }
+        let off = le64(rec, 8) as usize;
+        let spilled = off
+            .checked_add(aux)
+            .and_then(|end| self.spill.get(off..end));
+        ParamRef::Const(spilled.unwrap_or_default())
+    }
+
+    /// The structure checks of the graph records, graph by graph: every
+    /// node's string ids, the declared parameter total, then every
+    /// parameter's tag, spill extent, reserved slot and offline base. Numbers
+    /// the shard's kernels on the way.
+    fn check_graphs(&mut self, graphs: &[GraphRecords<'a>]) -> MedusaResult<()> {
+        // Kernel id -> its first `(library id, kernel index)`; a kernel id
+        // seen under a second library goes to `other`.
+        let mut by_kernel: Vec<Option<(u32, u32)>> = vec![None; self.strings.len()];
+        let mut other: HashMap<(u32, u32), u32> = HashMap::new();
+        for g in graphs {
+            let mut declared = 0usize;
+            for rec in g.nodes.chunks_exact(NODE_REC) {
+                let kernel = le32(rec, 0);
+                string(&self.strings, kernel, "graph node kernel")?;
+                let library = le32(rec, 4);
+                string(&self.strings, library, "graph node library")?;
+                declared += le32(rec, 16) as usize;
+                let next = self.kernels.len() as u32;
+                let index = match by_kernel[kernel as usize] {
+                    Some((lib, index)) if lib == library => index,
+                    Some(_) => *other.entry((library, kernel)).or_insert(next),
+                    None => {
+                        by_kernel[kernel as usize] = Some((library, next));
+                        next
+                    }
+                };
+                if index == next {
+                    self.kernels.push((library, kernel, le32(rec, 8) & 1 != 0));
+                }
+                self.node_kernels.push(index);
+            }
+            let param_count = g.params.len() / PARAM_REC;
             if declared != param_count {
                 return Err(corrupt(format!(
-                    "graph batch {batch}: nodes declare {declared} params, header says {param_count}"
+                    "graph batch {}: nodes declare {declared} params, header says {param_count}",
+                    g.batch
                 )));
             }
-            for (node, &n_params) in nodes.iter_mut().zip(&node_param_counts) {
-                for _ in 0..n_params {
-                    let tag = c.u32()?;
-                    let aux = c.u32()? as usize;
-                    let body = c.take(PARAM_INLINE_LEN)?;
-                    node.params.push(match tag {
-                        0 if aux <= PARAM_INLINE_LEN => ParamSpec::Const {
-                            bytes: body[..aux].to_vec(),
-                        },
-                        0 => {
-                            let mut b = [0u8; 8];
-                            b.copy_from_slice(&body[..8]);
-                            let off = u64::from_le_bytes(b) as usize;
-                            let end = off.checked_add(aux).filter(|&e| e <= spill.len());
-                            let end = end.ok_or_else(|| {
-                                corrupt(format!(
-                                    "const spill [{off}, +{aux}) exceeds blob of {} bytes",
-                                    spill.len()
-                                ))
-                            })?;
-                            ParamSpec::Const {
-                                bytes: spill[off..end].to_vec(),
-                            }
+            for rec in g.params.chunks_exact(PARAM_REC) {
+                let aux = le32(rec, 4) as usize;
+                match le32(rec, 0) {
+                    0 if aux <= PARAM_INLINE_LEN => {}
+                    0 => {
+                        let off = le64(rec, 8) as usize;
+                        if off
+                            .checked_add(aux)
+                            .filter(|&e| e <= self.spill.len())
+                            .is_none()
+                        {
+                            return Err(corrupt(format!(
+                                "const spill [{off}, +{aux}) exceeds blob of {} bytes",
+                                self.spill.len()
+                            )));
                         }
-                        1 => {
-                            let mut b = [0u8; 8];
-                            b.copy_from_slice(&body[..8]);
-                            let alloc_seq = u64::from_le_bytes(b);
-                            b.copy_from_slice(&body[8..16]);
-                            let offset = u64::from_le_bytes(b);
-                            if body[16..24] != [0; 8] {
-                                return Err(corrupt(format!(
-                                    "pointer to allocation #{alloc_seq} has a nonzero reserved slot"
-                                )));
-                            }
-                            let base = bases
-                                .binary_search_by_key(&alloc_seq, |&(seq, _)| seq)
-                                .map(|i| bases[i].1)
-                                .map_err(|_| {
-                                    corrupt(format!(
-                                        "pointer to allocation #{alloc_seq} has no offline base"
-                                    ))
-                                })?;
-                            ParamSpec::IndirectPtr {
-                                alloc_seq,
-                                offset,
-                                raw: base.wrapping_add(offset),
-                            }
+                    }
+                    1 => {
+                        let alloc_seq = le64(rec, 8);
+                        if rec[24..32] != [0; 8] {
+                            return Err(corrupt(format!(
+                                "pointer to allocation #{alloc_seq} has a nonzero reserved slot"
+                            )));
                         }
-                        t => return Err(corrupt(format!("param has unknown tag {t}"))),
-                    });
+                        if self.base(alloc_seq).is_none() {
+                            return Err(corrupt(format!(
+                                "pointer to allocation #{alloc_seq} has no offline base"
+                            )));
+                        }
+                    }
+                    t => return Err(corrupt(format!("param has unknown tag {t}"))),
                 }
             }
-            let mut edges = Vec::with_capacity(edge_count);
-            for _ in 0..edge_count {
-                edges.push((c.u32()?, c.u32()?));
-            }
-            graphs.push(GraphSpec {
-                batch,
-                nodes,
-                edges,
-            });
         }
-        Ok(graphs)
+        Ok(())
+    }
+}
+
+/// One graph of a [`ShardView`], read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct GraphView<'v, 'a> {
+    shard: &'v ShardView<'a>,
+    records: &'v GraphRecords<'a>,
+}
+
+impl GraphRead for GraphView<'_, '_> {
+    fn batch(&self) -> u32 {
+        self.records.batch
+    }
+
+    fn node_count(&self) -> usize {
+        self.records.nodes.len() / NODE_REC
+    }
+
+    fn kernel_table(&self) -> Option<u64> {
+        Some(self.shard.meta.checksum)
+    }
+
+    fn nodes(
+        &self,
+    ) -> impl Iterator<
+        Item = (
+            NodeRef<'_>,
+            impl ExactSizeIterator<Item = ParamRef<'_>> + '_,
+        ),
+    > + '_ {
+        let (shard, g) = (self.shard, self.records);
+        let mut next_param = 0;
+        g.nodes
+            .chunks_exact(NODE_REC)
+            .enumerate()
+            .map(move |(i, rec)| {
+                let first = next_param;
+                next_param += le32(rec, 16) as usize;
+                let params = g
+                    .params
+                    .get(first * PARAM_REC..next_param * PARAM_REC)
+                    .unwrap_or_default();
+                let node = NodeRef {
+                    kernel: shard.str(le32(rec, 0)),
+                    library: shard.str(le32(rec, 4)),
+                    kernel_index: shard.node_kernels.get(g.first_node + i).copied(),
+                    exported: le32(rec, 8) & 1 != 0,
+                    work: Work {
+                        flops: f64::from_bits(le64(rec, 24)),
+                        bytes: f64::from_bits(le64(rec, 32)),
+                    },
+                    stream: le32(rec, 12),
+                };
+                let params = params.chunks_exact(PARAM_REC).map(move |p| shard.param(p));
+                (node, params)
+            })
+    }
+
+    fn edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+        self.records
+            .edges
+            .chunks_exact(EDGE_REC)
+            .map(|e| (le32(e, 0), le32(e, 4)))
+    }
+}
+
+impl<'a> ShardRead for ShardView<'a> {
+    type Graph<'g>
+        = GraphView<'g, 'a>
+    where
+        Self: 'g;
+
+    fn model(&self) -> &str {
+        self.model
+    }
+
+    fn gpu(&self) -> &str {
+        self.gpu
+    }
+
+    fn rank(&self) -> u32 {
+        self.meta.rank
+    }
+
+    fn tp(&self) -> u32 {
+        self.meta.tp
+    }
+
+    fn kv_free_bytes(&self) -> u64 {
+        self.meta.kv_free_bytes
+    }
+
+    fn replay_prefix_allocs(&self) -> u64 {
+        self.meta.replay_prefix_allocs
+    }
+
+    fn checksum(&self) -> u64 {
+        self.meta.checksum
+    }
+
+    fn stats(&self) -> &AnalysisStats {
+        &self.meta.stats
+    }
+
+    /// Folded once, when the view was read.
+    fn content_checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    fn replay_ops(&self) -> impl ExactSizeIterator<Item = ReplayOp> + '_ {
+        self.replay
+            .chunks_exact(REPLAY_REC)
+            .map(|op| match le64(op, 0) {
+                0 => ReplayOp::Malloc { size: le64(op, 8) },
+                _ => ReplayOp::Free {
+                    alloc_seq: le64(op, 8),
+                },
+            })
+    }
+
+    fn labels(&self) -> impl ExactSizeIterator<Item = (&str, u64)> + '_ {
+        self.labels.iter().copied()
+    }
+
+    fn permanent_contents(&self) -> impl ExactSizeIterator<Item = (u64, Digest)> + '_ {
+        self.perm.chunks_exact(PERM_REC).map(|r| {
+            let mut digest = Digest::default();
+            digest.copy_from_slice(&r[8..24]);
+            (le64(r, 0), digest)
+        })
+    }
+
+    fn ptr_tables(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (u64, impl ExactSizeIterator<Item = PtrTableEntry> + '_)> + '_
+    {
+        self.ptr_tables.iter().map(|&(seq, entries)| {
+            let entries = entries.chunks_exact(PTR_REC).map(|e| PtrTableEntry {
+                alloc_seq: le64(e, 0),
+                offset: le64(e, 8),
+            });
+            (seq, entries)
+        })
+    }
+
+    fn graphs(&self) -> impl ExactSizeIterator<Item = GraphView<'_, 'a>> + '_ {
+        self.graphs.iter().map(move |records| GraphView {
+            shard: self,
+            records,
+        })
+    }
+
+    fn kernels(&self) -> Vec<KernelName<'_>> {
+        self.kernels
+            .iter()
+            .map(|&(library, kernel, exported)| KernelName {
+                library: self.str(library),
+                kernel: self.str(kernel),
+                exported,
+            })
+            .collect()
     }
 }
 
@@ -1479,12 +1874,23 @@ mod tests {
         a
     }
 
-    /// Rewrites rank 0's `kind` payload in place through `edit`, which
+    /// Rewrites rank 0's `kind` payload in place through `edit` (see
+    /// [`tamper_rank_section`]).
+    fn tamper_section(
+        bytes: &[u8],
+        kind: SectionKind,
+        edit: impl FnOnce(&mut [u8]) -> usize,
+    ) -> Vec<u8> {
+        tamper_rank_section(bytes, 0, kind, edit)
+    }
+
+    /// Rewrites `rank`'s `kind` payload in place through `edit`, which
     /// returns the payload's new (not larger) length, then reseals the
     /// section digest, the header's digest fold and the index digest, so
     /// the edit is the file's only inconsistency.
-    fn tamper_section(
+    fn tamper_rank_section(
         bytes: &[u8],
+        rank: u32,
         kind: SectionKind,
         edit: impl FnOnce(&mut [u8]) -> usize,
     ) -> Vec<u8> {
@@ -1493,7 +1899,7 @@ mod tests {
             .section_extents()
             .into_iter()
             .enumerate()
-            .find(|(_, e)| e.kind == kind && e.shard == 0)
+            .find(|(_, e)| e.kind == kind && e.shard == rank)
             .unwrap();
         let mut out = bytes.to_vec();
         let (off, len) = (e.offset as usize, e.len as usize);
@@ -1643,5 +2049,180 @@ mod tests {
         let bytes = encode_bundle(&[&a]).unwrap();
         let r = Maf2Reader::open(&bytes).unwrap();
         assert_eq!(r.shard(0).unwrap(), &a);
+    }
+
+    /// A validator for the tiny artifact's target.
+    fn validator() -> crate::ArtifactValidator {
+        let spec = medusa_model::ModelSpec::by_name("Qwen1.5-4B").unwrap();
+        crate::ArtifactValidator::for_target(&spec, &medusa_gpu::GpuSpec::a100_40gb())
+    }
+
+    #[test]
+    fn counts_past_the_payload_are_typed_errors_not_allocations() {
+        let bytes = encode_bundle(&[&tiny()]).unwrap();
+        let set = |at: usize, v: &[u8]| {
+            let v = v.to_vec();
+            move |p: &mut [u8]| {
+                p[at..at + v.len()].copy_from_slice(&v);
+                p.len()
+            }
+        };
+        let max64 = u64::MAX.to_le_bytes();
+        let max32 = u32::MAX.to_le_bytes();
+        let cases = [
+            ("pointer table count", SectionKind::PtrTables, 0, &max64[..]),
+            (
+                "pointer table entries",
+                SectionKind::PtrTables,
+                16,
+                &max64[..],
+            ),
+            ("graph count", SectionKind::Graphs, 0, &max64[..]),
+            ("graph node count", SectionKind::Graphs, 12, &max32[..]),
+            (
+                "node parameter count",
+                SectionKind::Graphs,
+                8 + 16 + 16,
+                &max32[..],
+            ),
+            ("string count", SectionKind::Strings, 0, &max32[..]),
+        ];
+        for (what, kind, at, value) in cases {
+            let bad = tamper_section(&bytes, kind, set(at, value));
+            let reader = Maf2Reader::open(&bad).unwrap();
+            let err = reader.shard(0).expect_err(what);
+            assert_eq!(err.kind(), "artifact_corrupt", "{what}: {err}");
+            let err = reader.view(0).expect_err(what);
+            assert_eq!(err.kind(), "artifact_corrupt", "{what}: {err}");
+            let report = validator().validate_maf2(&reader);
+            let (_, err) = report.first_failure().expect(what);
+            assert_eq!(err.kind(), "artifact_corrupt", "{what}: {err}");
+        }
+    }
+
+    /// A richer shard for fuzzing: two graphs with edges, one kernel name
+    /// under two libraries, a spilled constant, three bases and two
+    /// pointer tables.
+    fn rich(rank: u32, tp: u32) -> MaterializedState {
+        let mut a = three_bases();
+        a.rank = rank;
+        a.tp = tp;
+        a.kv_free_bytes ^= u64::from(rank) << 32;
+        a.labels.insert("ws.ids".into(), 5);
+        a.permanent_ptr_tables.push((
+            6,
+            vec![PtrTableEntry {
+                alloc_seq: 5,
+                offset: 8,
+            }],
+        ));
+        let mut g = a.graphs[0].clone();
+        g.batch = 2;
+        let mut twin = g.nodes[0].clone();
+        twin.library = "l2".into();
+        twin.params.push(ParamSpec::Const {
+            bytes: (0..40).collect(),
+        });
+        let mut other = g.nodes[0].clone();
+        other.kernel = "k2".into();
+        other.exported = false;
+        g.nodes.extend([twin, other]);
+        g.edges = vec![(0, 1), (1, 2)];
+        a.graphs.push(g);
+        a.seal();
+        a
+    }
+
+    fn rich_bundle(tp: u32) -> Vec<u8> {
+        let shards: Vec<MaterializedState> = (0..tp).map(|r| rich(r, tp)).collect();
+        let refs: Vec<&MaterializedState> = shards.iter().collect();
+        encode_bundle(&refs).unwrap()
+    }
+
+    #[test]
+    fn the_view_numbers_kernels_in_first_use_order() {
+        let bytes = rich_bundle(1);
+        let reader = Maf2Reader::open(&bytes).unwrap();
+        let view = reader.view(0).unwrap();
+        let names: Vec<(&str, &str)> = view
+            .kernels()
+            .iter()
+            .map(|k| (k.library, k.kernel))
+            .collect();
+        assert_eq!(names, [("l", "k"), ("l2", "k"), ("l", "k2")]);
+        let owned = reader.shard(0).unwrap();
+        assert_eq!(owned, &rich(0, 1));
+        assert_eq!(owned.kernels(), view.kernels());
+        assert_eq!(view.content_checksum(), owned.checksum);
+        let indexes: Vec<Option<u32>> = view
+            .graphs()
+            .flat_map(|g| g.nodes().map(|(n, _)| n.kernel_index).collect::<Vec<_>>())
+            .collect();
+        assert_eq!(indexes, [Some(0), Some(0), Some(1), Some(2)]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Structure-aware fuzzing past the seal: one aligned field of one
+        /// section of a sealed bundle is overwritten with an edge or a
+        /// random value and the bundle resealed. Reading never panics and
+        /// fails only with a typed error; when a shard reads, its owned
+        /// form is the reader's, and the view's verification and the owned
+        /// validation reach the same verdict.
+        #[test]
+        fn resealed_field_edits_read_or_fail_typed(
+            tp in 1u32..3,
+            pick in any::<u64>(),
+            at in any::<u64>(),
+            wide in any::<bool>(),
+            edge in 0u8..6,
+            random in any::<u64>(),
+        ) {
+            let bytes = rich_bundle(tp);
+            let extents = Maf2Reader::open(&bytes).unwrap().section_extents();
+            let e = extents[(pick % extents.len() as u64) as usize];
+            let width = if wide { 8 } else { 4 };
+            if (e.len as usize) < width {
+                return Ok(());
+            }
+            let off = (at % ((e.len as usize - width) / 4 + 1) as u64) as usize * 4;
+            let value = match edge {
+                0 => 0,
+                1 => 1,
+                2 => e.len,
+                3 => u64::from(u32::MAX),
+                4 => u64::MAX,
+                _ => random,
+            };
+            let bad = tamper_rank_section(&bytes, e.shard, e.kind, |p| {
+                p[off..off + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                p.len()
+            });
+            let reader = Maf2Reader::open(&bad).expect("a resealed edit still opens");
+            for rank in reader.shard_ranks() {
+                match reader.view(rank) {
+                    Ok(view) => {
+                        let owned = reader.shard(rank).expect("the view read");
+                        prop_assert_eq!(&view.to_state(), owned);
+                        let v = validator().shard(rank, reader.tp());
+                        let report = v.validate_maf2(&reader);
+                        prop_assert_eq!(
+                            format!("{:?}", report.checks),
+                            format!("{:?}", v.validate(owned).checks)
+                        );
+                    }
+                    Err(err) => {
+                        prop_assert!(
+                            matches!(err.kind(), "artifact_corrupt" | "checksum_mismatch"),
+                            "{err}"
+                        );
+                        prop_assert_eq!(err.kind(), reader.shard(rank).unwrap_err().kind());
+                    }
+                }
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@
 use crate::error::{MedusaError, MedusaResult};
 use medusa_gpu::{Digest, Work};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 pub mod maf2;
 pub mod registry;
@@ -210,110 +210,488 @@ impl ContentFold {
     }
 }
 
+/// One kernel parameter as a [`ShardRead`] lends it: a borrowed form of
+/// [`ParamSpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamRef<'a> {
+    /// A constant's raw little-endian bytes.
+    Const(&'a [u8]),
+    /// An indirect index pointer (see [`ParamSpec::IndirectPtr`]).
+    Ptr {
+        /// Index in the (prefix + replayed) allocation sequence.
+        alloc_seq: u64,
+        /// Byte offset of the pointer within the matched buffer.
+        offset: u64,
+        /// The raw offline value.
+        raw: u64,
+    },
+}
+
+impl<'a> From<&'a ParamSpec> for ParamRef<'a> {
+    fn from(p: &'a ParamSpec) -> Self {
+        match p {
+            ParamSpec::Const { bytes } => ParamRef::Const(bytes),
+            &ParamSpec::IndirectPtr {
+                alloc_seq,
+                offset,
+                raw,
+            } => ParamRef::Ptr {
+                alloc_seq,
+                offset,
+                raw,
+            },
+        }
+    }
+}
+
+/// One graph node's scalars as a [`GraphRead`] lends them: a borrowed form
+/// of [`NodeSpec`] without its parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeRef<'a> {
+    /// The kernel's mangled name.
+    pub kernel: &'a str,
+    /// The dynamic library the kernel belongs to.
+    pub library: &'a str,
+    /// The node's position in its shard's [`ShardRead::kernels`] table,
+    /// when the reader numbers kernels (a MAF2 view does, an owned
+    /// [`MaterializedState`] does not).
+    pub kernel_index: Option<u32>,
+    /// Whether the kernel is in the library's dynamic symbol table.
+    pub exported: bool,
+    /// Recorded work size.
+    pub work: Work,
+    /// Capture-time stream.
+    pub stream: u32,
+}
+
+/// One entry of a shard's kernel table: a distinct `(library, kernel)`
+/// pair, with the export flag of its first use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelName<'a> {
+    /// The dynamic library.
+    pub library: &'a str,
+    /// The kernel's mangled name.
+    pub kernel: &'a str,
+    /// Whether the first node using the pair marks it exported.
+    pub exported: bool,
+}
+
+/// Read access to one materialized graph, owned ([`GraphSpec`]) or
+/// borrowed from MAF2 bytes ([`maf2::GraphView`]).
+pub trait GraphRead {
+    /// The decode batch size the graph was captured for.
+    fn batch(&self) -> u32;
+
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+
+    /// The sealed checksum of the shard whose kernel table numbers this
+    /// graph's [`NodeRef::kernel_index`]es, if it numbers them.
+    fn kernel_table(&self) -> Option<u64> {
+        None
+    }
+
+    /// The nodes in capture order, each with its parameters in signature
+    /// order.
+    fn nodes(
+        &self,
+    ) -> impl Iterator<
+        Item = (
+            NodeRef<'_>,
+            impl ExactSizeIterator<Item = ParamRef<'_>> + '_,
+        ),
+    > + '_;
+
+    /// Dependency edges `(src, dst)`.
+    fn edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_;
+
+    /// The graph as an owned, mutable [`GraphSpec`].
+    fn to_spec(&self) -> GraphSpec {
+        GraphSpec {
+            batch: self.batch(),
+            nodes: self
+                .nodes()
+                .map(|(n, params)| NodeSpec {
+                    kernel: n.kernel.to_string(),
+                    library: n.library.to_string(),
+                    exported: n.exported,
+                    params: params
+                        .map(|p| match p {
+                            ParamRef::Const(bytes) => ParamSpec::Const {
+                                bytes: bytes.to_vec(),
+                            },
+                            ParamRef::Ptr {
+                                alloc_seq,
+                                offset,
+                                raw,
+                            } => ParamSpec::IndirectPtr {
+                                alloc_seq,
+                                offset,
+                                raw,
+                            },
+                        })
+                        .collect(),
+                    work: n.work,
+                    stream: n.stream,
+                })
+                .collect(),
+            edges: self.edges().collect(),
+        }
+    }
+}
+
+impl GraphRead for GraphSpec {
+    fn batch(&self) -> u32 {
+        self.batch
+    }
+
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn nodes(
+        &self,
+    ) -> impl Iterator<
+        Item = (
+            NodeRef<'_>,
+            impl ExactSizeIterator<Item = ParamRef<'_>> + '_,
+        ),
+    > + '_ {
+        self.nodes.iter().map(|n| {
+            let node = NodeRef {
+                kernel: &n.kernel,
+                library: &n.library,
+                kernel_index: None,
+                exported: n.exported,
+                work: n.work,
+                stream: n.stream,
+            };
+            (node, n.params.iter().map(ParamRef::from))
+        })
+    }
+
+    fn edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+        self.edges.iter().copied()
+    }
+
+    fn to_spec(&self) -> GraphSpec {
+        self.clone()
+    }
+}
+
+impl<G: GraphRead + ?Sized> GraphRead for &G {
+    fn batch(&self) -> u32 {
+        (**self).batch()
+    }
+
+    fn node_count(&self) -> usize {
+        (**self).node_count()
+    }
+
+    fn kernel_table(&self) -> Option<u64> {
+        (**self).kernel_table()
+    }
+
+    fn nodes(
+        &self,
+    ) -> impl Iterator<
+        Item = (
+            NodeRef<'_>,
+            impl ExactSizeIterator<Item = ParamRef<'_>> + '_,
+        ),
+    > + '_ {
+        (**self).nodes()
+    }
+
+    fn edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+        (**self).edges()
+    }
+
+    fn to_spec(&self) -> GraphSpec {
+        (**self).to_spec()
+    }
+}
+
+/// Read access to one shard of a materialized artifact — the interface the
+/// online restore, the deep validation checks and the content checksum
+/// read a shard through. The owned [`MaterializedState`] implements it,
+/// and so does [`maf2::ShardView`], which reads the records of MAF2 bytes
+/// in place.
+pub trait ShardRead {
+    /// The shard's graph type.
+    type Graph<'g>: GraphRead
+    where
+        Self: 'g;
+
+    /// Model name of the target key.
+    fn model(&self) -> &str;
+    /// GPU name of the target key.
+    fn gpu(&self) -> &str;
+    /// Tensor-parallel rank.
+    fn rank(&self) -> u32;
+    /// Tensor-parallel degree.
+    fn tp(&self) -> u32;
+    /// Materialized KV cache initialization: available free GPU memory.
+    fn kv_free_bytes(&self) -> u64;
+    /// Natural allocations before replay begins.
+    fn replay_prefix_allocs(&self) -> u64;
+    /// The sealed content checksum.
+    fn checksum(&self) -> u64;
+    /// Analysis statistics.
+    fn stats(&self) -> &AnalysisStats;
+    /// The (de)allocation replay sequence.
+    fn replay_ops(&self) -> impl ExactSizeIterator<Item = ReplayOp> + '_;
+    /// Semantic labels, one per name, in name order.
+    fn labels(&self) -> impl ExactSizeIterator<Item = (&str, u64)> + '_;
+    /// Permanent buffer contents.
+    fn permanent_contents(&self) -> impl ExactSizeIterator<Item = (u64, Digest)> + '_;
+    /// Permanent pointer tables.
+    fn ptr_tables(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (u64, impl ExactSizeIterator<Item = PtrTableEntry> + '_)> + '_;
+    /// Materialized graphs, ascending batch.
+    fn graphs(&self) -> impl ExactSizeIterator<Item = Self::Graph<'_>> + '_;
+    /// The distinct `(library, kernel)` pairs of the graphs, in first-use
+    /// order; a [`NodeRef::kernel_index`] is a position in this table.
+    fn kernels(&self) -> Vec<KernelName<'_>>;
+
+    /// Checks the shard matches the restoring `<GPU, model>` pair and
+    /// shard.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MedusaError::ArtifactMismatch`] when it does not.
+    fn check_target(&self, model: &str, gpu: &str, rank: u32, tp: u32) -> MedusaResult<()> {
+        if self.model() != model || self.gpu() != gpu || self.rank() != rank || self.tp() != tp {
+            return Err(MedusaError::ArtifactMismatch {
+                artifact: format!(
+                    "{}/{} r{}/{}",
+                    self.model(),
+                    self.gpu(),
+                    self.rank(),
+                    self.tp()
+                ),
+                target: format!("{model}/{gpu} r{rank}/{tp}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Recomputes the content checksum: an FNV-1a fold over every field
+    /// except the version and the checksum itself, in a fixed order
+    /// (struct field order, labels by name), so same-content shards agree
+    /// however they were produced or transported.
+    fn content_checksum(&self) -> u64 {
+        content_fold(self)
+    }
+
+    /// Verifies the sealed checksum against a recomputation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MedusaError::ChecksumMismatch`] when the content no longer
+    /// matches what was sealed.
+    fn verify_checksum(&self) -> MedusaResult<()> {
+        let actual = self.content_checksum();
+        if self.checksum() != actual {
+            return Err(MedusaError::ChecksumMismatch {
+                expected: self.checksum(),
+                actual,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The content checksum of a shard (see [`ShardRead::content_checksum`]).
+pub(crate) fn content_fold<S: ShardRead + ?Sized>(s: &S) -> u64 {
+    let mut f = ContentFold::new();
+    f.str(s.model());
+    f.str(s.gpu());
+    f.u64(u64::from(s.rank()));
+    f.u64(u64::from(s.tp()));
+    f.u64(s.kv_free_bytes());
+    f.u64(s.replay_prefix_allocs());
+    let ops = s.replay_ops();
+    f.u64(ops.len() as u64);
+    for op in ops {
+        match op {
+            ReplayOp::Malloc { size } => {
+                f.byte(0);
+                f.u64(size);
+            }
+            ReplayOp::Free { alloc_seq } => {
+                f.byte(1);
+                f.u64(alloc_seq);
+            }
+        }
+    }
+    let labels = s.labels();
+    f.u64(labels.len() as u64);
+    for (k, v) in labels {
+        f.str(k);
+        f.u64(v);
+    }
+    let perm = s.permanent_contents();
+    f.u64(perm.len() as u64);
+    for (seq, digest) in perm {
+        f.u64(seq);
+        f.bytes(&digest);
+    }
+    let tables = s.ptr_tables();
+    f.u64(tables.len() as u64);
+    for (seq, entries) in tables {
+        f.u64(seq);
+        f.u64(entries.len() as u64);
+        for e in entries {
+            f.u64(e.alloc_seq);
+            f.u64(e.offset);
+        }
+    }
+    let graphs = s.graphs();
+    f.u64(graphs.len() as u64);
+    for g in graphs {
+        f.u64(u64::from(g.batch()));
+        f.u64(g.node_count() as u64);
+        for (n, params) in g.nodes() {
+            f.str(n.kernel);
+            f.str(n.library);
+            f.byte(u8::from(n.exported));
+            f.u64(params.len() as u64);
+            for p in params {
+                match p {
+                    ParamRef::Const(bytes) => {
+                        f.byte(0);
+                        f.bytes(bytes);
+                    }
+                    ParamRef::Ptr {
+                        alloc_seq,
+                        offset,
+                        raw,
+                    } => {
+                        f.byte(1);
+                        f.u64(alloc_seq);
+                        f.u64(offset);
+                        f.u64(raw);
+                    }
+                }
+            }
+            f.u64(n.work.flops.to_bits());
+            f.u64(n.work.bytes.to_bits());
+            f.u64(u64::from(n.stream));
+        }
+        let edges = g.edges();
+        f.u64(edges.len() as u64);
+        for (a, b) in edges {
+            f.u64(u64::from(a));
+            f.u64(u64::from(b));
+        }
+    }
+    let st = s.stats();
+    for v in [
+        st.nodes,
+        st.pointer_params,
+        st.const_params,
+        st.multi_match_pointers,
+        st.dlsym_restorable_nodes,
+        st.hidden_kernel_nodes,
+        st.param_buffers,
+        st.temp_buffers,
+        st.permanent_buffers,
+    ] {
+        f.u64(v);
+    }
+    f.0
+}
+
+impl ShardRead for MaterializedState {
+    type Graph<'g> = &'g GraphSpec;
+
+    fn model(&self) -> &str {
+        &self.model
+    }
+
+    fn gpu(&self) -> &str {
+        &self.gpu
+    }
+
+    fn rank(&self) -> u32 {
+        self.rank
+    }
+
+    fn tp(&self) -> u32 {
+        self.tp
+    }
+
+    fn kv_free_bytes(&self) -> u64 {
+        self.kv_free_bytes
+    }
+
+    fn replay_prefix_allocs(&self) -> u64 {
+        self.replay_prefix_allocs
+    }
+
+    fn checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    fn stats(&self) -> &AnalysisStats {
+        &self.stats
+    }
+
+    fn replay_ops(&self) -> impl ExactSizeIterator<Item = ReplayOp> + '_ {
+        self.replay_ops.iter().copied()
+    }
+
+    fn labels(&self) -> impl ExactSizeIterator<Item = (&str, u64)> + '_ {
+        let mut labels: Vec<(&str, u64)> =
+            self.labels.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+        labels.sort_unstable_by_key(|&(k, _)| k);
+        labels.into_iter()
+    }
+
+    fn permanent_contents(&self) -> impl ExactSizeIterator<Item = (u64, Digest)> + '_ {
+        self.permanent_contents.iter().copied()
+    }
+
+    fn ptr_tables(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (u64, impl ExactSizeIterator<Item = PtrTableEntry> + '_)> + '_
+    {
+        self.permanent_ptr_tables
+            .iter()
+            .map(|(seq, entries)| (*seq, entries.iter().copied()))
+    }
+
+    fn graphs(&self) -> impl ExactSizeIterator<Item = &GraphSpec> + '_ {
+        self.graphs.iter()
+    }
+
+    fn kernels(&self) -> Vec<KernelName<'_>> {
+        let mut seen = HashSet::new();
+        self.graphs
+            .iter()
+            .flat_map(|g| &g.nodes)
+            .filter(|n| seen.insert((n.library.as_str(), n.kernel.as_str())))
+            .map(|n| KernelName {
+                library: &n.library,
+                kernel: &n.kernel,
+                exported: n.exported,
+            })
+            .collect()
+    }
+}
+
 impl MaterializedState {
     /// Total node count across graphs.
     pub fn total_nodes(&self) -> u64 {
         self.graphs.iter().map(|g| g.nodes.len() as u64).sum()
     }
 
-    /// Recomputes the content checksum over the artifact's fields.
-    ///
-    /// The fold order is fixed (struct field order, `labels` sorted by key)
-    /// so same-content artifacts always agree regardless of how they were
-    /// produced or transported.
+    /// Recomputes the content checksum over the artifact's fields (see
+    /// [`ShardRead::content_checksum`]).
     pub fn content_checksum(&self) -> u64 {
-        let mut f = ContentFold::new();
-        f.str(&self.model);
-        f.str(&self.gpu);
-        f.u64(u64::from(self.rank));
-        f.u64(u64::from(self.tp));
-        f.u64(self.kv_free_bytes);
-        f.u64(self.replay_prefix_allocs);
-        f.u64(self.replay_ops.len() as u64);
-        for op in &self.replay_ops {
-            match op {
-                ReplayOp::Malloc { size } => {
-                    f.byte(0);
-                    f.u64(*size);
-                }
-                ReplayOp::Free { alloc_seq } => {
-                    f.byte(1);
-                    f.u64(*alloc_seq);
-                }
-            }
-        }
-        let mut labels: Vec<_> = self.labels.iter().collect();
-        labels.sort_by(|a, b| a.0.cmp(b.0));
-        f.u64(labels.len() as u64);
-        for (k, v) in labels {
-            f.str(k);
-            f.u64(*v);
-        }
-        f.u64(self.permanent_contents.len() as u64);
-        for (seq, digest) in &self.permanent_contents {
-            f.u64(*seq);
-            f.bytes(digest);
-        }
-        f.u64(self.permanent_ptr_tables.len() as u64);
-        for (seq, entries) in &self.permanent_ptr_tables {
-            f.u64(*seq);
-            f.u64(entries.len() as u64);
-            for e in entries {
-                f.u64(e.alloc_seq);
-                f.u64(e.offset);
-            }
-        }
-        f.u64(self.graphs.len() as u64);
-        for g in &self.graphs {
-            f.u64(u64::from(g.batch));
-            f.u64(g.nodes.len() as u64);
-            for n in &g.nodes {
-                f.str(&n.kernel);
-                f.str(&n.library);
-                f.byte(u8::from(n.exported));
-                f.u64(n.params.len() as u64);
-                for p in &n.params {
-                    match p {
-                        ParamSpec::Const { bytes } => {
-                            f.byte(0);
-                            f.bytes(bytes);
-                        }
-                        ParamSpec::IndirectPtr {
-                            alloc_seq,
-                            offset,
-                            raw,
-                        } => {
-                            f.byte(1);
-                            f.u64(*alloc_seq);
-                            f.u64(*offset);
-                            f.u64(*raw);
-                        }
-                    }
-                }
-                f.u64(n.work.flops.to_bits());
-                f.u64(n.work.bytes.to_bits());
-                f.u64(u64::from(n.stream));
-            }
-            f.u64(g.edges.len() as u64);
-            for (a, b) in &g.edges {
-                f.u64(u64::from(*a));
-                f.u64(u64::from(*b));
-            }
-        }
-        for v in [
-            self.stats.nodes,
-            self.stats.pointer_params,
-            self.stats.const_params,
-            self.stats.multi_match_pointers,
-            self.stats.dlsym_restorable_nodes,
-            self.stats.hidden_kernel_nodes,
-            self.stats.param_buffers,
-            self.stats.temp_buffers,
-            self.stats.permanent_buffers,
-        ] {
-            f.u64(v);
-        }
-        f.0
+        ShardRead::content_checksum(self)
     }
 
     /// Seals the artifact: stamps the content checksum over the current
@@ -329,14 +707,7 @@ impl MaterializedState {
     /// Returns [`MedusaError::ChecksumMismatch`] when the payload no longer
     /// matches what was sealed.
     pub fn verify_checksum(&self) -> MedusaResult<()> {
-        let actual = self.content_checksum();
-        if self.checksum != actual {
-            return Err(MedusaError::ChecksumMismatch {
-                expected: self.checksum,
-                actual,
-            });
-        }
-        Ok(())
+        ShardRead::verify_checksum(self)
     }
 
     /// Checks the artifact matches the restoring `<GPU, model>` pair and
@@ -346,13 +717,7 @@ impl MaterializedState {
     ///
     /// Returns [`MedusaError::ArtifactMismatch`] when it does not.
     pub fn check_target(&self, model: &str, gpu: &str, rank: u32, tp: u32) -> MedusaResult<()> {
-        if self.model != model || self.gpu != gpu || self.rank != rank || self.tp != tp {
-            return Err(MedusaError::ArtifactMismatch {
-                artifact: format!("{}/{} r{}/{}", self.model, self.gpu, self.rank, self.tp),
-                target: format!("{model}/{gpu} r{rank}/{tp}"),
-            });
-        }
-        Ok(())
+        ShardRead::check_target(self, model, gpu, rank, tp)
     }
 
     /// Looks up a semantic label.
@@ -419,7 +784,7 @@ impl MaterializedState {
     /// mismatch, or when the file holds more than one shard, and
     /// [`MedusaError::ChecksumMismatch`] on digest disagreement.
     pub fn from_maf2(bytes: &[u8]) -> MedusaResult<Self> {
-        let reader = maf2::Maf2Reader::open(bytes)?;
+        let mut reader = maf2::Maf2Reader::open(bytes)?;
         if reader.version() != ARTIFACT_VERSION {
             return Err(MedusaError::ArtifactCorrupt {
                 detail: format!("version {} != {}", reader.version(), ARTIFACT_VERSION),
@@ -427,7 +792,7 @@ impl MaterializedState {
         }
         let ranks = reader.shard_ranks();
         match ranks.as_slice() {
-            [rank] => Ok(reader.shard(*rank)?.clone()),
+            [rank] => reader.take_shard(*rank),
             _ => Err(MedusaError::ArtifactCorrupt {
                 detail: format!(
                     "expected a single-shard artifact, file holds {} shards",

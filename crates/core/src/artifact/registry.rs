@@ -728,7 +728,8 @@ impl ChunkStore {
             let family = std::str::from_utf8(take(&mut off, family_len)?)
                 .map_err(|_| corrupt("template family name is not valid UTF-8"))?
                 .to_string();
-            let mut chunks = Vec::with_capacity(tchunks);
+            // 12 bytes per chunk reference: never size from the count alone.
+            let mut chunks = Vec::with_capacity(tchunks.min((body.len() - off) / 12));
             for _ in 0..tchunks {
                 let digest = le64(take(&mut off, 8)?);
                 let len = le32(take(&mut off, 4)?);
@@ -914,6 +915,27 @@ mod tests {
             ChunkStore::decode(&enc[..10]).unwrap_err().kind(),
             "artifact_corrupt"
         );
+    }
+
+    #[test]
+    fn a_template_chunk_count_past_the_payload_is_a_typed_error() {
+        let mut store = ChunkStore::new();
+        store.pack(&tiny_sealed().to_maf2().unwrap()).unwrap();
+        store.factor_family("fam").unwrap();
+        let enc = store.encode();
+        // Header (24 bytes), the manifest (length-prefixed), then the
+        // template's family length and chunk count.
+        let manifest_len = u32::from_le_bytes(enc[24..28].try_into().unwrap()) as usize;
+        let at = 24 + 4 + manifest_len + 4;
+        for count in [u32::MAX, u32::MAX / 12] {
+            let mut bad = enc.clone();
+            bad[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            let body = bad.len() - 8;
+            let seal = maf2::fnv1a(&[&bad[..body]]);
+            bad[body..].copy_from_slice(&seal.to_le_bytes());
+            let err = ChunkStore::decode(&bad).unwrap_err();
+            assert_eq!(err.kind(), "artifact_corrupt", "count {count}: {err}");
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! of [`ColdStart::materialize`] with `seed ^ (0x7a_0000 + r)`.
 
 use crate::artifact::maf2::Maf2Reader;
-use crate::artifact::MaterializedState;
+use crate::artifact::{MaterializedState, ShardRead};
 use crate::engine::par_map;
 use crate::error::{MedusaError, MedusaResult};
 use crate::faults::FaultPlan;
@@ -48,7 +48,7 @@ use crate::pipeline::{
 use crate::tp::TpArtifacts;
 use crate::validator::ArtifactValidator;
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
-use medusa_model::ModelSpec;
+use medusa_model::{ModelSpec, Tokenizer};
 use medusa_telemetry::Registry;
 use std::borrow::Cow;
 
@@ -175,9 +175,18 @@ impl ColdStartOutcome {
 enum ArtifactSource<'a> {
     /// Per-rank artifacts, rank order.
     Ranks(Vec<&'a MaterializedState>),
-    /// MAF2-encoded bundle bytes, validated header-first, then decoded
-    /// shard by shard.
+    /// MAF2-encoded bundle bytes: each rank verifies and restores its own
+    /// shard in place.
     Bytes(&'a [u8]),
+}
+
+/// Why an attempt produced no outcome.
+enum Failure {
+    /// An artifact was rejected before any rank restored: it could not be
+    /// opened or read, or a shard failed validation.
+    Rejected(MedusaError),
+    /// The cold start itself failed.
+    Runtime(MedusaError),
 }
 
 /// Builder for cold starts: strategy, target, options, artifacts,
@@ -305,8 +314,9 @@ impl<'a> ColdStart<'a> {
 
     /// Supplies a MAF2-encoded artifact bundle (see
     /// [`TpArtifacts::to_maf2`]) — the path a registry fetch feeds. The
-    /// bundle is validated header-first against the shared section index,
-    /// then every shard is materialized for its rank. Binary fault classes
+    /// bundle is opened once; each rank then verifies its own shard on its
+    /// worker, in one pass that yields a borrowed view of the shard's
+    /// records, and restores from that view in place. Binary fault classes
     /// ([`FaultPlan::apply_to_maf2`]) tamper the byte stream before open.
     pub fn artifact_bytes(mut self, bytes: &'a [u8]) -> Self {
         self.artifact = Some(ArtifactSource::Bytes(bytes));
@@ -342,7 +352,7 @@ impl<'a> ColdStart<'a> {
     pub fn materialize(&self, seed: u64) -> MedusaResult<(TpArtifacts, OfflineReport)> {
         let tp = self.degree();
         let parallelism = self.opts.parallelism;
-        let results = for_each_rank(tp, parallelism, |rank| {
+        let results = for_each_rank((0..tp).collect(), parallelism, |rank| {
             materialize_offline_shard_impl(
                 self.spec,
                 rank,
@@ -374,10 +384,12 @@ impl<'a> ColdStart<'a> {
     /// Runs the cold start.
     ///
     /// The ladder: artifact-level faults tamper a copy of the artifact;
-    /// the validator rejects untrustworthy artifacts; a rejected artifact
-    /// or a runtime failure on the Medusa path downgrades to a clean
+    /// each rank's worker verifies its own shard, and no rank restores
+    /// unless every shard verified; a rejected artifact or a runtime
+    /// failure on the Medusa path downgrades to a clean
     /// [`Strategy::Vanilla`] attempt, recorded on the outcome and in
-    /// telemetry. Errors with nothing to degrade to (vanilla failures,
+    /// telemetry. A rejection names the first failing rank in rank order.
+    /// Errors with nothing to degrade to (vanilla failures,
     /// [`MedusaError::ArtifactRequired`]) surface as typed errors.
     ///
     /// # Errors
@@ -393,30 +405,28 @@ impl<'a> ColdStart<'a> {
         if let Some(plan) = self.faults {
             opts.fault = Some(plan);
         }
-        let ranks = match self.checked_ranks() {
-            Ok(ranks) => ranks,
+        let result = match &self.artifact {
+            None => self.attempt_without_artifact(requested, opts),
+            Some(ArtifactSource::Bytes(raw)) => self.attempt_from_bytes(raw, opts),
+            Some(ArtifactSource::Ranks(arts)) => self.attempt_from_artifacts(arts, opts),
+        };
+        match result {
+            Ok(outcome) => Ok(self.stamp(outcome, requested, requested, None)),
             // Pre-restore rejection (§7): record the reason and degrade.
-            Err(err) if requested == Strategy::Medusa => {
+            Err(Failure::Rejected(err)) if requested == Strategy::Medusa => {
                 if let Some(t) = self.tele {
                     t.inc_labeled("artifact_validation_failed", err.kind(), 1);
                 }
-                return self.finish_fallback(requested, &err, opts);
+                self.finish_fallback(requested, &err, opts)
             }
-            Err(err) => return Err(err),
-        };
-        let refs: Option<Vec<&MaterializedState>> = ranks
-            .as_ref()
-            .map(|r| r.iter().map(|a| a.as_ref()).collect());
-        match self.attempt(requested, refs.as_deref(), opts) {
-            Ok(outcome) => Ok(self.stamp(outcome, requested, requested, None)),
-            Err(err)
+            Err(Failure::Runtime(err))
                 if requested == Strategy::Medusa
                     && self.artifact.is_some()
                     && !matches!(err, MedusaError::ArtifactRequired) =>
             {
                 self.finish_fallback(requested, &err, opts)
             }
-            Err(err) => Err(err),
+            Err(Failure::Rejected(err) | Failure::Runtime(err)) => Err(err),
         }
     }
 
@@ -428,58 +438,103 @@ impl<'a> ColdStart<'a> {
         tp
     }
 
-    /// The artifact ranks this start restores, validated before the restore
-    /// when the strategy is Medusa. Artifact-level faults tamper copies
-    /// (healthy in-memory artifacts are borrowed); a binary bundle is
-    /// tampered as bytes, then opened, validated header-first against the
-    /// shared section index (one open, per-rank ShardMeta reads) and
-    /// materialized shard by shard.
-    fn checked_ranks(&self) -> MedusaResult<Option<Vec<Cow<'a, MaterializedState>>>> {
-        let plan = self.faults.filter(|p| !p.is_empty());
-        let medusa_checks = self.validate_artifact && self.strategy == Strategy::Medusa;
-        let ranks: Vec<Cow<'a, MaterializedState>> = match &self.artifact {
-            None => return Ok(None),
-            Some(ArtifactSource::Bytes(raw)) => {
-                let tampered = plan.map(|p| p.apply_to_maf2(raw));
-                let mut reader = Maf2Reader::open(tampered.as_deref().unwrap_or(raw))?;
-                if medusa_checks {
-                    if let Some(t) = self.tele {
-                        t.inc("artifact_validation_total", reader.shard_count() as u64);
-                    }
-                    let base = ArtifactValidator::for_target(self.spec, &self.gpu);
-                    for (_rank, report) in base.validate_bundle(&reader) {
-                        report.ok()?;
-                    }
-                }
-                let shards: MedusaResult<Vec<_>> = reader
-                    .shard_ranks()
-                    .into_iter()
-                    .map(|rank| reader.take_shard(rank).map(Cow::Owned))
-                    .collect();
-                return shards.map(Some);
-            }
-            Some(ArtifactSource::Ranks(arts)) => match plan {
-                Some(p) => arts
-                    .iter()
-                    .map(|a| Cow::Owned(p.apply_to_artifact(a)))
-                    .collect(),
-                None => arts.iter().map(|&a| Cow::Borrowed(a)).collect(),
-            },
-        };
-        if medusa_checks {
-            if let Some(t) = self.tele {
-                t.inc("artifact_validation_total", ranks.len() as u64);
-            }
-            let tp = self.degree();
-            let base = ArtifactValidator::for_target(self.spec, &self.gpu);
-            for (rank, artifact) in ranks.iter().enumerate() {
-                base.clone()
-                    .shard(rank as u32, tp)
-                    .validate(artifact)
-                    .ok()?;
-            }
+    /// Whether the artifact is validated before the restore.
+    fn checks_artifact(&self) -> bool {
+        self.validate_artifact && self.strategy == Strategy::Medusa
+    }
+
+    /// Counts the shards about to be validated.
+    fn count_validations(&self, shards: usize) {
+        if let Some(t) = self.tele.filter(|_| self.checks_artifact()) {
+            t.inc("artifact_validation_total", shards as u64);
         }
-        Ok(Some(ranks))
+    }
+
+    /// An attempt from a MAF2 bundle: artifact-level faults tamper the
+    /// bytes, the bundle is opened once (O(header + index)), and each rank
+    /// validates its own shard with [`ArtifactValidator::validate_maf2`]
+    /// against its declared rank and the bundle's tp — or, with validation
+    /// off, only reads it — and restores from the shard's
+    /// [`Maf2Reader::view`].
+    fn attempt_from_bytes(
+        &self,
+        raw: &[u8],
+        opts: ColdStartOptions,
+    ) -> Result<ColdStartOutcome, Failure> {
+        let tampered = self
+            .faults
+            .filter(|p| !p.is_empty())
+            .map(|p| p.apply_to_maf2(raw));
+        let reader =
+            Maf2Reader::open(tampered.as_deref().unwrap_or(raw)).map_err(Failure::Rejected)?;
+        let ranks = reader.shard_ranks();
+        self.count_validations(ranks.len());
+        let validator = self
+            .checks_artifact()
+            .then(|| ArtifactValidator::for_target(self.spec, &self.gpu));
+        self.attempt(
+            self.strategy,
+            Some(&ranks),
+            |&rank| {
+                if let Some(v) = &validator {
+                    v.clone()
+                        .shard(rank, reader.tp())
+                        .validate_maf2(&reader)
+                        .ok()?;
+                }
+                reader.view(rank)
+            },
+            opts,
+        )
+    }
+
+    /// An attempt from in-memory artifacts: artifact-level faults tamper
+    /// copies (healthy artifacts are borrowed), and each rank validates its
+    /// own artifact against `(rank, tp)` before any rank restores.
+    fn attempt_from_artifacts(
+        &self,
+        arts: &[&'a MaterializedState],
+        opts: ColdStartOptions,
+    ) -> Result<ColdStartOutcome, Failure> {
+        let ranks: Vec<Cow<'a, MaterializedState>> = match self.faults.filter(|p| !p.is_empty()) {
+            Some(p) => arts
+                .iter()
+                .map(|a| Cow::Owned(p.apply_to_artifact(a)))
+                .collect(),
+            None => arts.iter().map(|&a| Cow::Borrowed(a)).collect(),
+        };
+        self.count_validations(ranks.len());
+        let validator = self
+            .checks_artifact()
+            .then(|| ArtifactValidator::for_target(self.spec, &self.gpu));
+        let tp = self.degree();
+        let indexed: Vec<(u32, &MaterializedState)> =
+            (0..).zip(ranks.iter().map(|a| a.as_ref())).collect();
+        self.attempt(
+            self.strategy,
+            Some(&indexed),
+            |&(rank, artifact)| {
+                if let Some(v) = &validator {
+                    v.clone().shard(rank, tp).validate(artifact).ok()?;
+                }
+                Ok(artifact)
+            },
+            opts,
+        )
+    }
+
+    /// An attempt with no artifact.
+    fn attempt_without_artifact(
+        &self,
+        strategy: Strategy,
+        opts: ColdStartOptions,
+    ) -> Result<ColdStartOutcome, Failure> {
+        self.attempt::<(), MaterializedState>(
+            strategy,
+            None,
+            |_| Err(MedusaError::ArtifactRequired),
+            opts,
+        )
     }
 
     /// Runs the clean vanilla attempt after a degradation and stamps the
@@ -501,7 +556,10 @@ impl<'a> ColdStart<'a> {
         }
         // Injected faults fire at most once: the fallback attempt is clean.
         opts.fault = None;
-        let outcome = self.attempt(Strategy::Vanilla, None, opts)?;
+        let outcome = match self.attempt_without_artifact(Strategy::Vanilla, opts) {
+            Ok(outcome) => outcome,
+            Err(Failure::Rejected(err) | Failure::Runtime(err)) => return Err(err),
+        };
         Ok(self.stamp(outcome, requested, Strategy::Vanilla, Some(fb)))
     }
 
@@ -520,81 +578,120 @@ impl<'a> ColdStart<'a> {
 
     /// One attempt with the given strategy: cold-starts ranks `0..tp`, rank
     /// `r` with process seed `seed ^ (0x9a_0000 + r)`, then accounts the
-    /// cross-rank barrier (`tp_sync_us`). With telemetry, every rank shares
-    /// the registry: per-rank stage spans land under `rank{r}/`-prefixed
-    /// names when `tp > 1`; the registry is internally synchronized and
-    /// every write is commutative or rank-keyed, so concurrent rank threads
-    /// still produce a deterministic snapshot.
-    fn attempt(
+    /// cross-rank barrier (`tp_sync_us`).
+    ///
+    /// In the verify phase every input shard runs through `verify` on its
+    /// rank's worker; only when every shard verified does the restore
+    /// phase run, on per-rank workers, from the verified shards. Where the
+    /// stage graph has a host lane, each rank's tokenizer loads on its own
+    /// host thread from the start of the restore phase, so it overlaps the
+    /// rank's whole restore. (Started before the verify phase, or on a
+    /// thread for the synchronous strategies too, it raised the process's
+    /// peak RSS with no more live memory: the allocator's per-thread
+    /// arenas kept more freed tokenizer tables resident.) With telemetry, every rank shares the registry: per-rank
+    /// stage spans land under `rank{r}/`-prefixed names when `tp > 1`; the
+    /// registry is internally synchronized and every write is commutative
+    /// or rank-keyed, so concurrent rank threads still produce a
+    /// deterministic snapshot.
+    fn attempt<'v, T: Sync, S: ShardRead + Sync + ?Sized + 'v>(
         &self,
         strategy: Strategy,
-        ranks: Option<&[&MaterializedState]>,
+        inputs: Option<&'v [T]>,
+        verify: impl Fn(&'v T) -> MedusaResult<&'v S> + Sync,
         opts: ColdStartOptions,
-    ) -> MedusaResult<ColdStartOutcome> {
+    ) -> Result<ColdStartOutcome, Failure> {
         let tp = self.degree();
-        if let Some(ranks) = ranks {
-            if ranks.len() != tp as usize {
-                return Err(MedusaError::ArtifactMismatch {
-                    artifact: format!("tp={}", ranks.len()),
-                    target: format!("tp={tp}"),
-                });
-            }
-        }
-        let results = for_each_rank(tp, opts.parallelism, |rank| {
-            let rank_opts = ColdStartOptions {
-                seed: opts.seed ^ (0x9a_0000 + rank as u64),
-                ..opts
+        let (vocab, cost) = (self.spec.vocab(), &self.cost);
+        std::thread::scope(|scope| {
+            let shards = match inputs {
+                None => None,
+                Some(inputs) => Some(
+                    for_each_rank(inputs.iter().collect(), opts.parallelism, &verify)
+                        .into_iter()
+                        .collect::<MedusaResult<Vec<&S>>>()
+                        .map_err(Failure::Rejected)?,
+                ),
             };
-            cold_start_impl(
-                strategy,
-                self.spec,
-                self.gpu.clone(),
-                self.cost.clone(),
-                ranks.map(|r| r[rank as usize]),
-                (rank, tp),
-                rank_opts,
-                self.tele,
-            )
-        });
-        let (engines, reports) = results
-            .into_iter()
-            .collect::<MedusaResult<Vec<_>>>()?
-            .into_iter()
-            .unzip();
-        let sync = if tp > 1 {
-            SimDuration::from_nanos(self.cost.sync_ns * tp as u64)
-        } else {
-            SimDuration::ZERO
-        };
-        if let Some(t) = self.tele {
-            t.inc("tp_cold_starts_total", 1);
-            t.observe_us("tp_sync_us", sync.as_nanos() / 1_000);
-        }
-        Ok(ColdStartOutcome {
-            engines,
-            reports,
-            parallelism: opts.parallelism,
-            sync,
-            requested: strategy,
-            used: strategy,
-            fallback: None,
+            if let Some(shards) = &shards {
+                if shards.len() != tp as usize {
+                    return Err(Failure::Runtime(MedusaError::ArtifactMismatch {
+                        artifact: format!("tp={}", shards.len()),
+                        target: format!("tp={tp}"),
+                    }));
+                }
+            }
+            // Only the overlapped arms of VanillaAsync and Medusa have a
+            // host lane; the synchronous arms build the tokenizer in line,
+            // at their tokenizer stage.
+            let host_lane = matches!(strategy, Strategy::Medusa | Strategy::VanillaAsync)
+                && opts.parallelism != Parallelism::Serial;
+            let tokenizers = (0..tp)
+                .map(|_| host_lane.then(|| scope.spawn(move || Tokenizer::load(vocab, cost).0)));
+            let results = for_each_rank(
+                (0..tp).zip(tokenizers).collect(),
+                opts.parallelism,
+                |(rank, tokenizer)| {
+                    let rank_opts = ColdStartOptions {
+                        seed: opts.seed ^ (0x9a_0000 + rank as u64),
+                        ..opts
+                    };
+                    cold_start_impl(
+                        strategy,
+                        self.spec,
+                        self.gpu.clone(),
+                        self.cost.clone(),
+                        shards.as_ref().map(|s| s[rank as usize]),
+                        (rank, tp),
+                        rank_opts,
+                        self.tele,
+                        || match tokenizer {
+                            Some(thread) => thread.join().expect("tokenizer thread panicked"),
+                            None => Tokenizer::load(vocab, cost).0,
+                        },
+                    )
+                },
+            );
+            let (engines, reports) = results
+                .into_iter()
+                .collect::<MedusaResult<Vec<_>>>()
+                .map_err(Failure::Runtime)?
+                .into_iter()
+                .unzip();
+            let sync = if tp > 1 {
+                SimDuration::from_nanos(self.cost.sync_ns * tp as u64)
+            } else {
+                SimDuration::ZERO
+            };
+            if let Some(t) = self.tele {
+                t.inc("tp_cold_starts_total", 1);
+                t.observe_us("tp_sync_us", sync.as_nanos() / 1_000);
+            }
+            Ok(ColdStartOutcome {
+                engines,
+                reports,
+                parallelism: opts.parallelism,
+                sync,
+                requested: strategy,
+                used: strategy,
+                fallback: None,
+            })
         })
     }
 }
 
-/// Runs `f` for ranks `0..tp`: one after another under
+/// Runs `f` over one item per rank: one after another under
 /// [`Parallelism::Serial`], otherwise on worker threads. Each rank owns an
 /// independent process runtime, so simulated results never observe host
 /// scheduling.
-fn for_each_rank<R: Send>(
-    tp: u32,
+fn for_each_rank<T: Send, R: Send>(
+    items: Vec<T>,
     parallelism: Parallelism,
-    f: impl Fn(u32) -> R + Sync,
+    f: impl Fn(T) -> R + Sync,
 ) -> Vec<R> {
     if parallelism == Parallelism::Serial {
-        (0..tp).map(f).collect()
+        items.into_iter().map(f).collect()
     } else {
-        par_map((0..tp).collect(), f)
+        par_map(items, f)
     }
 }
 
@@ -602,6 +699,7 @@ fn for_each_rank<R: Send>(
 mod tests {
     use super::*;
     use crate::faults::FaultKind;
+    use crate::pipeline::test_tokenizer;
 
     fn spec() -> ModelSpec {
         ModelSpec::by_name("Qwen1.5-0.5B").unwrap()
@@ -625,13 +723,14 @@ mod tests {
             &s,
             GpuSpec::a100_40gb(),
             CostModel::default(),
-            None,
+            None::<&MaterializedState>,
             (0, 1),
             ColdStartOptions {
                 seed: 7 ^ 0x9a_0000,
                 ..opts
             },
             None,
+            test_tokenizer(&s),
         )
         .unwrap();
         let outcome = ColdStart::new(&s).options(opts).run().unwrap();

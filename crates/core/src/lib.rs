@@ -70,8 +70,8 @@ mod trace;
 mod validator;
 
 pub use artifact::maf2::{
-    encode_bundle as encode_maf2_bundle, is_maf2, Maf2Reader, SectionExtent, SectionKind,
-    ShardMeta, MAF2_MAGIC,
+    encode_bundle as encode_maf2_bundle, is_maf2, GraphView, Maf2Reader, SectionExtent,
+    SectionKind, ShardMeta, ShardView, MAF2_MAGIC,
 };
 pub use artifact::registry::{
     chunk_spans, ChunkManifest, ChunkRef, ChunkStore, DedupStats, SectionSpan, TemplateManifest,
@@ -79,8 +79,8 @@ pub use artifact::registry::{
 };
 pub use artifact::template::{ArtifactTemplate, ModelDelta};
 pub use artifact::{
-    AnalysisStats, GraphSpec, MaterializedState, NodeSpec, ParamSpec, PtrTableEntry, ReplayOp,
-    ARTIFACT_VERSION,
+    AnalysisStats, GraphRead, GraphSpec, KernelName, MaterializedState, NodeRef, NodeSpec,
+    ParamRef, ParamSpec, PtrTableEntry, ReplayOp, ShardRead, ARTIFACT_VERSION,
 };
 pub use builder::{ColdStart, ColdStartOutcome, Fallback};
 pub use engine::{host_pair, par_map, Lane, NodeId, Schedule, StageGraph};
@@ -90,7 +90,7 @@ pub use offline::analysis::{analyze, count_naive_mismatches, AnalysisOutput};
 pub use offline::capture::{
     run_offline_capture, run_offline_capture_sharded, CaptureOutput, GraphWindow, KernelInfo,
 };
-pub use online::kernels::{KernelResolver, ResolutionStats};
+pub use online::kernels::{KernelAddrs, KernelResolver, ResolutionStats};
 pub use online::replay::{replay_allocations, restore_graph, ReplayedLayout};
 pub use online::validate::{
     reset_kv_state, validate_and_correct, validate_graph, ValidatedGraph, VALIDATION_STEP,

@@ -3,10 +3,10 @@
 //! first-layer forwarding as the triggering-kernels that force the driver
 //! to load the needed modules (§5.2).
 
-use crate::artifact::MaterializedState;
+use crate::artifact::{NodeRef, ShardRead};
 use crate::error::{MedusaError, MedusaResult};
 use medusa_gpu::{GpuError, ProcessRuntime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// How each kernel's address was restored, for reporting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -17,30 +17,47 @@ pub struct ResolutionStats {
     pub via_enumeration: usize,
 }
 
+/// Resolved kernel addresses: by `(library, kernel)` name, and by position
+/// in the kernel table of the shard last resolved, so that a restore of a
+/// shard that numbers its nodes' kernels ([`NodeRef::kernel_index`]) looks
+/// each node's kernel up without hashing its names.
+#[derive(Debug, Default)]
+pub struct KernelAddrs {
+    /// Library → kernel → address.
+    by_name: HashMap<String, HashMap<String, u64>>,
+    /// Sealed checksum of the shard whose kernel table `by_index` follows.
+    table: Option<u64>,
+    /// Per kernel of that table: its address, once resolved.
+    by_index: Vec<Option<u64>>,
+}
+
+impl KernelAddrs {
+    /// The address of `kernel` in `library`, if resolved.
+    pub fn get(&self, library: &str, kernel: &str) -> Option<u64> {
+        self.by_name.get(library)?.get(kernel).copied()
+    }
+
+    /// The address of a node's kernel, where `table` is the sealed checksum
+    /// of the shard that numbers the node's kernel index (if any): by index
+    /// when that is the table this map follows, by name otherwise.
+    pub(crate) fn of(&self, node: &NodeRef<'_>, table: Option<u64>) -> Option<u64> {
+        match node.kernel_index {
+            Some(i) if table.is_some() && table == self.table => {
+                self.by_index.get(i as usize).copied().flatten()
+            }
+            _ => self.get(node.library, node.kernel),
+        }
+    }
+}
+
 /// Incrementally resolves materialized kernel names to device addresses.
 #[derive(Debug, Default)]
 pub struct KernelResolver {
-    addrs: HashMap<(String, String), u64>,
+    addrs: KernelAddrs,
     stats: ResolutionStats,
-    /// The kernel set of the artifact being resolved, computed once.
-    needed: Option<NeededKernels>,
-}
-
-/// One artifact's unique kernels and which of them are resolved.
-#[derive(Debug)]
-struct NeededKernels {
-    /// Sealed checksum of the artifact the set was computed from.
-    checksum: u64,
-    /// `(library, kernel, exported)` in first-use order.
+    /// The kernel table of the shard `addrs.table` names: `(library,
+    /// kernel, exported)` in first-use order, computed once per shard.
     kernels: Vec<(String, String, bool)>,
-    /// Per kernel: present in `addrs`.
-    resolved: Vec<bool>,
-}
-
-impl NeededKernels {
-    fn first_gap(&self) -> Option<usize> {
-        self.resolved.iter().position(|r| !r)
-    }
 }
 
 impl KernelResolver {
@@ -49,8 +66,8 @@ impl KernelResolver {
         Self::default()
     }
 
-    /// The resolved `(library, kernel) → address` map.
-    pub fn addrs(&self) -> &HashMap<(String, String), u64> {
+    /// The resolved kernel addresses.
+    pub fn addrs(&self) -> &KernelAddrs {
         &self.addrs
     }
 
@@ -59,43 +76,65 @@ impl KernelResolver {
         &self.stats
     }
 
-    /// The unique `(library, kernel, exported)` triples an artifact needs,
-    /// in first-use order.
-    pub fn needed(artifact: &MaterializedState) -> Vec<(String, String, bool)> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for n in artifact.graphs.iter().flat_map(|g| &g.nodes) {
-            if seen.insert((n.library.as_str(), n.kernel.as_str())) {
-                out.push((n.library.clone(), n.kernel.clone(), n.exported));
+    /// The unique `(library, kernel, exported)` triples a shard needs, in
+    /// first-use order.
+    pub fn needed<S: ShardRead + ?Sized>(artifact: &S) -> Vec<(String, String, bool)> {
+        artifact
+            .kernels()
+            .into_iter()
+            .map(|k| (k.library.to_string(), k.kernel.to_string(), k.exported))
+            .collect()
+    }
+
+    /// Whether this resolver's kernel table is the one of `artifact`.
+    fn cached<S: ShardRead + ?Sized>(&self, artifact: &S) -> bool {
+        self.addrs.table == Some(artifact.checksum())
+    }
+
+    /// The first kernel of the cached table that is not resolved.
+    fn first_gap(&self) -> Option<usize> {
+        self.addrs.by_index.iter().position(Option::is_none)
+    }
+
+    /// Computes the kernel table of `artifact` on first use, and again only
+    /// when a different shard is passed; the by-index addresses follow it.
+    fn needed_for<S: ShardRead + ?Sized>(&mut self, artifact: &S) {
+        if !self.cached(artifact) {
+            self.kernels = Self::needed(artifact);
+            self.addrs.by_index = self
+                .kernels
+                .iter()
+                .map(|(l, k, _)| self.addrs.get(l, k))
+                .collect();
+            self.addrs.table = Some(artifact.checksum());
+        }
+    }
+
+    /// Runs `resolve` for every unresolved kernel of `artifact`'s table, in
+    /// table order, and records the addresses it finds; returns how many it
+    /// found.
+    fn resolve_gaps<S: ShardRead + ?Sized>(
+        &mut self,
+        artifact: &S,
+        mut resolve: impl FnMut(&str, &str) -> MedusaResult<Option<u64>>,
+    ) -> MedusaResult<usize> {
+        self.needed_for(artifact);
+        let mut found = 0;
+        for (i, (library, kernel, _)) in self.kernels.iter().enumerate() {
+            if self.addrs.by_index[i].is_some() {
+                continue;
+            }
+            if let Some(addr) = resolve(library, kernel)? {
+                self.addrs
+                    .by_name
+                    .entry(library.clone())
+                    .or_default()
+                    .insert(kernel.clone(), addr);
+                self.addrs.by_index[i] = Some(addr);
+                found += 1;
             }
         }
-        out
-    }
-
-    /// The kernel set of `artifact`, if it is the one this resolver has
-    /// computed it for.
-    fn cached(&self, artifact: &MaterializedState) -> Option<&NeededKernels> {
-        self.needed
-            .as_ref()
-            .filter(|n| n.checksum == artifact.checksum)
-    }
-
-    /// The kernel set of `artifact`, computed on first use and again only
-    /// when a different artifact is passed.
-    fn needed_for(&mut self, artifact: &MaterializedState) -> &mut NeededKernels {
-        if self.cached(artifact).is_none() {
-            let kernels = Self::needed(artifact);
-            let resolved = kernels
-                .iter()
-                .map(|(l, k, _)| self.addrs.contains_key(&(l.clone(), k.clone())))
-                .collect();
-            self.needed = Some(NeededKernels {
-                checksum: artifact.checksum,
-                kernels,
-                resolved,
-            });
-        }
-        self.needed.as_mut().expect("just computed")
+        Ok(found)
     }
 
     /// Resolves every *exported* kernel through the `dlsym` path: `dlopen`
@@ -108,29 +147,19 @@ impl KernelResolver {
     /// # Errors
     ///
     /// Returns driver errors other than [`GpuError::SymbolHidden`].
-    pub fn resolve_exported(
+    pub fn resolve_exported<S: ShardRead + ?Sized>(
         &mut self,
         rt: &mut ProcessRuntime,
-        artifact: &MaterializedState,
+        artifact: &S,
     ) -> MedusaResult<()> {
-        self.needed_for(artifact);
-        let needed = self.needed.as_mut().expect("computed above");
-        for (i, (library, kernel, _exported)) in needed.kernels.iter().enumerate() {
-            if needed.resolved[i] {
-                continue;
-            }
+        self.stats.via_dlsym += self.resolve_gaps(artifact, |library, kernel| {
             let handle = rt.dlopen(library)?;
             match rt.dlsym(handle, kernel) {
-                Ok(sym) => {
-                    let addr = rt.cuda_get_func_by_symbol(sym)?;
-                    self.addrs.insert((library.clone(), kernel.clone()), addr);
-                    needed.resolved[i] = true;
-                    self.stats.via_dlsym += 1;
-                }
-                Err(GpuError::SymbolHidden { .. }) => { /* needs triggering */ }
-                Err(e) => return Err(e.into()),
+                Ok(sym) => Ok(Some(rt.cuda_get_func_by_symbol(sym)?)),
+                Err(GpuError::SymbolHidden { .. }) => Ok(None), // needs triggering
+                Err(e) => Err(e.into()),
             }
-        }
+        })?;
         Ok(())
     }
 
@@ -142,51 +171,48 @@ impl KernelResolver {
     /// # Errors
     ///
     /// Returns driver errors from the enumeration APIs.
-    pub fn resolve_by_enumeration(
+    pub fn resolve_by_enumeration<S: ShardRead + ?Sized>(
         &mut self,
         rt: &mut ProcessRuntime,
-        artifact: &MaterializedState,
+        artifact: &S,
     ) -> MedusaResult<()> {
-        if self.needed_for(artifact).first_gap().is_none() {
+        self.needed_for(artifact);
+        if self.first_gap().is_none() {
             return Ok(());
         }
-        let mut by_name: HashMap<String, u64> = HashMap::new();
+        let mut functions = Vec::new();
         for module in rt.loaded_modules() {
-            for addr in rt.cu_module_enumerate_functions(module)? {
-                let name = rt.cu_func_get_name(addr)?.to_string();
-                by_name.insert(name, addr);
-            }
+            functions.extend(rt.cu_module_enumerate_functions(module)?);
         }
-        let needed = self.needed.as_mut().expect("computed above");
-        for (i, (library, kernel, _)) in needed.kernels.iter().enumerate() {
-            if needed.resolved[i] {
-                continue;
-            }
-            if let Some(&addr) = by_name.get(kernel) {
-                self.addrs.insert((library.clone(), kernel.clone()), addr);
-                needed.resolved[i] = true;
-                self.stats.via_enumeration += 1;
-            }
+        let mut by_name: HashMap<&str, u64> = HashMap::with_capacity(functions.len());
+        for addr in functions {
+            by_name.insert(rt.cu_func_get_name(addr)?, addr);
         }
+        self.stats.via_enumeration +=
+            self.resolve_gaps(artifact, |_, kernel| Ok(by_name.get(kernel).copied()))?;
         Ok(())
     }
 
-    /// Verifies every kernel the artifact references is resolved. Once
-    /// this resolver has resolved `artifact`, the check allocates nothing
-    /// unless it fails.
+    /// Verifies every kernel the shard references is resolved. Once this
+    /// resolver has resolved `artifact`, the check allocates nothing unless
+    /// it fails.
     ///
     /// # Errors
     ///
     /// Returns [`MedusaError::KernelUnresolved`] naming the first gap.
-    pub fn ensure_complete(&self, artifact: &MaterializedState) -> MedusaResult<()> {
-        let gap = match self.cached(artifact) {
-            Some(needed) => needed.first_gap().map(|i| needed.kernels[i].clone()),
-            None => Self::needed(artifact)
+    pub fn ensure_complete<S: ShardRead + ?Sized>(&self, artifact: &S) -> MedusaResult<()> {
+        let gap = if self.cached(artifact) {
+            self.first_gap()
+                .map(|i| (self.kernels[i].0.clone(), self.kernels[i].1.clone()))
+        } else {
+            artifact
+                .kernels()
                 .into_iter()
-                .find(|(l, k, _)| !self.addrs.contains_key(&(l.clone(), k.clone()))),
+                .find(|k| self.addrs.get(k.library, k.kernel).is_none())
+                .map(|k| (k.library.to_string(), k.kernel.to_string()))
         };
         match gap {
-            Some((library, kernel, _)) => Err(MedusaError::KernelUnresolved { library, kernel }),
+            Some((library, kernel)) => Err(MedusaError::KernelUnresolved { library, kernel }),
             None => Ok(()),
         }
     }
@@ -195,6 +221,7 @@ impl KernelResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::MaterializedState;
     use crate::offline::analysis::analyze;
     use crate::offline::capture::run_offline_capture;
     use medusa_gpu::{CostModel, GpuSpec};

@@ -8,8 +8,9 @@
 //! warm-up and capture forwardings would have performed — recording every
 //! returned address. Indirect index pointers resolve against this map.
 
-use crate::artifact::{GraphSpec, MaterializedState, ParamSpec, ReplayOp};
+use crate::artifact::{GraphRead, ParamRef, ReplayOp, ShardRead};
 use crate::error::{MedusaError, MedusaResult};
+use crate::online::kernels::KernelAddrs;
 use medusa_gpu::{AllocTag, DevicePtr, ParamBuffer, ProcessRuntime, SimDuration};
 use medusa_graph::CudaGraph;
 use medusa_model::{KvView, Workspace};
@@ -18,14 +19,18 @@ use std::collections::HashMap;
 /// The restored buffer layout of an online process.
 #[derive(Debug)]
 pub struct ReplayedLayout {
-    seq_to_ptr: HashMap<u64, DevicePtr>,
+    /// Per allocation of the sequence, in sequence order: its pointer
+    /// while live.
+    seq_to_ptr: Vec<Option<DevicePtr>>,
     labels: HashMap<String, DevicePtr>,
 }
 
 impl ReplayedLayout {
     /// The pointer created by allocation `seq`, if live.
     pub fn ptr(&self, seq: u64) -> Option<DevicePtr> {
-        self.seq_to_ptr.get(&seq).copied()
+        *usize::try_from(seq)
+            .ok()
+            .and_then(|i| self.seq_to_ptr.get(i))?
     }
 
     /// Resolves a semantic label to its restored pointer.
@@ -108,87 +113,74 @@ impl ReplayedLayout {
 ///   number of natural allocations than the artifact expects.
 /// * [`MedusaError::ReplayDanglingFree`] on a free of an unmapped index.
 /// * Driver errors (OOM) from the replayed allocations.
-pub fn replay_allocations(
+pub fn replay_allocations<S: ShardRead + ?Sized>(
     rt: &mut ProcessRuntime,
-    artifact: &MaterializedState,
+    artifact: &S,
 ) -> MedusaResult<(ReplayedLayout, SimDuration)> {
     let t0 = rt.now();
     rt.advance(SimDuration::from_nanos(rt.cost().artifact_open_ns));
 
+    let prefix = artifact.replay_prefix_allocs();
     let actual = rt.memory().next_seq();
-    if actual != artifact.replay_prefix_allocs {
+    if actual != prefix {
         return Err(MedusaError::ReplayMisaligned {
-            expected: artifact.replay_prefix_allocs,
+            expected: prefix,
             actual,
         });
     }
-    // Natural prefix: the live allocations structure init performed.
-    let mut seq_to_ptr: HashMap<u64, DevicePtr> =
-        rt.memory().iter().map(|a| (a.seq(), a.base())).collect();
+    // Natural prefix: the live allocations structure init performed (the
+    // process numbered exactly `prefix` of them).
+    let mut seq_to_ptr: Vec<Option<DevicePtr>> = vec![None; actual as usize];
+    for a in rt.memory().iter() {
+        seq_to_ptr[a.seq() as usize] = Some(a.base());
+    }
 
     // Replay the remainder of the recorded sequence.
-    let mut next_seq = artifact.replay_prefix_allocs;
-    for op in &artifact.replay_ops {
+    for op in artifact.replay_ops() {
         match op {
             ReplayOp::Malloc { size } => {
-                let ptr = rt.cuda_malloc(*size, AllocTag::Other)?;
-                seq_to_ptr.insert(next_seq, ptr);
-                next_seq += 1;
+                seq_to_ptr.push(Some(rt.cuda_malloc(size, AllocTag::Other)?));
             }
             ReplayOp::Free { alloc_seq } => {
-                let ptr = seq_to_ptr
-                    .remove(alloc_seq)
-                    .ok_or(MedusaError::ReplayDanglingFree {
-                        alloc_seq: *alloc_seq,
-                    })?;
+                let ptr = usize::try_from(alloc_seq)
+                    .ok()
+                    .and_then(|i| seq_to_ptr.get_mut(i)?.take())
+                    .ok_or(MedusaError::ReplayDanglingFree { alloc_seq })?;
                 rt.cuda_free(ptr)?;
             }
         }
     }
+    let layout = ReplayedLayout {
+        seq_to_ptr,
+        labels: HashMap::new(),
+    };
+    let live = |alloc_seq: u64| {
+        layout
+            .ptr(alloc_seq)
+            .ok_or(MedusaError::ReplayDanglingFree { alloc_seq })
+    };
 
     // Copy-free contents restoration: permanent buffers only (§4.3).
-    for (seq, digest) in &artifact.permanent_contents {
-        let ptr = seq_to_ptr
-            .get(seq)
-            .copied()
-            .ok_or(MedusaError::ReplayDanglingFree { alloc_seq: *seq })?;
-        rt.memory_mut().write_digest(ptr.addr(), *digest)?;
+    for (seq, digest) in artifact.permanent_contents() {
+        rt.memory_mut().write_digest(live(seq)?.addr(), digest)?;
     }
 
     // Indirect pointers (§8): rebuild materialized pointer tables with the
     // restored addresses.
-    for (seq, entries) in &artifact.permanent_ptr_tables {
-        let table_ptr = seq_to_ptr
-            .get(seq)
-            .copied()
-            .ok_or(MedusaError::ReplayDanglingFree { alloc_seq: *seq })?;
+    for (seq, entries) in artifact.ptr_tables() {
+        let table_ptr = live(seq)?;
         let table = entries
-            .iter()
-            .map(|e| {
-                seq_to_ptr
-                    .get(&e.alloc_seq)
-                    .map(|p| p.offset(e.offset).addr())
-                    .ok_or(MedusaError::ReplayDanglingFree {
-                        alloc_seq: e.alloc_seq,
-                    })
-            })
+            .map(|e| Ok(live(e.alloc_seq)?.offset(e.offset).addr()))
             .collect::<MedusaResult<Vec<u64>>>()?;
         rt.memory_mut().write_ptr_table(table_ptr.addr(), table)?;
     }
 
     let labels = artifact
-        .labels
-        .iter()
-        .map(|(name, seq)| {
-            let ptr = seq_to_ptr
-                .get(seq)
-                .copied()
-                .ok_or(MedusaError::ReplayDanglingFree { alloc_seq: *seq })?;
-            Ok((name.clone(), ptr))
-        })
+        .labels()
+        .map(|(name, seq)| Ok((name.to_string(), live(seq)?)))
         .collect::<MedusaResult<HashMap<_, _>>>()?;
 
-    Ok((ReplayedLayout { seq_to_ptr, labels }, rt.now().since(t0)))
+    Ok((ReplayedLayout { labels, ..layout }, rt.now().since(t0)))
 }
 
 /// Rebuilds one CUDA graph from its materialized spec: kernel addresses from
@@ -200,47 +192,54 @@ pub fn replay_allocations(
 /// * [`MedusaError::KernelUnresolved`] for kernels missing from the map.
 /// * [`MedusaError::UnmatchedPointer`] for indirect indices whose buffer is
 ///   not live in the layout.
-pub fn restore_graph(
-    gspec: &GraphSpec,
+/// * [`MedusaError::ArtifactCorrupt`] for a constant wider than 8 bytes.
+pub fn restore_graph<G: GraphRead + ?Sized>(
+    gspec: &G,
     layout: &ReplayedLayout,
-    kernel_addrs: &HashMap<(String, String), u64>,
+    kernel_addrs: &KernelAddrs,
 ) -> MedusaResult<CudaGraph> {
     let mut graph = CudaGraph::new();
     let mut parts = Vec::new();
-    for (ni, n) in gspec.nodes.iter().enumerate() {
+    let table = gspec.kernel_table();
+    for (ni, (n, params)) in gspec.nodes().enumerate() {
         let addr = kernel_addrs
-            .get(&(n.library.clone(), n.kernel.clone()))
-            .copied()
+            .of(&n, table)
             .ok_or_else(|| MedusaError::KernelUnresolved {
-                library: n.library.clone(),
-                kernel: n.kernel.clone(),
+                library: n.library.to_string(),
+                kernel: n.kernel.to_string(),
             })?;
         parts.clear();
-        for (pi, p) in n.params.iter().enumerate() {
+        for (pi, p) in params.enumerate() {
             parts.push(match p {
-                ParamSpec::Const { bytes } => {
+                ParamRef::Const(bytes) => {
                     let mut buf = [0u8; 8];
-                    buf[..bytes.len()].copy_from_slice(bytes);
+                    buf.get_mut(..bytes.len())
+                        .ok_or_else(|| MedusaError::ArtifactCorrupt {
+                            detail: format!(
+                                "graph batch {} node {ni} param {pi}: a {}-byte constant",
+                                gspec.batch(),
+                                bytes.len()
+                            ),
+                        })?
+                        .copy_from_slice(bytes);
                     (u64::from_le_bytes(buf), bytes.len() as u32)
                 }
-                ParamSpec::IndirectPtr {
+                ParamRef::Ptr {
                     alloc_seq, offset, ..
                 } => {
-                    let base = layout
-                        .ptr(*alloc_seq)
-                        .ok_or(MedusaError::UnmatchedPointer {
-                            batch: gspec.batch,
-                            node: ni,
-                            param: pi,
-                            addr: *alloc_seq,
-                        })?;
-                    (base.offset(*offset).addr(), 8)
+                    let base = layout.ptr(alloc_seq).ok_or(MedusaError::UnmatchedPointer {
+                        batch: gspec.batch(),
+                        node: ni,
+                        param: pi,
+                        addr: alloc_seq,
+                    })?;
+                    (base.offset(offset).addr(), 8)
                 }
             });
         }
         graph.add_kernel_node(addr, ParamBuffer::from_parts(&parts), n.work);
     }
-    for &(s, d) in &gspec.edges {
+    for (s, d) in gspec.edges() {
         graph
             .add_dependency(s as usize, d as usize)
             .map_err(MedusaError::Graph)?;
@@ -251,7 +250,7 @@ pub fn restore_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{AnalysisStats, ARTIFACT_VERSION};
+    use crate::artifact::{AnalysisStats, MaterializedState, ARTIFACT_VERSION};
     use medusa_gpu::{CostModel, GpuSpec, LibraryCatalog, LibrarySpec};
     use std::sync::Arc;
 

@@ -9,6 +9,7 @@
 
 use crate::artifact::{GraphSpec, ParamSpec};
 use crate::error::{MedusaError, MedusaResult};
+use crate::online::kernels::KernelAddrs;
 use crate::online::replay::{restore_graph, ReplayedLayout};
 use medusa_gpu::{GpuError, ProcessRuntime};
 use medusa_graph::GraphExec;
@@ -16,7 +17,6 @@ use medusa_model::{
     capture_ctx_len, decode_step_with_graph, input_digest, run_eager_forward_step, ForwardConfig,
     KvView, ModelInstance,
 };
-use std::collections::HashMap;
 
 /// The step counter used for validation inputs, distinct from serving steps.
 pub const VALIDATION_STEP: u64 = 0x5eed_0001;
@@ -90,7 +90,7 @@ pub fn validate_and_correct(
     inst: &mut ModelInstance,
     gspec: &mut GraphSpec,
     layout: &ReplayedLayout,
-    kernel_addrs: &HashMap<(String, String), u64>,
+    kernel_addrs: &KernelAddrs,
     kv: &KvView,
 ) -> MedusaResult<ValidatedGraph> {
     let graph = restore_graph(gspec, layout, kernel_addrs)?;

@@ -11,8 +11,8 @@
 //! * **`NoCudaGraph`** — the capturing stage removed entirely; serving pays
 //!   eager per-kernel launch overhead forever (§7.5's `w/o CUDA GRAPH`).
 
-use crate::artifact::MaterializedState;
-use crate::engine::{host_pair, Lane, StageGraph};
+use crate::artifact::{GraphRead, MaterializedState, ShardRead};
+use crate::engine::{Lane, StageGraph};
 use crate::error::{MedusaError, MedusaResult};
 use crate::faults::{AbortPoint, FaultPlan};
 use crate::offline::analysis::{analyze, AnalysisOutput};
@@ -412,23 +412,30 @@ pub(crate) fn materialize_offline_shard_impl(
 /// `/rank{r}`-suffixed, keeping per-rank timelines on separate rows of the
 /// Chrome trace.
 ///
+/// `tokenizer` hands over the rank's tokenizer, which the caller loads on a
+/// host thread from the start of this restore; it is called where the
+/// stage graph needs the tokenizer, and its simulated span is
+/// [`Tokenizer::load_duration`].
+///
 /// # Errors
 ///
 /// * [`MedusaError::ArtifactRequired`] for [`Strategy::Medusa`] without an
 ///   artifact.
 /// * Propagated driver / KV / restoration errors.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn cold_start_impl(
+pub(crate) fn cold_start_impl<S: ShardRead + ?Sized>(
     strategy: Strategy,
     spec: &ModelSpec,
     gpu: GpuSpec,
     cost: CostModel,
-    artifact: Option<&MaterializedState>,
+    artifact: Option<&S>,
     (rank, tp): (u32, u32),
     opts: ColdStartOptions,
     tele: Option<&Registry>,
+    tokenizer: impl FnOnce() -> Tokenizer,
 ) -> MedusaResult<(ReadyEngine, ColdStartReport)> {
     let mut rt = ProcessRuntime::new(build_catalog(spec), gpu, cost, opts.seed);
+    let tok_dur = Tokenizer::load_duration(spec.vocab(), rt.cost());
     let mut spans = Vec::new();
 
     if !opts.warm_container {
@@ -472,7 +479,7 @@ pub(crate) fn cold_start_impl(
             });
             // ❸ tokenizer.
             let t0 = rt.now();
-            let (tokenizer, tok_dur) = Tokenizer::load(spec.vocab(), rt.cost());
+            let tokenizer = tokenizer();
             rt.advance(tok_dur);
             spans.push(StageSpan {
                 stage: Stage::TokenizerLoad,
@@ -514,21 +521,14 @@ pub(crate) fn cold_start_impl(
             weights_fault_gate(&opts, weights_bytes)?;
             let w0 = rt.now();
             apply_weights(&mut rt, &inst)?;
-            // ❸ tokenizer on a real host thread while the device runs the
+            // ❸ tokenizer on its host thread while the device runs the
             // profiling forwarding — the lanes share no state.
-            let vocab = spec.vocab();
-            let tok_cost = rt.cost().clone();
-            let ((tokenizer, tok_dur), kv_out) = host_pair(
-                move || Tokenizer::load(vocab, &tok_cost),
-                || -> MedusaResult<_> {
-                    // ❹ KV cache initialization (profiling forwarding).
-                    let k0 = rt.now();
-                    let (kv, _free) = kv_cache_init_stage_traced(&mut rt, &mut inst, tele)?;
-                    inst.ensure_workspace(&mut rt)?;
-                    Ok((k0, rt.now(), kv))
-                },
-            );
-            let (k0, kv_end, kv) = kv_out?;
+            // ❹ KV cache initialization (profiling forwarding).
+            let k0 = rt.now();
+            let (kv, _free) = kv_cache_init_stage_traced(&mut rt, &mut inst, tele)?;
+            inst.ensure_workspace(&mut rt)?;
+            let kv_end = rt.now();
+            let tokenizer = tokenizer();
             // Interference (§7.3): the profiling forwarding blocks async
             // H2D copies, stretching the weight load.
             let plain = load_duration(weights_bytes, rt.cost(), 1.0);
@@ -589,7 +589,7 @@ pub(crate) fn cold_start_impl(
             });
             // ❸ tokenizer.
             let t0 = rt.now();
-            let (tokenizer, tok_dur) = Tokenizer::load(spec.vocab(), rt.cost());
+            let tokenizer = tokenizer();
             rt.advance(tok_dur);
             spans.push(StageSpan {
                 stage: Stage::TokenizerLoad,
@@ -632,20 +632,16 @@ pub(crate) fn cold_start_impl(
             let (w_dur, w_delay) =
                 weights_lane_timing(weights_bytes, rt.cost(), 1.0, opts.parallelism, (rank, tp));
 
-            // ❸ tokenizer on a real host thread, ❺ restoration (first-layer
+            // ❸ tokenizer on its host thread, ❺ restoration (first-layer
             // triggering-kernels + per-graph restore, §5.2/§7.3) on the
             // device lane — they share no state, so they overlap in
             // wall-clock too. Simulated spans come from the stage graph,
             // never from thread timing.
             let c0 = rt.now();
-            let vocab = spec.vocab();
-            let tok_cost = rt.cost().clone();
-            let ((tokenizer, tok_dur), graphs) = host_pair(
-                move || Tokenizer::load(vocab, &tok_cost),
-                || restore_all_graphs(&mut rt, &mut inst, artifact, &layout, &kv_view, &opts, tele),
-            );
-            let graphs = graphs?;
+            let graphs =
+                restore_all_graphs(&mut rt, &mut inst, artifact, &layout, &kv_view, &opts, tele)?;
             let cap_dur = rt.now() - c0;
+            let tokenizer = tokenizer();
 
             let mut g = StageGraph::new();
             let s_n = g.add(Stage::StructureInit, Lane::Device, structure_end - s0, &[]);
@@ -700,15 +696,23 @@ pub(crate) fn cold_start_impl(
     Ok((engine, report))
 }
 
+/// A tokenizer loaded on the calling thread, for tests that drive
+/// [`cold_start_impl`] directly.
+#[cfg(test)]
+pub(crate) fn test_tokenizer(spec: &ModelSpec) -> impl FnOnce() -> Tokenizer {
+    let vocab = spec.vocab();
+    move || Tokenizer::load(vocab, &CostModel::default()).0
+}
+
 /// Medusa's materialized KV cache initialization (❹): checks that the
 /// artifact targets this shard, replays its allocation sequence, binds the
 /// restored workspace and magic pairs, and rebuilds the KV cache from the
 /// replayed layout with the materialized free-memory figure.
-fn restore_kv(
+fn restore_kv<S: ShardRead + ?Sized>(
     rt: &mut ProcessRuntime,
     inst: &mut ModelInstance,
     spec: &ModelSpec,
-    artifact: &MaterializedState,
+    artifact: &S,
     (rank, tp): (u32, u32),
     tele: Option<&Registry>,
 ) -> MedusaResult<(ReplayedLayout, KvView, KvCache)> {
@@ -723,11 +727,11 @@ fn restore_kv(
         kv_view.kcache,
         kv_view.vcache,
         kv_view.block_table,
-        config.blocks_for(artifact.kv_free_bytes),
+        config.blocks_for(artifact.kv_free_bytes()),
     );
     if let Some(t) = tele {
         t.inc("kv_restore_total", 1);
-        t.gauge_max("kv_free_bytes", artifact.kv_free_bytes);
+        t.gauge_max("kv_free_bytes", artifact.kv_free_bytes());
     }
     Ok((layout, kv_view, kv))
 }
@@ -879,10 +883,10 @@ fn weights_lane_timing(
 /// telemetry registry is given, per-graph restore counters
 /// (`graph_restore_graphs_total`, `graph_restore_nodes_total`) accumulate
 /// into it.
-fn restore_all_graphs(
+fn restore_all_graphs<S: ShardRead + ?Sized>(
     rt: &mut ProcessRuntime,
     inst: &mut ModelInstance,
-    artifact: &MaterializedState,
+    artifact: &S,
     layout: &ReplayedLayout,
     kv_view: &KvView,
     opts: &ColdStartOptions,
@@ -890,15 +894,16 @@ fn restore_all_graphs(
 ) -> MedusaResult<Vec<(u32, GraphExec)>> {
     let mut resolver = KernelResolver::new();
     resolver.resolve_exported(rt, artifact)?;
-    let mut graphs = Vec::with_capacity(artifact.graphs.len());
+    let specs = artifact.graphs();
+    let mut graphs = Vec::with_capacity(specs.len());
     if opts.triggering == TriggeringMode::Handwritten {
         // §5.1: one curated launch per hidden module, once.
         run_handwritten_triggers(rt, inst)?;
         resolver.resolve_by_enumeration(rt, artifact)?;
         resolver.ensure_complete(artifact)?;
     }
-    for gspec in &artifact.graphs {
-        let batch = gspec.batch;
+    for gspec in specs {
+        let batch = gspec.batch();
         if opts.triggering == TriggeringMode::FirstLayer {
             warmup_first_layer(rt, inst, batch, kv_view)?;
             let _first_layer = capture_first_layer_graph(rt, inst, batch, kv_view)?;
@@ -906,17 +911,17 @@ fn restore_all_graphs(
                 resolver.resolve_by_enumeration(rt, artifact)?;
             }
         }
-        let nodes = gspec.nodes.len() as u64;
+        let nodes = gspec.node_count() as u64;
         rt.advance(SimDuration::from_nanos(
             rt.cost().artifact_load_per_node_ns * nodes,
         ));
         let exec = if opts.validate {
             // Correction rewrites the spec it validates; only this graph's
             // copy is mutated.
-            let mut gspec = gspec.clone();
+            let mut gspec = gspec.to_spec();
             validate_and_correct(rt, inst, &mut gspec, layout, resolver.addrs(), kv_view)?.exec
         } else {
-            let graph = restore_graph(gspec, layout, resolver.addrs())?;
+            let graph = restore_graph(&gspec, layout, resolver.addrs())?;
             GraphExec::instantiate(rt, graph)?
         };
         rt.advance(SimDuration::from_nanos(rt.cost().node_patch_ns * nodes));
@@ -976,6 +981,7 @@ mod tests {
             (0, 1),
             opts,
             None,
+            test_tokenizer(&spec()),
         )
         .unwrap()
     }
@@ -1135,10 +1141,11 @@ mod tests {
             &spec(),
             GpuSpec::a100_40gb(),
             CostModel::default(),
-            None,
+            None::<&MaterializedState>,
             (0, 1),
             ColdStartOptions::default(),
             None,
+            test_tokenizer(&spec()),
         )
         .unwrap_err();
         assert!(matches!(err, MedusaError::ArtifactRequired));
@@ -1157,6 +1164,7 @@ mod tests {
             (0, 1),
             ColdStartOptions::default(),
             None,
+            test_tokenizer(&other),
         )
         .unwrap_err();
         assert!(matches!(err, MedusaError::ArtifactMismatch { .. }));
@@ -1184,6 +1192,7 @@ mod tests {
                 (0, 1),
                 opts,
                 None,
+                test_tokenizer(&spec()),
             )
             .unwrap_err();
             assert_eq!(err.kind(), "stage_aborted");
@@ -1202,10 +1211,11 @@ mod tests {
             &spec(),
             GpuSpec::a100_40gb(),
             CostModel::default(),
-            None,
+            None::<&MaterializedState>,
             (0, 1),
             opts,
             None,
+            test_tokenizer(&spec()),
         )
         .unwrap_err();
         assert!(matches!(

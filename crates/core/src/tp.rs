@@ -81,7 +81,9 @@ mod tests {
     use super::*;
     use crate::builder::ColdStart;
     use crate::error::MedusaError;
-    use crate::pipeline::{cold_start_impl, ColdStartOptions, Parallelism, Stage, Strategy};
+    use crate::pipeline::{
+        cold_start_impl, test_tokenizer, ColdStartOptions, Parallelism, Stage, Strategy,
+    };
     use medusa_gpu::{CostModel, GpuSpec, SimDuration};
     use medusa_model::ModelSpec;
 
@@ -166,6 +168,7 @@ mod tests {
             (0, 2),
             ColdStartOptions::default(),
             None,
+            test_tokenizer(&s),
         )
         .unwrap_err();
         assert!(matches!(err, MedusaError::ArtifactMismatch { .. }));

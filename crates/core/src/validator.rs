@@ -24,7 +24,9 @@
 
 use crate::artifact::maf2::{self, Maf2Reader};
 use crate::artifact::registry::{ChunkManifest, ChunkStore, MANIFEST_VERSION};
-use crate::artifact::{MaterializedState, ParamSpec, ReplayOp, ARTIFACT_VERSION};
+use crate::artifact::{
+    GraphRead, MaterializedState, ParamRef, ReplayOp, ShardRead, ARTIFACT_VERSION,
+};
 use crate::error::{MedusaError, MedusaResult};
 use medusa_gpu::{GpuSpec, LibraryCatalog};
 use medusa_model::{build_catalog, ModelSpec};
@@ -139,28 +141,23 @@ impl ArtifactValidator {
     /// report can show each verdict; use [`ValidationReport::ok`] for the
     /// pass/fail decision.
     pub fn validate(&self, artifact: &MaterializedState) -> ValidationReport {
-        let checks = vec![
-            (
-                ValidationCheck::FormatVersion,
-                self.check_version(artifact).err(),
-            ),
-            (ValidationCheck::Checksum, artifact.verify_checksum().err()),
-            (
-                ValidationCheck::TargetKey,
-                artifact
-                    .check_target(&self.model, &self.gpu, self.rank, self.tp)
-                    .err(),
-            ),
-            (
-                ValidationCheck::KernelTable,
-                self.check_kernel_table(artifact).err(),
-            ),
-            (
-                ValidationCheck::PointerBounds,
-                self.check_pointer_bounds(artifact).err(),
-            ),
-        ];
-        ValidationReport { checks }
+        let mut report = ValidationReport {
+            checks: vec![
+                (
+                    ValidationCheck::FormatVersion,
+                    self.check_version(artifact).err(),
+                ),
+                (ValidationCheck::Checksum, artifact.verify_checksum().err()),
+                (
+                    ValidationCheck::TargetKey,
+                    artifact
+                        .check_target(&self.model, &self.gpu, self.rank, self.tp)
+                        .err(),
+                ),
+            ],
+        };
+        self.deep_checks(artifact, &mut report);
+        report
     }
 
     /// Validates raw artifact bytes in either encoding, auto-detected by
@@ -257,34 +254,29 @@ impl ArtifactValidator {
         }
     }
 
-    /// Full validation of one shard of an opened MAF2 reader: the
-    /// header-first checks plus the deep kernel-table and pointer-bounds
-    /// checks, which lazily materialize only this shard's sections. When
-    /// the shard cannot be materialized the deep checks are omitted (the
-    /// failure is already attributed to `format_version` or `checksum`).
+    /// Full validation of one shard of an opened MAF2 reader, in one pass
+    /// over the shard's sections: the header-first checks, then
+    /// [`Maf2Reader::view`] (every section digest and the records'
+    /// structure), the sealed content checksum folded over the view, and
+    /// the deep kernel-table and pointer-bounds checks on the view. The
+    /// reader keeps the view, so a restore that follows reads the verified
+    /// records in place. When the view cannot be built the deep checks are
+    /// omitted (the failure is already attributed to `format_version` or
+    /// `checksum`).
     pub fn validate_maf2(&self, reader: &Maf2Reader<'_>) -> ValidationReport {
         let mut report = self.validate_maf2_header(reader);
-        let shard = if reader.version() == ARTIFACT_VERSION {
-            reader.shard(self.rank)
-        } else {
-            // `shard` would reject the skew with the same error already on
+        if reader.version() != ARTIFACT_VERSION {
+            // The view would reject the skew with the same error already on
             // the format_version check; don't touch payloads.
             return report;
-        };
-        match shard {
-            Ok(state) => {
+        }
+        match reader.view(self.rank) {
+            Ok(view) => {
                 // The sealed per-shard fold is part of the checksum verdict.
                 if report.checks[1].1.is_none() {
-                    report.checks[1].1 = state.verify_checksum().err();
+                    report.checks[1].1 = view.verify_checksum().err();
                 }
-                report.checks.push((
-                    ValidationCheck::KernelTable,
-                    self.check_kernel_table(state).err(),
-                ));
-                report.checks.push((
-                    ValidationCheck::PointerBounds,
-                    self.check_pointer_bounds(state).err(),
-                ));
+                self.deep_checks(view, &mut report);
             }
             Err(err) => {
                 let slot = match Self::check_for_open_error(&err) {
@@ -299,9 +291,21 @@ impl ArtifactValidator {
         report
     }
 
+    /// Appends the kernel-table and pointer-bounds verdicts.
+    fn deep_checks<S: ShardRead + ?Sized>(&self, shard: &S, report: &mut ValidationReport) {
+        report.checks.push((
+            ValidationCheck::KernelTable,
+            self.check_kernel_table(shard).err(),
+        ));
+        report.checks.push((
+            ValidationCheck::PointerBounds,
+            check_pointer_bounds(shard).err(),
+        ));
+    }
+
     /// Validates every shard in a MAF2 bundle, reusing one opened reader:
     /// the O(header + index) open happens once and each rank adds only its
-    /// own ShardMeta read plus its own lazily-materialized sections —
+    /// own ShardMeta read plus one pass over its own sections —
     /// validating a tp=8 bundle no longer re-walks the whole artifact per
     /// rank. Shards are checked against this validator's `<model, GPU>` at
     /// their own declared rank and the bundle's tp.
@@ -400,91 +404,130 @@ impl ArtifactValidator {
 
     /// §5: every `(library, kernel)` pair the graphs reference must exist in
     /// the catalog — export status does not matter here (hidden kernels are
-    /// reachable via triggering), existence does.
-    fn check_kernel_table(&self, artifact: &MaterializedState) -> MedusaResult<()> {
-        let mut seen = BTreeSet::new();
-        for g in &artifact.graphs {
-            for n in &g.nodes {
-                if !seen.insert((n.library.as_str(), n.kernel.as_str())) {
-                    continue;
-                }
-                if self.catalog.find_kernel(&n.library, &n.kernel).is_err() {
-                    return Err(MedusaError::KernelUnresolved {
-                        library: n.library.clone(),
-                        kernel: n.kernel.clone(),
-                    });
-                }
+    /// reachable via triggering), existence does. Each distinct pair is
+    /// looked up once, in first-use order.
+    fn check_kernel_table<S: ShardRead + ?Sized>(&self, shard: &S) -> MedusaResult<()> {
+        for k in shard.kernels() {
+            if self.catalog.find_kernel(k.library, k.kernel).is_err() {
+                return Err(MedusaError::KernelUnresolved {
+                    library: k.library.to_string(),
+                    kernel: k.kernel.to_string(),
+                });
             }
         }
         Ok(())
     }
+}
 
-    /// §4.1/§4.2: walk the replay sequence tracking liveness, then require
-    /// every indirect reference to land on an allocation that is live once
-    /// replay completes.
-    fn check_pointer_bounds(&self, artifact: &MaterializedState) -> MedusaResult<()> {
-        let mut live: BTreeSet<u64> = (0..artifact.replay_prefix_allocs).collect();
-        let mut next = artifact.replay_prefix_allocs;
-        for op in &artifact.replay_ops {
+/// Which allocations are live once a shard's replay sequence completes:
+/// the natural prefix `[0, prefix)` minus the prefix allocations the
+/// sequence frees, plus the replayed allocations it leaves live. Sized by
+/// the sequence, never by the (untrusted) prefix length.
+struct Liveness {
+    prefix: u64,
+    freed_prefix: BTreeSet<u64>,
+    /// Per replayed allocation, in sequence order: still live.
+    replayed: Vec<bool>,
+}
+
+impl Liveness {
+    /// Walks the replay sequence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MedusaError::ReplayDanglingFree`] for a free of an
+    /// allocation that is not live at that point.
+    fn replay<S: ShardRead + ?Sized>(shard: &S) -> MedusaResult<Self> {
+        let ops = shard.replay_ops();
+        let mut live = Liveness {
+            prefix: shard.replay_prefix_allocs(),
+            freed_prefix: BTreeSet::new(),
+            replayed: Vec::with_capacity(ops.len()),
+        };
+        for op in ops {
             match op {
-                ReplayOp::Malloc { .. } => {
-                    live.insert(next);
-                    next += 1;
-                }
+                ReplayOp::Malloc { .. } => live.replayed.push(true),
                 ReplayOp::Free { alloc_seq } => {
-                    if !live.remove(alloc_seq) {
-                        return Err(MedusaError::ReplayDanglingFree {
-                            alloc_seq: *alloc_seq,
+                    let freed = if alloc_seq < live.prefix {
+                        live.freed_prefix.insert(alloc_seq)
+                    } else {
+                        live.slot(alloc_seq)
+                            .is_some_and(|slot| std::mem::replace(slot, false))
+                    };
+                    if !freed {
+                        return Err(MedusaError::ReplayDanglingFree { alloc_seq });
+                    }
+                }
+            }
+        }
+        Ok(live)
+    }
+
+    fn slot(&mut self, seq: u64) -> Option<&mut bool> {
+        let i = usize::try_from(seq.checked_sub(self.prefix)?).ok()?;
+        self.replayed.get_mut(i)
+    }
+
+    fn contains(&self, seq: u64) -> bool {
+        if seq < self.prefix {
+            return !self.freed_prefix.contains(&seq);
+        }
+        usize::try_from(seq - self.prefix)
+            .ok()
+            .and_then(|i| self.replayed.get(i))
+            .is_some_and(|&live| live)
+    }
+}
+
+/// §4.1/§4.2: walk the replay sequence tracking liveness, then require
+/// every indirect reference to land on an allocation that is live once
+/// replay completes.
+fn check_pointer_bounds<S: ShardRead + ?Sized>(shard: &S) -> MedusaResult<()> {
+    let live = Liveness::replay(shard)?;
+    let require = |seq: u64, what: &dyn Fn() -> String| -> MedusaResult<()> {
+        if live.contains(seq) {
+            Ok(())
+        } else {
+            Err(MedusaError::ArtifactCorrupt {
+                detail: format!("{} references dead allocation #{seq}", what()),
+            })
+        }
+    };
+    for (label, seq) in shard.labels() {
+        require(seq, &|| format!("label `{label}`"))?;
+    }
+    for (seq, _) in shard.permanent_contents() {
+        require(seq, &|| "permanent buffer".to_string())?;
+    }
+    for (seq, entries) in shard.ptr_tables() {
+        require(seq, &|| "pointer table".to_string())?;
+        for (i, e) in entries.enumerate() {
+            if !live.contains(e.alloc_seq) {
+                return Err(MedusaError::UnmatchedTableEntry {
+                    table_seq: seq,
+                    index: i,
+                    addr: e.alloc_seq,
+                });
+            }
+        }
+    }
+    for g in shard.graphs() {
+        for (node, (_, params)) in g.nodes().enumerate() {
+            for (param, p) in params.enumerate() {
+                if let ParamRef::Ptr { alloc_seq, raw, .. } = p {
+                    if !live.contains(alloc_seq) {
+                        return Err(MedusaError::UnmatchedPointer {
+                            batch: g.batch(),
+                            node,
+                            param,
+                            addr: raw,
                         });
                     }
                 }
             }
         }
-        let require = |seq: u64, what: &str| -> MedusaResult<()> {
-            if live.contains(&seq) {
-                Ok(())
-            } else {
-                Err(MedusaError::ArtifactCorrupt {
-                    detail: format!("{what} references dead allocation #{seq}"),
-                })
-            }
-        };
-        for (label, seq) in &artifact.labels {
-            require(*seq, &format!("label `{label}`"))?;
-        }
-        for (seq, _) in &artifact.permanent_contents {
-            require(*seq, "permanent buffer")?;
-        }
-        for (seq, entries) in &artifact.permanent_ptr_tables {
-            require(*seq, "pointer table")?;
-            for (i, e) in entries.iter().enumerate() {
-                if !live.contains(&e.alloc_seq) {
-                    return Err(MedusaError::UnmatchedTableEntry {
-                        table_seq: *seq,
-                        index: i,
-                        addr: e.alloc_seq,
-                    });
-                }
-            }
-        }
-        for g in &artifact.graphs {
-            for (node, n) in g.nodes.iter().enumerate() {
-                for (param, p) in n.params.iter().enumerate() {
-                    if let ParamSpec::IndirectPtr { alloc_seq, raw, .. } = p {
-                        if !live.contains(alloc_seq) {
-                            return Err(MedusaError::UnmatchedPointer {
-                                batch: g.batch,
-                                node,
-                                param,
-                                addr: *raw,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Property tests for the MAF2 binary artifact container (DESIGN.md §13).
 //!
-//! Three contracts are pinned here, across materialization seeds and
+//! These contracts are pinned here, across materialization seeds and
 //! tensor-parallel degrees:
 //!
 //! 1. **Round-trip preserves identity** — JSON → MAF2 → JSON (and the
@@ -18,6 +18,11 @@
 //!    `n` re-materializations deduplicate to about `n`× in a chunk store,
 //!    and a file of the address-carrying format version 2 is rejected
 //!    with a typed error instead of being decoded.
+//! 5. **The byte path is pinned** — a restore from MAF2 bytes runs the
+//!    same simulated cold start as one from the same artifacts in memory,
+//!    and its fallbacks under every binary fault shape (strategy, reason,
+//!    detail, telemetry export) match the values recorded when the test
+//!    was written.
 
 use medusa::{
     encode_maf2_bundle, is_maf2, materialize_offline, ArtifactValidator, ChunkStore, ColdStart,
