@@ -1819,6 +1819,28 @@ mod tests {
     }
 
     #[test]
+    fn a_graphs_digest_mismatch_outranks_the_records_it_breaks() {
+        // The Graphs digest is judged on a helper thread, but before the
+        // graph records: a count the flip breaks still reads as the
+        // section's checksum mismatch, as a sequential read reports it.
+        let bytes = encode_bundle(&[&tiny()]).unwrap();
+        let e = Maf2Reader::open(&bytes)
+            .unwrap()
+            .section_extents()
+            .into_iter()
+            .find(|e| e.kind == SectionKind::Graphs)
+            .unwrap();
+        let mut bad = bytes.clone();
+        bad[e.offset as usize + 7] = 0xff; // graph count past the payload
+        let r = Maf2Reader::open(&bad).unwrap();
+        assert_eq!(r.view(0).unwrap_err().kind(), "checksum_mismatch");
+        // Every other section was read; the rejected one is not counted.
+        let good = Maf2Reader::open(&bytes).unwrap();
+        good.view(0).unwrap();
+        assert_eq!(r.bytes_read() + e.len, good.bytes_read());
+    }
+
+    #[test]
     fn version_skew_opens_but_does_not_materialize() {
         let bytes = encode_bundle(&[&tiny()]).unwrap();
         let mut skewed = bytes.clone();
