@@ -44,7 +44,7 @@ use super::{
 };
 use crate::error::{MedusaError, MedusaResult};
 use medusa_gpu::{Digest, Work};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -1190,12 +1190,9 @@ impl<'a> Maf2Reader<'a> {
             labels,
             perm,
             ptr_tables,
-            base_index: dense_index(bases),
             bases,
             graphs: Vec::new(),
             spill: &[],
-            kernels: Vec::new(),
-            node_kernels: Vec::new(),
             checksum: 0,
         })
     }
@@ -1259,25 +1256,6 @@ impl<'a> Maf2Reader<'a> {
     }
 }
 
-/// The record of each allocation number of an ascending PtrBases table,
-/// indexed directly, when the largest number is below `64·n + 4096` for
-/// `n` records (so the index stays within a small multiple of the table);
-/// empty otherwise.
-fn dense_index(bases: &[u8]) -> Vec<u32> {
-    let n = bases.len() / 16;
-    let Some(last) = n.checked_sub(1).map(|i| le64(bases, i * 16)) else {
-        return Vec::new();
-    };
-    if last >= 64 * n as u64 + 4096 {
-        return Vec::new();
-    }
-    let mut index = vec![u32::MAX; last as usize + 1];
-    for (i, rec) in bases.chunks_exact(16).enumerate() {
-        index[le64(rec, 0) as usize] = i as u32;
-    }
-    index
-}
-
 /// A capacity for `count` records read from `remaining` bytes at no fewer
 /// than `width` bytes each: never more than the bytes can hold.
 fn bounded(count: u64, remaining: usize, width: usize) -> usize {
@@ -1304,8 +1282,6 @@ struct GraphRecords<'a> {
     params: &'a [u8],
     /// 8-byte edge records.
     edges: &'a [u8],
-    /// Position of the graph's first node among the shard's nodes.
-    first_node: usize,
 }
 
 /// One shard of a MAF2 file, read in place: the records of its sections
@@ -1330,18 +1306,9 @@ pub struct ShardView<'a> {
     ptr_tables: Vec<(u64, &'a [u8])>,
     /// 16-byte `(alloc_seq, base)` records, ascending `alloc_seq`.
     bases: &'a [u8],
-    /// Per allocation number, its record in `bases` (`u32::MAX`: none),
-    /// when the numbers are dense enough to index directly — as a
-    /// capture's are; empty otherwise.
-    base_index: Vec<u32>,
     graphs: Vec<GraphRecords<'a>>,
     /// Constants too long for a parameter record's inline window.
     spill: &'a [u8],
-    /// Distinct `(library id, kernel id, exported)` in first-use order.
-    kernels: Vec<(u32, u32, bool)>,
-    /// Per node of the shard, in graph then node order: its kernel's
-    /// position in `kernels`.
-    node_kernels: Vec<u32>,
     /// The content checksum folded over the view.
     checksum: u64,
 }
@@ -1353,7 +1320,6 @@ impl<'a> ShardView<'a> {
         let mut c = Cursor::new(payload, "Graphs");
         let graph_count = c.u64()?;
         let mut graphs = Vec::with_capacity(bounded(graph_count, c.remaining(), 16));
-        let mut first_node = 0;
         for _ in 0..graph_count {
             let batch = c.u32()?;
             let node_count = c.u32()? as usize;
@@ -1367,12 +1333,9 @@ impl<'a> ShardView<'a> {
                 nodes: &body[..nodes],
                 params: &body[nodes..nodes + params],
                 edges: &body[nodes + params..],
-                first_node,
             });
-            first_node += node_count;
         }
         self.spill = &payload[c.pos..];
-        self.node_kernels.reserve_exact(first_node);
         self.check_graphs(&graphs)?;
         self.graphs = graphs;
         self.checksum = content_fold(&self);
@@ -1417,12 +1380,6 @@ impl<'a> ShardView<'a> {
 
     /// The offline base of allocation `alloc_seq`, from the base table.
     fn base(&self, alloc_seq: u64) -> Option<u64> {
-        if !self.base_index.is_empty() {
-            let i = *usize::try_from(alloc_seq)
-                .ok()
-                .and_then(|seq| self.base_index.get(seq))?;
-            return (i != u32::MAX).then(|| le64(self.bases, i as usize * 16 + 8));
-        }
         let (mut lo, mut hi) = (0, self.bases.len() / 16);
         while lo < hi {
             let mid = (lo + hi) / 2;
@@ -1461,34 +1418,14 @@ impl<'a> ShardView<'a> {
 
     /// The structure checks of the graph records, graph by graph: every
     /// node's string ids, the declared parameter total, then every
-    /// parameter's tag, spill extent, reserved slot and offline base. Numbers
-    /// the shard's kernels on the way.
-    fn check_graphs(&mut self, graphs: &[GraphRecords<'a>]) -> MedusaResult<()> {
-        // Kernel id -> its first `(library id, kernel index)`; a kernel id
-        // seen under a second library goes to `other`.
-        let mut by_kernel: Vec<Option<(u32, u32)>> = vec![None; self.strings.len()];
-        let mut other: HashMap<(u32, u32), u32> = HashMap::new();
+    /// parameter's tag, spill extent, reserved slot and offline base.
+    fn check_graphs(&self, graphs: &[GraphRecords<'a>]) -> MedusaResult<()> {
         for g in graphs {
             let mut declared = 0usize;
             for rec in g.nodes.chunks_exact(NODE_REC) {
-                let kernel = le32(rec, 0);
-                string(&self.strings, kernel, "graph node kernel")?;
-                let library = le32(rec, 4);
-                string(&self.strings, library, "graph node library")?;
+                string(&self.strings, le32(rec, 0), "graph node kernel")?;
+                string(&self.strings, le32(rec, 4), "graph node library")?;
                 declared += le32(rec, 16) as usize;
-                let next = self.kernels.len() as u32;
-                let index = match by_kernel[kernel as usize] {
-                    Some((lib, index)) if lib == library => index,
-                    Some(_) => *other.entry((library, kernel)).or_insert(next),
-                    None => {
-                        by_kernel[kernel as usize] = Some((library, next));
-                        next
-                    }
-                };
-                if index == next {
-                    self.kernels.push((library, kernel, le32(rec, 8) & 1 != 0));
-                }
-                self.node_kernels.push(index);
             }
             let param_count = g.params.len() / PARAM_REC;
             if declared != param_count {
@@ -1551,10 +1488,6 @@ impl GraphRead for GraphView<'_, '_> {
         self.records.nodes.len() / NODE_REC
     }
 
-    fn kernel_table(&self) -> Option<u64> {
-        Some(self.shard.meta.checksum)
-    }
-
     fn nodes(
         &self,
     ) -> impl Iterator<
@@ -1565,30 +1498,26 @@ impl GraphRead for GraphView<'_, '_> {
     > + '_ {
         let (shard, g) = (self.shard, self.records);
         let mut next_param = 0;
-        g.nodes
-            .chunks_exact(NODE_REC)
-            .enumerate()
-            .map(move |(i, rec)| {
-                let first = next_param;
-                next_param += le32(rec, 16) as usize;
-                let params = g
-                    .params
-                    .get(first * PARAM_REC..next_param * PARAM_REC)
-                    .unwrap_or_default();
-                let node = NodeRef {
-                    kernel: shard.str(le32(rec, 0)),
-                    library: shard.str(le32(rec, 4)),
-                    kernel_index: shard.node_kernels.get(g.first_node + i).copied(),
-                    exported: le32(rec, 8) & 1 != 0,
-                    work: Work {
-                        flops: f64::from_bits(le64(rec, 24)),
-                        bytes: f64::from_bits(le64(rec, 32)),
-                    },
-                    stream: le32(rec, 12),
-                };
-                let params = params.chunks_exact(PARAM_REC).map(move |p| shard.param(p));
-                (node, params)
-            })
+        g.nodes.chunks_exact(NODE_REC).map(move |rec| {
+            let first = next_param;
+            next_param += le32(rec, 16) as usize;
+            let params = g
+                .params
+                .get(first * PARAM_REC..next_param * PARAM_REC)
+                .unwrap_or_default();
+            let node = NodeRef {
+                kernel: shard.str(le32(rec, 0)),
+                library: shard.str(le32(rec, 4)),
+                exported: le32(rec, 8) & 1 != 0,
+                work: Work {
+                    flops: f64::from_bits(le64(rec, 24)),
+                    bytes: f64::from_bits(le64(rec, 32)),
+                },
+                stream: le32(rec, 12),
+            };
+            let params = params.chunks_exact(PARAM_REC).map(move |p| shard.param(p));
+            (node, params)
+        })
     }
 
     fn edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
@@ -1686,13 +1615,16 @@ impl<'a> ShardRead for ShardView<'a> {
     }
 
     fn kernels(&self) -> Vec<KernelName<'_>> {
-        self.kernels
+        let mut seen = HashSet::new();
+        self.graphs
             .iter()
-            .map(|&(library, kernel, exported)| KernelName {
-                library: self.str(library),
-                kernel: self.str(kernel),
-                exported,
+            .flat_map(|g| g.nodes.chunks_exact(NODE_REC))
+            .map(|rec| KernelName {
+                library: self.str(le32(rec, 4)),
+                kernel: self.str(le32(rec, 0)),
+                exported: le32(rec, 8) & 1 != 0,
             })
+            .filter(|k| seen.insert((k.library, k.kernel)))
             .collect()
     }
 }
@@ -2162,7 +2094,7 @@ mod tests {
     }
 
     #[test]
-    fn the_view_numbers_kernels_in_first_use_order() {
+    fn the_view_lists_kernels_by_name_in_first_use_order() {
         let bytes = rich_bundle(1);
         let reader = Maf2Reader::open(&bytes).unwrap();
         let view = reader.view(0).unwrap();
@@ -2176,11 +2108,76 @@ mod tests {
         assert_eq!(owned, &rich(0, 1));
         assert_eq!(owned.kernels(), view.kernels());
         assert_eq!(view.content_checksum(), owned.checksum);
-        let indexes: Vec<Option<u32>> = view
-            .graphs()
-            .flat_map(|g| g.nodes().map(|(n, _)| n.kernel_index).collect::<Vec<_>>())
-            .collect();
-        assert_eq!(indexes, [Some(0), Some(0), Some(1), Some(2)]);
+    }
+
+    /// The encoder writes each string once, but a sealed file may name one
+    /// kernel under two string ids: the view lists it once, as the owned
+    /// form does, and a resolver resolves it once, whichever form it is
+    /// handed first.
+    #[test]
+    fn one_kernel_under_two_string_ids_is_one_kernel() {
+        use crate::online::kernels::KernelResolver;
+        use medusa_gpu::{
+            CostClass, CostModel, GpuSpec, KernelDef, KernelSig, LibraryCatalog, LibrarySpec,
+            ModuleSpec, ProcessRuntime,
+        };
+        let mut expected = rich(0, 1);
+        expected.graphs[1].nodes[2].kernel = "k".into();
+        expected.seal();
+        // `rich` numbers its strings k, k2, kv.key, l, l2, ws.ids: point
+        // string #1 at the bytes of string #0 and seal the result.
+        let bytes = tamper_section(&rich_bundle(1), SectionKind::Strings, |p| {
+            p[16..24].copy_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0]);
+            p.len()
+        });
+        let bytes = tamper_section(&bytes, SectionKind::ShardMeta, |p| {
+            p[24..32].copy_from_slice(&expected.checksum.to_le_bytes());
+            p.len()
+        });
+        let reader = Maf2Reader::open(&bytes).unwrap();
+        let view = reader.view(0).unwrap();
+        assert_eq!(view.to_state(), expected);
+        assert_eq!(view.kernels(), expected.kernels());
+        assert_eq!(view.kernels().len(), 2);
+
+        let lib = |name: &str| {
+            let k = KernelDef::new("k", true, KernelSig::new(vec![]), CostClass::MemoryBound);
+            LibrarySpec::new(name, false, vec![ModuleSpec::new("m", vec![k])])
+        };
+        let catalog = LibraryCatalog::new(vec![lib("l"), lib("l2")]);
+        let owned = reader.shard(0).unwrap();
+        for order in [[true, false], [false, true]] {
+            let mut rt = ProcessRuntime::new(
+                catalog.clone(),
+                GpuSpec::new("t", 1 << 30),
+                CostModel::default(),
+                7,
+            );
+            let mut res = KernelResolver::new();
+            for from_view in order {
+                if from_view {
+                    res.resolve_exported(&mut rt, view).unwrap();
+                    res.ensure_complete(view).unwrap();
+                } else {
+                    res.resolve_exported(&mut rt, owned).unwrap();
+                    res.ensure_complete(owned).unwrap();
+                }
+            }
+            assert_eq!(res.stats().via_dlsym, 2);
+            for (g, o) in view.graphs().zip(&owned.graphs) {
+                let view_addrs: Vec<_> = g
+                    .nodes()
+                    .map(|(n, _)| res.addrs().get(n.library, n.kernel))
+                    .collect();
+                let owned_addrs: Vec<_> = o
+                    .nodes
+                    .iter()
+                    .map(|n| res.addrs().get(&n.library, &n.kernel))
+                    .collect();
+                assert!(view_addrs.iter().all(Option::is_some));
+                assert_eq!(view_addrs, owned_addrs);
+            }
+        }
     }
 
     use proptest::prelude::*;

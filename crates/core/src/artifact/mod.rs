@@ -252,10 +252,6 @@ pub struct NodeRef<'a> {
     pub kernel: &'a str,
     /// The dynamic library the kernel belongs to.
     pub library: &'a str,
-    /// The node's position in its shard's [`ShardRead::kernels`] table,
-    /// when the reader numbers kernels (a MAF2 view does, an owned
-    /// [`MaterializedState`] does not).
-    pub kernel_index: Option<u32>,
     /// Whether the kernel is in the library's dynamic symbol table.
     pub exported: bool,
     /// Recorded work size.
@@ -284,12 +280,6 @@ pub trait GraphRead {
 
     /// Number of nodes.
     fn node_count(&self) -> usize;
-
-    /// The sealed checksum of the shard whose kernel table numbers this
-    /// graph's [`NodeRef::kernel_index`]es, if it numbers them.
-    fn kernel_table(&self) -> Option<u64> {
-        None
-    }
 
     /// The nodes in capture order, each with its parameters in signature
     /// order.
@@ -361,7 +351,6 @@ impl GraphRead for GraphSpec {
             let node = NodeRef {
                 kernel: &n.kernel,
                 library: &n.library,
-                kernel_index: None,
                 exported: n.exported,
                 work: n.work,
                 stream: n.stream,
@@ -386,10 +375,6 @@ impl<G: GraphRead + ?Sized> GraphRead for &G {
 
     fn node_count(&self) -> usize {
         (**self).node_count()
-    }
-
-    fn kernel_table(&self) -> Option<u64> {
-        (**self).kernel_table()
     }
 
     fn nodes(
@@ -451,8 +436,8 @@ pub trait ShardRead {
     ) -> impl ExactSizeIterator<Item = (u64, impl ExactSizeIterator<Item = PtrTableEntry> + '_)> + '_;
     /// Materialized graphs, ascending batch.
     fn graphs(&self) -> impl ExactSizeIterator<Item = Self::Graph<'_>> + '_;
-    /// The distinct `(library, kernel)` pairs of the graphs, in first-use
-    /// order; a [`NodeRef::kernel_index`] is a position in this table.
+    /// The distinct `(library, kernel)` names of the graphs, in first-use
+    /// order.
     fn kernels(&self) -> Vec<KernelName<'_>>;
 
     /// Checks the shard matches the restoring `<GPU, model>` pair and

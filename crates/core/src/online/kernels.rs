@@ -3,7 +3,7 @@
 //! first-layer forwarding as the triggering-kernels that force the driver
 //! to load the needed modules (§5.2).
 
-use crate::artifact::{NodeRef, ShardRead};
+use crate::artifact::ShardRead;
 use crate::error::{MedusaError, MedusaResult};
 use medusa_gpu::{GpuError, ProcessRuntime};
 use std::collections::HashMap;
@@ -17,36 +17,17 @@ pub struct ResolutionStats {
     pub via_enumeration: usize,
 }
 
-/// Resolved kernel addresses: by `(library, kernel)` name, and by position
-/// in the kernel table of the shard last resolved, so that a restore of a
-/// shard that numbers its nodes' kernels ([`NodeRef::kernel_index`]) looks
-/// each node's kernel up without hashing its names.
+/// Resolved kernel addresses, by `(library, kernel)` name.
 #[derive(Debug, Default)]
 pub struct KernelAddrs {
     /// Library → kernel → address.
     by_name: HashMap<String, HashMap<String, u64>>,
-    /// Sealed checksum of the shard whose kernel table `by_index` follows.
-    table: Option<u64>,
-    /// Per kernel of that table: its address, once resolved.
-    by_index: Vec<Option<u64>>,
 }
 
 impl KernelAddrs {
     /// The address of `kernel` in `library`, if resolved.
     pub fn get(&self, library: &str, kernel: &str) -> Option<u64> {
         self.by_name.get(library)?.get(kernel).copied()
-    }
-
-    /// The address of a node's kernel, where `table` is the sealed checksum
-    /// of the shard that numbers the node's kernel index (if any): by index
-    /// when that is the table this map follows, by name otherwise.
-    pub(crate) fn of(&self, node: &NodeRef<'_>, table: Option<u64>) -> Option<u64> {
-        match node.kernel_index {
-            Some(i) if table.is_some() && table == self.table => {
-                self.by_index.get(i as usize).copied().flatten()
-            }
-            _ => self.get(node.library, node.kernel),
-        }
     }
 }
 
@@ -55,8 +36,16 @@ impl KernelAddrs {
 pub struct KernelResolver {
     addrs: KernelAddrs,
     stats: ResolutionStats,
-    /// The kernel table of the shard `addrs.table` names: `(library,
-    /// kernel, exported)` in first-use order, computed once per shard.
+    /// The kernel table of the shard last resolved, computed once.
+    needed: Option<NeededKernels>,
+}
+
+/// One shard's unique kernels.
+#[derive(Debug)]
+struct NeededKernels {
+    /// Sealed checksum of the shard the table was computed from.
+    checksum: u64,
+    /// `(library, kernel, exported)` in first-use order.
     kernels: Vec<(String, String, bool)>,
 }
 
@@ -86,27 +75,23 @@ impl KernelResolver {
             .collect()
     }
 
-    /// Whether this resolver's kernel table is the one of `artifact`.
-    fn cached<S: ShardRead + ?Sized>(&self, artifact: &S) -> bool {
-        self.addrs.table == Some(artifact.checksum())
-    }
-
-    /// The first kernel of the cached table that is not resolved.
-    fn first_gap(&self) -> Option<usize> {
-        self.addrs.by_index.iter().position(Option::is_none)
+    /// The kernel table of `artifact`, if it is the one this resolver has
+    /// computed.
+    fn cached<S: ShardRead + ?Sized>(&self, artifact: &S) -> Option<&[(String, String, bool)]> {
+        self.needed
+            .as_ref()
+            .filter(|n| n.checksum == artifact.checksum())
+            .map(|n| n.kernels.as_slice())
     }
 
     /// Computes the kernel table of `artifact` on first use, and again only
-    /// when a different shard is passed; the by-index addresses follow it.
+    /// when a different shard is passed.
     fn needed_for<S: ShardRead + ?Sized>(&mut self, artifact: &S) {
-        if !self.cached(artifact) {
-            self.kernels = Self::needed(artifact);
-            self.addrs.by_index = self
-                .kernels
-                .iter()
-                .map(|(l, k, _)| self.addrs.get(l, k))
-                .collect();
-            self.addrs.table = Some(artifact.checksum());
+        if self.cached(artifact).is_none() {
+            self.needed = Some(NeededKernels {
+                checksum: artifact.checksum(),
+                kernels: Self::needed(artifact),
+            });
         }
     }
 
@@ -119,18 +104,18 @@ impl KernelResolver {
         mut resolve: impl FnMut(&str, &str) -> MedusaResult<Option<u64>>,
     ) -> MedusaResult<usize> {
         self.needed_for(artifact);
+        let Self { addrs, needed, .. } = self;
         let mut found = 0;
-        for (i, (library, kernel, _)) in self.kernels.iter().enumerate() {
-            if self.addrs.by_index[i].is_some() {
+        for (library, kernel, _) in needed.iter().flat_map(|n| &n.kernels) {
+            if addrs.get(library, kernel).is_some() {
                 continue;
             }
             if let Some(addr) = resolve(library, kernel)? {
-                self.addrs
+                addrs
                     .by_name
                     .entry(library.clone())
                     .or_default()
                     .insert(kernel.clone(), addr);
-                self.addrs.by_index[i] = Some(addr);
                 found += 1;
             }
         }
@@ -177,7 +162,8 @@ impl KernelResolver {
         artifact: &S,
     ) -> MedusaResult<()> {
         self.needed_for(artifact);
-        if self.first_gap().is_none() {
+        let mut kernels = self.needed.iter().flat_map(|n| &n.kernels);
+        if kernels.all(|(l, k, _)| self.addrs.get(l, k).is_some()) {
             return Ok(());
         }
         let mut functions = Vec::new();
@@ -201,9 +187,11 @@ impl KernelResolver {
     ///
     /// Returns [`MedusaError::KernelUnresolved`] naming the first gap.
     pub fn ensure_complete<S: ShardRead + ?Sized>(&self, artifact: &S) -> MedusaResult<()> {
-        let gap = if self.cached(artifact) {
-            self.first_gap()
-                .map(|i| (self.kernels[i].0.clone(), self.kernels[i].1.clone()))
+        let gap = if let Some(kernels) = self.cached(artifact) {
+            kernels
+                .iter()
+                .find(|(l, k, _)| self.addrs.get(l, k).is_none())
+                .map(|(library, kernel, _)| (library.clone(), kernel.clone()))
         } else {
             artifact
                 .kernels()

@@ -200,14 +200,14 @@ pub fn restore_graph<G: GraphRead + ?Sized>(
 ) -> MedusaResult<CudaGraph> {
     let mut graph = CudaGraph::new();
     let mut parts = Vec::new();
-    let table = gspec.kernel_table();
     for (ni, (n, params)) in gspec.nodes().enumerate() {
-        let addr = kernel_addrs
-            .of(&n, table)
-            .ok_or_else(|| MedusaError::KernelUnresolved {
-                library: n.library.to_string(),
-                kernel: n.kernel.to_string(),
-            })?;
+        let addr =
+            kernel_addrs
+                .get(n.library, n.kernel)
+                .ok_or_else(|| MedusaError::KernelUnresolved {
+                    library: n.library.to_string(),
+                    kernel: n.kernel.to_string(),
+                })?;
         parts.clear();
         for (pi, p) in params.enumerate() {
             parts.push(match p {
