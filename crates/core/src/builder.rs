@@ -42,7 +42,7 @@ use crate::engine::par_map;
 use crate::error::{MedusaError, MedusaResult};
 use crate::faults::FaultPlan;
 use crate::pipeline::{
-    cold_start_impl, materialize_offline_shard_impl, ColdStartOptions, ColdStartReport,
+    cold_start_impl, is_serial, materialize_offline_shard_impl, ColdStartOptions, ColdStartReport,
     OfflineReport, Parallelism, ReadyEngine, Strategy, TriggeringMode,
 };
 use crate::tp::TpArtifacts;
@@ -620,11 +620,9 @@ impl<'a> ColdStart<'a> {
                     }));
                 }
             }
-            // Only the overlapped arms of VanillaAsync and Medusa have a
-            // host lane; the synchronous arms build the tokenizer in line,
-            // at their tokenizer stage.
-            let host_lane = matches!(strategy, Strategy::Medusa | Strategy::VanillaAsync)
-                && opts.parallelism != Parallelism::Serial;
+            // A serial start has no host lane: it builds the tokenizer in
+            // line.
+            let host_lane = !is_serial(strategy, opts.parallelism);
             let tokenizers = (0..tp)
                 .map(|_| host_lane.then(|| scope.spawn(move || Tokenizer::load(vocab, cost).0)));
             let results = for_each_rank(

@@ -149,11 +149,6 @@ impl Schedule {
         }
     }
 
-    /// End instant of `node`.
-    pub fn end(&self, node: NodeId) -> SimTime {
-        self.ends[node.0]
-    }
-
     /// All spans, in insertion order.
     pub fn spans(&self) -> Vec<StageSpan> {
         (0..self.graph.nodes.len())
@@ -164,17 +159,6 @@ impl Schedule {
     /// The makespan end: when every lane has drained.
     pub fn makespan_end(&self) -> SimTime {
         self.ends.iter().copied().max().unwrap_or(self.origin)
-    }
-
-    /// The makespan as a duration from the schedule origin.
-    pub fn makespan(&self) -> SimDuration {
-        self.makespan_end() - self.origin
-    }
-
-    /// Total work across all stages (the serial-execution lower bound the
-    /// linear-sum accounting used to report).
-    pub fn work(&self) -> SimDuration {
-        self.graph.nodes.iter().map(|n| n.duration).sum()
     }
 
     /// The constraint that bound `node`'s start: the dependency edge or
@@ -296,8 +280,9 @@ mod tests {
         assert_eq!(sched.span(k).start, sched.span(w).start);
         assert_eq!(sched.span(c).start, sched.span(k).end);
         // Makespan is the weights lane (10 + 100), not the sum (200).
-        assert_eq!(sched.makespan(), ms(110));
-        assert_eq!(sched.work(), ms(200));
+        assert_eq!(sched.makespan_end(), SimTime::ZERO + ms(110));
+        let work: SimDuration = sched.spans().iter().map(StageSpan::duration).sum();
+        assert_eq!(work, ms(200));
         assert_eq!(
             sched.critical_path(),
             vec![Stage::StructureInit, Stage::WeightsLoad]
@@ -318,7 +303,7 @@ mod tests {
             sched.span(w).end,
             "capture waits for weights"
         );
-        assert_eq!(sched.makespan(), ms(75));
+        assert_eq!(sched.makespan_end(), SimTime::ZERO + ms(75));
         assert_eq!(
             sched.critical_path(),
             vec![Stage::StructureInit, Stage::WeightsLoad, Stage::Capture]
@@ -332,7 +317,7 @@ mod tests {
         g.set_floor(w, SimTime::from_nanos(7_000_000));
         let sched = g.schedule(SimTime::ZERO);
         assert_eq!(sched.span(w).start, SimTime::from_nanos(7_000_000));
-        assert_eq!(sched.makespan(), ms(17));
+        assert_eq!(sched.makespan_end(), SimTime::ZERO + ms(17));
     }
 
     #[test]
