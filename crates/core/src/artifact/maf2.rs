@@ -1417,14 +1417,27 @@ impl<'a> ShardView<'a> {
     }
 
     /// The structure checks of the graph records, graph by graph: every
-    /// node's string ids, the declared parameter total, then every
-    /// parameter's tag, spill extent, reserved slot and offline base.
+    /// node's string ids, `exported` flag and reserved word, the declared
+    /// parameter total, then every parameter's tag, spill extent, offline
+    /// base and the bytes its reader ignores. The encoder writes zeros in
+    /// every byte no reader looks at, so a nonzero one is corruption: one
+    /// state has exactly one encoding.
     fn check_graphs(&self, graphs: &[GraphRecords<'a>]) -> MedusaResult<()> {
+        let padding = |what: &str| corrupt(format!("{what} has nonzero reserved bytes"));
         for g in graphs {
             let mut declared = 0usize;
             for rec in g.nodes.chunks_exact(NODE_REC) {
-                string(&self.strings, le32(rec, 0), "graph node kernel")?;
+                let kernel = string(&self.strings, le32(rec, 0), "graph node kernel")?;
                 string(&self.strings, le32(rec, 4), "graph node library")?;
+                if le32(rec, 8) > 1 {
+                    return Err(corrupt(format!(
+                        "graph node `{kernel}` has exported flag {}",
+                        le32(rec, 8)
+                    )));
+                }
+                if le32(rec, 20) != 0 {
+                    return Err(padding(&format!("graph node `{kernel}`")));
+                }
                 declared += le32(rec, 16) as usize;
             }
             let param_count = g.params.len() / PARAM_REC;
@@ -1437,9 +1450,16 @@ impl<'a> ShardView<'a> {
             for rec in g.params.chunks_exact(PARAM_REC) {
                 let aux = le32(rec, 4) as usize;
                 match le32(rec, 0) {
-                    0 if aux <= PARAM_INLINE_LEN => {}
+                    0 if aux <= PARAM_INLINE_LEN => {
+                        if rec[8 + aux..].iter().any(|&b| b != 0) {
+                            return Err(padding(&format!("inline constant of {aux} bytes")));
+                        }
+                    }
                     0 => {
                         let off = le64(rec, 8) as usize;
+                        if rec[16..] != [0; 16] {
+                            return Err(padding(&format!("spilled constant at {off}")));
+                        }
                         if off
                             .checked_add(aux)
                             .filter(|&e| e <= self.spill.len())
@@ -1453,10 +1473,8 @@ impl<'a> ShardView<'a> {
                     }
                     1 => {
                         let alloc_seq = le64(rec, 8);
-                        if rec[24..32] != [0; 8] {
-                            return Err(corrupt(format!(
-                                "pointer to allocation #{alloc_seq} has a nonzero reserved slot"
-                            )));
+                        if aux != 0 || rec[24..32] != [0; 8] {
+                            return Err(padding(&format!("pointer to allocation #{alloc_seq}")));
                         }
                         if self.base(alloc_seq).is_none() {
                             return Err(corrupt(format!(
@@ -1981,6 +1999,68 @@ mod tests {
         let err = Maf2Reader::open(&bad).unwrap().shard(0).unwrap_err();
         assert_eq!(err.kind(), "artifact_corrupt");
         assert!(err.to_string().contains("reserved"), "{err}");
+    }
+
+    /// Sets byte `at` of rank 0's Graphs payload of `a`'s encoding to `value`,
+    /// resealed, and returns the shard's error.
+    fn graphs_byte_error(a: &MaterializedState, at: usize, value: u8) -> MedusaError {
+        let bytes = encode_bundle(&[a]).unwrap();
+        let bad = tamper_section(&bytes, SectionKind::Graphs, |p| {
+            p[at] = value;
+            p.len()
+        });
+        Maf2Reader::open(&bad).unwrap().shard(0).unwrap_err()
+    }
+
+    // Offsets into tiny()'s Graphs payload: graph count (8) and graph
+    // header (16), then the node record at 24, the 4-byte constant's
+    // record at 64 and the pointer record at 96.
+    const NODE_AT: usize = 24;
+    const CONST_AT: usize = 64;
+    const PTR_AT: usize = 96;
+
+    #[test]
+    fn inline_constant_window_past_its_length_is_rejected() {
+        let err = graphs_byte_error(&tiny(), CONST_AT + 8 + 4, 1);
+        assert_eq!(err.kind(), "artifact_corrupt", "{err}");
+        assert!(err.to_string().contains("inline constant"), "{err}");
+    }
+
+    #[test]
+    fn spilled_constant_reserved_words_are_rejected() {
+        let mut a = tiny();
+        a.graphs[0].nodes[0].params.push(ParamSpec::Const {
+            bytes: vec![3; PARAM_INLINE_LEN + 1],
+        });
+        a.seal();
+        // The spilled record follows the pointer record; its two reserved
+        // words follow the spill offset.
+        for at in [PTR_AT + 32 + 16, PTR_AT + 32 + 31] {
+            let err = graphs_byte_error(&a, at, 1);
+            assert_eq!(err.kind(), "artifact_corrupt", "{err}");
+            assert!(err.to_string().contains("spilled constant"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nonzero_pointer_aux_is_rejected() {
+        let err = graphs_byte_error(&tiny(), PTR_AT + 4, 1);
+        assert_eq!(err.kind(), "artifact_corrupt", "{err}");
+        assert!(err.to_string().contains("allocation #4"), "{err}");
+    }
+
+    #[test]
+    fn nonzero_node_reserved_word_is_rejected() {
+        let err = graphs_byte_error(&tiny(), NODE_AT + 20, 1);
+        assert_eq!(err.kind(), "artifact_corrupt", "{err}");
+        assert!(err.to_string().contains("graph node `k`"), "{err}");
+    }
+
+    #[test]
+    fn exported_bits_above_bit_0_are_rejected() {
+        let err = graphs_byte_error(&tiny(), NODE_AT + 8, 3);
+        assert_eq!(err.kind(), "artifact_corrupt", "{err}");
+        assert!(err.to_string().contains("exported flag 3"), "{err}");
     }
 
     #[test]

@@ -456,3 +456,40 @@ fn byte_path_fault_matrix_is_pinned() {
         panic!("byte-path fault matrix moved");
     }
 }
+
+/// A resealed flip of the middle byte of rank 1's Graphs section lands in
+/// a constant's inline padding, which no reader looks at. Such a file has
+/// no second reading of the same state: the restore rejects it as
+/// corrupt and degrades to vanilla instead of restoring as Medusa.
+#[test]
+fn resealed_graphs_padding_flip_is_corrupt() {
+    let spec = spec();
+    let good = bundle(2, 29).to_maf2().expect("encode");
+    let graphs_len = Maf2Reader::open(&good)
+        .expect("open")
+        .section_extents()
+        .iter()
+        .find(|e| e.kind == SectionKind::Graphs && e.shard == 1)
+        .expect("rank 1 graphs")
+        .len as usize;
+    let bad = tamper_rank_section(&good, 1, SectionKind::Graphs, graphs_len / 2, true);
+    let err = Maf2Reader::open(&bad)
+        .expect("a resealed flip still opens")
+        .shard(1)
+        .expect_err("padding must not decode");
+    assert_eq!(err.kind(), "artifact_corrupt", "{err}");
+    assert!(err.to_string().contains("inline constant"), "{err}");
+    let outcome = ColdStart::new(&spec)
+        .strategy(Strategy::Medusa)
+        .tp(2)
+        .warm(true)
+        .seed(37)
+        .artifact_bytes(&bad)
+        .run()
+        .expect("degrades instead of erroring");
+    assert_eq!(outcome.strategy_used(), Strategy::Vanilla);
+    assert_eq!(
+        outcome.fallback().expect("fallback").reason,
+        "artifact_corrupt"
+    );
+}
