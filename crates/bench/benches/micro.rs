@@ -1,7 +1,11 @@
-//! Micro-benchmarks of the core Medusa mechanisms: what does
-//! materialization/restoration itself cost in wall-clock terms, the
-//! ablation of trace-based vs naive pointer matching, and the real
-//! multi-core speedup of the parallel cold-start engine.
+//! Micro-benchmarks of what the `perfbench` harness does not time per
+//! layer: the simulated allocator and parameter buffers, the ablation of
+//! trace-based vs naive pointer matching, artifact JSON serde, tokenizer
+//! encoding, the fleet simulator and its event queue, and the real
+//! multi-core speedup of the parallel cold-start engine. Offline capture
+//! and analysis, allocation replay, kernel resolution, graph restore,
+//! tokenizer loading and workload generation are timed per layer by
+//! `perfbench --trace 1` instead.
 //!
 //! Self-contained harness (`harness = false`, no external bench crate —
 //! the build is fully offline): each benchmark runs a timed loop around a
@@ -21,8 +25,7 @@
 use std::time::{Duration, Instant};
 
 use medusa::{
-    analyze, count_naive_mismatches, materialize_offline, replay_allocations, restore_graph,
-    ColdStart, ColdStartOptions, KernelResolver, Parallelism, Strategy,
+    count_naive_mismatches, materialize_offline, ColdStart, ColdStartOptions, Parallelism, Strategy,
 };
 use medusa_gpu::{AllocTag, CostModel, GpuSpec, ParamBuffer, ProcessRuntime};
 use medusa_model::{build_catalog, ModelSpec};
@@ -92,96 +95,14 @@ fn bench_param_buffer() {
     );
 }
 
-fn bench_offline_phase() {
-    let s = spec();
-    let mut seed = 0u64;
-    report(
-        "offline/capture_stage_qwen05b_35_graphs",
-        measure(3, || {
-            seed += 1;
-            medusa::run_offline_capture(&s, GpuSpec::a100_40gb(), CostModel::default(), seed)
-                .expect("capture")
-        }),
-    );
-    let cap = medusa::run_offline_capture(&s, GpuSpec::a100_40gb(), CostModel::default(), 7)
+/// The ablation of trace-based vs naive pointer matching: the naive scan
+/// over one offline capture.
+fn bench_naive_matching() {
+    let cap = medusa::run_offline_capture(&spec(), GpuSpec::a100_40gb(), CostModel::default(), 7)
         .expect("capture");
-    report(
-        "offline/analysis_stage_qwen05b",
-        measure(3, || {
-            analyze(&cap, &CostModel::default()).expect("analysis")
-        }),
-    );
     report(
         "offline/ablation_naive_matching_scan",
         measure(3, || count_naive_mismatches(&cap)),
-    );
-}
-
-fn bench_online_restore() {
-    let s = spec();
-    let (artifact, _) =
-        materialize_offline(&s, GpuSpec::a100_40gb(), CostModel::default(), 9).expect("offline");
-    report(
-        "online/replay_allocation_sequence",
-        measure(3, || {
-            let mut rt = ProcessRuntime::new(
-                build_catalog(&s),
-                GpuSpec::a100_40gb(),
-                CostModel::default(),
-                123,
-            );
-            let _inst = medusa_model::ModelInstance::initialize(&mut rt, &s).expect("structure");
-            replay_allocations(&mut rt, &artifact).expect("replay")
-        }),
-    );
-    // One full restore of the largest graph (pointer patching path).
-    let mut rt = ProcessRuntime::new(
-        build_catalog(&s),
-        GpuSpec::a100_40gb(),
-        CostModel::default(),
-        124,
-    );
-    let mut inst = medusa_model::ModelInstance::initialize(&mut rt, &s).expect("structure");
-    medusa_model::load_weights(&mut rt, &inst, 1.0).expect("weights");
-    let (layout, _) = replay_allocations(&mut rt, &artifact).expect("replay");
-    inst.bind_workspace(layout.workspace().expect("ws"));
-    inst.bind_magic(layout.magic_pairs(s.layers()).expect("magic"));
-    let kv = layout.kv_view(16).expect("kv");
-    let mut resolver = KernelResolver::new();
-    resolver
-        .resolve_exported(&mut rt, &artifact)
-        .expect("dlsym path");
-    for bsz in [1, 8, 64, 256] {
-        medusa_model::warmup_first_layer(&mut rt, &mut inst, bsz, &kv).expect("trigger");
-    }
-    resolver
-        .resolve_by_enumeration(&mut rt, &artifact)
-        .expect("enumeration");
-    // The resolver work of one restore once its modules are loaded: the
-    // dlsym pass, a completeness check per graph and the final check.
-    report(
-        "kernel_resolve/qwen05b_35_graphs",
-        measure(10, || {
-            let mut fresh = KernelResolver::new();
-            fresh
-                .resolve_exported(&mut rt, &artifact)
-                .expect("dlsym path");
-            for _ in &artifact.graphs {
-                if fresh.ensure_complete(&artifact).is_err() {
-                    fresh
-                        .resolve_by_enumeration(&mut rt, &artifact)
-                        .expect("enumeration");
-                }
-            }
-            fresh.ensure_complete(&artifact).expect("complete")
-        }),
-    );
-    let gspec = artifact.graphs.last().expect("graphs");
-    report(
-        "online/restore_graph_largest_batch",
-        measure(10, || {
-            restore_graph(gspec, &layout, resolver.addrs()).expect("restore")
-        }),
     );
 }
 
@@ -205,16 +126,6 @@ fn bench_serde() {
 fn bench_serving_and_workload() {
     use medusa_serving::{simulate_fleet, ClusterSpec, FleetProfile, PerfModel, Policy};
     use medusa_workload::TraceConfig;
-    let mut seed = 0u64;
-    report(
-        "serving/workload_generate_10rps_300s",
-        measure(3, || {
-            seed += 1;
-            TraceConfig::sharegpt(10.0, 300.0)
-                .with_seed(seed)
-                .generate()
-        }),
-    );
     let perf = PerfModel::from_tables(
         medusa::Strategy::Vanilla,
         "bench",
@@ -340,10 +251,6 @@ fn bench_event_queue() {
 
 fn bench_tokenizer() {
     use medusa_model::Tokenizer;
-    report(
-        "tokenizer/load_151936",
-        measure(5, || Tokenizer::load(151_936, &CostModel::default())),
-    );
     let (tok, _) = Tokenizer::load(32_000, &CostModel::default());
     let text = "the quick brown fox jumps over the lazy dog ".repeat(32);
     report(
@@ -458,8 +365,7 @@ fn main() {
     bench_allocator();
     bench_param_buffer();
     bench_tokenizer();
-    bench_offline_phase();
-    bench_online_restore();
+    bench_naive_matching();
     bench_serde();
     bench_serving_and_workload();
     bench_fleet_route();
