@@ -105,7 +105,12 @@ fn fault_plans() -> Vec<(&'static str, ClusterFaults)> {
 /// short keep-alive (so bursty traces exercise scale-to-zero churn), and a
 /// bounded flaky-registry policy.
 fn base_cluster(faults: ClusterFaults) -> ClusterSpec {
-    let mut c = ClusterSpec::uniform(4)
+    fleet_of(4, faults)
+}
+
+/// [`base_cluster`]'s shape over `nodes` nodes.
+fn fleet_of(nodes: usize, faults: ClusterFaults) -> ClusterSpec {
+    let mut c = ClusterSpec::uniform(nodes)
         .with_cached_prefix(1)
         .with_fetch_policy(FetchPolicy {
             timeout_s: 0.4,
@@ -305,8 +310,46 @@ pub fn differential_matrix() -> Vec<Scenario> {
                 .generate(),
         ),
     });
+    // Fleets over three 64-node words: cached holders and cold starts
+    // past index 64, loads spread over several values, and a round-robin
+    // rotation that wraps around a fleet of 130.
+    out.push(Scenario {
+        name: "s13-coldstart-aware-wide".to_string(),
+        profile: medusa_profile(),
+        cluster: {
+            let mut c = fleet_of(WIDE, ClusterFaults::default())
+                .with_cached_prefix(70)
+                .with_keep_alive(1.0);
+            c.max_running = 4;
+            c
+        },
+        policy: Policy::ColdStartAware,
+        trace: TraceConfig::sharegpt(40.0, 20.0)
+            .with_seed(13)
+            .with_pattern(ArrivalPattern::sharegpt_bursty())
+            .generate(),
+    });
+    out.push(Scenario {
+        name: "s17-mt-round-robin-wide-cas".to_string(),
+        profile: medusa_profile().with_scaled_models(6),
+        cluster: fleet_of(WIDE, ClusterFaults::default())
+            .with_cache(CacheConfig {
+                capacity: CacheCapacity::Artifacts(2),
+                eviction: EvictionPolicy::CostAware,
+            })
+            .with_keep_alive(1.5)
+            .with_registry_mode(RegistryMode::ContentAddressed(catalog(6))),
+        policy: Policy::RoundRobin,
+        trace: TraceConfig::sharegpt(50.0, 5.0)
+            .with_seed(17)
+            .with_models(ModelMix::Zipf { models: 6, s: 1.0 })
+            .generate(),
+    });
     out
 }
+
+/// Node count of the wide scenarios: three 64-bit words of node indices.
+const WIDE: usize = 130;
 
 /// The twin scenarios' fleet: [`base_cluster`] with two pre-seeded
 /// caches, two running sequences per node and a 1 s keep-alive.
