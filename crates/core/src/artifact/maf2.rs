@@ -44,7 +44,7 @@ use super::{
 };
 use crate::error::{MedusaError, MedusaResult};
 use medusa_gpu::{Digest, Work};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -1194,6 +1194,7 @@ impl<'a> Maf2Reader<'a> {
             graphs: Vec::new(),
             spill: &[],
             checksum: 0,
+            kernels: Vec::new(),
         })
     }
 
@@ -1311,6 +1312,8 @@ pub struct ShardView<'a> {
     spill: &'a [u8],
     /// The content checksum folded over the view.
     checksum: u64,
+    /// The kernel table, listed once when the view was read.
+    kernels: Vec<KernelName<'a>>,
 }
 
 impl<'a> ShardView<'a> {
@@ -1339,7 +1342,41 @@ impl<'a> ShardView<'a> {
         self.check_graphs(&graphs)?;
         self.graphs = graphs;
         self.checksum = content_fold(&self);
+        self.kernels = self.kernel_table();
         Ok(self)
+    }
+
+    /// The distinct `(library, kernel)` names of the graphs, in first-use
+    /// order. Nodes are told apart by their string-id pair; names are
+    /// compared only for a pair not seen before, so one kernel under two
+    /// ids is listed once.
+    fn kernel_table(&self) -> Vec<KernelName<'a>> {
+        // The id pairs seen so far, ascending.
+        let mut seen: Vec<u64> = Vec::new();
+        let mut out: Vec<KernelName<'a>> = Vec::new();
+        for rec in self
+            .graphs
+            .iter()
+            .flat_map(|g| g.nodes.chunks_exact(NODE_REC))
+        {
+            let ids = u64::from(le32(rec, 0)) << 32 | u64::from(le32(rec, 4));
+            let Err(at) = seen.binary_search(&ids) else {
+                continue;
+            };
+            seen.insert(at, ids);
+            let k = KernelName {
+                library: self.str(le32(rec, 4)),
+                kernel: self.str(le32(rec, 0)),
+                exported: le32(rec, 8) & 1 != 0,
+            };
+            if !out
+                .iter()
+                .any(|o| (o.library, o.kernel) == (k.library, k.kernel))
+            {
+                out.push(k);
+            }
+        }
+        out
     }
 
     /// The shard's ShardMeta scalars.
@@ -1398,12 +1435,9 @@ impl<'a> ShardView<'a> {
     fn param(&self, rec: &'a [u8]) -> ParamRef<'a> {
         let aux = le32(rec, 4) as usize;
         if le32(rec, 0) == 1 {
-            let (alloc_seq, offset) = (le64(rec, 8), le64(rec, 16));
-            let raw = self.base(alloc_seq).unwrap_or(0).wrapping_add(offset);
             return ParamRef::Ptr {
-                alloc_seq,
-                offset,
-                raw,
+                alloc_seq: le64(rec, 8),
+                offset: le64(rec, 16),
             };
         }
         if aux <= PARAM_INLINE_LEN {
@@ -1544,6 +1578,18 @@ impl GraphRead for GraphView<'_, '_> {
             .chunks_exact(EDGE_REC)
             .map(|e| (le32(e, 0), le32(e, 4)))
     }
+
+    /// Each pointer's offline base from the base table, plus its offset.
+    fn ptr_raws(&self) -> impl Iterator<Item = u64> + '_ {
+        self.records
+            .params
+            .chunks_exact(PARAM_REC)
+            .filter(|rec| le32(rec, 0) == 1)
+            .map(|rec| {
+                let base = self.shard.base(le64(rec, 8)).unwrap_or(0);
+                base.wrapping_add(le64(rec, 16))
+            })
+    }
 }
 
 impl<'a> ShardRead for ShardView<'a> {
@@ -1632,18 +1678,9 @@ impl<'a> ShardRead for ShardView<'a> {
         })
     }
 
+    /// Listed once, when the view was read.
     fn kernels(&self) -> Vec<KernelName<'_>> {
-        let mut seen = HashSet::new();
-        self.graphs
-            .iter()
-            .flat_map(|g| g.nodes.chunks_exact(NODE_REC))
-            .map(|rec| KernelName {
-                library: self.str(le32(rec, 4)),
-                kernel: self.str(le32(rec, 0)),
-                exported: le32(rec, 8) & 1 != 0,
-            })
-            .filter(|k| seen.insert((k.library, k.kernel)))
-            .collect()
+        self.kernels.clone()
     }
 }
 

@@ -216,14 +216,14 @@ impl ContentFold {
 pub enum ParamRef<'a> {
     /// A constant's raw little-endian bytes.
     Const(&'a [u8]),
-    /// An indirect index pointer (see [`ParamSpec::IndirectPtr`]).
+    /// An indirect index pointer (see [`ParamSpec::IndirectPtr`]). The
+    /// restore needs only these two fields; the raw offline value is read
+    /// through [`GraphRead::ptr_raws`].
     Ptr {
         /// Index in the (prefix + replayed) allocation sequence.
         alloc_seq: u64,
         /// Byte offset of the pointer within the matched buffer.
         offset: u64,
-        /// The raw offline value.
-        raw: u64,
     },
 }
 
@@ -232,14 +232,8 @@ impl<'a> From<&'a ParamSpec> for ParamRef<'a> {
         match p {
             ParamSpec::Const { bytes } => ParamRef::Const(bytes),
             &ParamSpec::IndirectPtr {
-                alloc_seq,
-                offset,
-                raw,
-            } => ParamRef::Ptr {
-                alloc_seq,
-                offset,
-                raw,
-            },
+                alloc_seq, offset, ..
+            } => ParamRef::Ptr { alloc_seq, offset },
         }
     }
 }
@@ -295,8 +289,13 @@ pub trait GraphRead {
     /// Dependency edges `(src, dst)`.
     fn edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_;
 
+    /// The raw offline value of every pointer parameter, in the order
+    /// [`GraphRead::nodes`] yields the pointers.
+    fn ptr_raws(&self) -> impl Iterator<Item = u64> + '_;
+
     /// The graph as an owned, mutable [`GraphSpec`].
     fn to_spec(&self) -> GraphSpec {
+        let mut raws = self.ptr_raws();
         GraphSpec {
             batch: self.batch(),
             nodes: self
@@ -310,14 +309,10 @@ pub trait GraphRead {
                             ParamRef::Const(bytes) => ParamSpec::Const {
                                 bytes: bytes.to_vec(),
                             },
-                            ParamRef::Ptr {
+                            ParamRef::Ptr { alloc_seq, offset } => ParamSpec::IndirectPtr {
                                 alloc_seq,
                                 offset,
-                                raw,
-                            } => ParamSpec::IndirectPtr {
-                                alloc_seq,
-                                offset,
-                                raw,
+                                raw: raws.next().unwrap_or_default(),
                             },
                         })
                         .collect(),
@@ -363,6 +358,16 @@ impl GraphRead for GraphSpec {
         self.edges.iter().copied()
     }
 
+    fn ptr_raws(&self) -> impl Iterator<Item = u64> + '_ {
+        self.nodes
+            .iter()
+            .flat_map(|n| &n.params)
+            .filter_map(|p| match *p {
+                ParamSpec::IndirectPtr { raw, .. } => Some(raw),
+                ParamSpec::Const { .. } => None,
+            })
+    }
+
     fn to_spec(&self) -> GraphSpec {
         self.clone()
     }
@@ -390,6 +395,10 @@ impl<G: GraphRead + ?Sized> GraphRead for &G {
 
     fn edges(&self) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
         (**self).edges()
+    }
+
+    fn ptr_raws(&self) -> impl Iterator<Item = u64> + '_ {
+        (**self).ptr_raws()
     }
 
     fn to_spec(&self) -> GraphSpec {
@@ -536,6 +545,7 @@ pub(crate) fn content_fold<S: ShardRead + ?Sized>(s: &S) -> u64 {
     let graphs = s.graphs();
     f.u64(graphs.len() as u64);
     for g in graphs {
+        let mut raws = g.ptr_raws();
         f.u64(u64::from(g.batch()));
         f.u64(g.node_count() as u64);
         for (n, params) in g.nodes() {
@@ -549,15 +559,11 @@ pub(crate) fn content_fold<S: ShardRead + ?Sized>(s: &S) -> u64 {
                         f.byte(0);
                         f.bytes(bytes);
                     }
-                    ParamRef::Ptr {
-                        alloc_seq,
-                        offset,
-                        raw,
-                    } => {
+                    ParamRef::Ptr { alloc_seq, offset } => {
                         f.byte(1);
                         f.u64(alloc_seq);
                         f.u64(offset);
-                        f.u64(raw);
+                        f.u64(raws.next().unwrap_or_default());
                     }
                 }
             }

@@ -512,17 +512,20 @@ fn check_pointer_bounds<S: ShardRead + ?Sized>(shard: &S) -> MedusaResult<()> {
         }
     }
     for g in shard.graphs() {
+        // Pointers seen so far: the raw value is read only for the error.
+        let mut ptrs = 0;
         for (node, (_, params)) in g.nodes().enumerate() {
             for (param, p) in params.enumerate() {
-                if let ParamRef::Ptr { alloc_seq, raw, .. } = p {
+                if let ParamRef::Ptr { alloc_seq, .. } = p {
                     if !live.contains(alloc_seq) {
                         return Err(MedusaError::UnmatchedPointer {
                             batch: g.batch(),
                             node,
                             param,
-                            addr: raw,
+                            addr: g.ptr_raws().nth(ptrs).unwrap_or_default(),
                         });
                     }
+                    ptrs += 1;
                 }
             }
         }

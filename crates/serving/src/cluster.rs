@@ -55,6 +55,7 @@
 //! wall-clock seconds. While no request is queued, a node's decode steps
 //! up to the one that finishes a sequence take one event, not one each.
 
+mod bitset;
 mod index;
 
 pub use index::FleetQuery;
@@ -62,6 +63,7 @@ pub use index::FleetQuery;
 use crate::event::{ArrivalCursor, EventQueue, EventToken, FleetEvent};
 use crate::params::PerfModel;
 use crate::predict::{PrewarmConfig, PrewarmEstimator};
+use bitset::BitSet;
 use index::{FleetIndex, RouteCtx};
 use medusa::{
     materialize_offline, ColdStart, ColdStartOptions, MedusaResult, Parallelism, Strategy,
@@ -336,38 +338,28 @@ fn fallback_digest(model: u32) -> u64 {
 /// empty under a backend without chunk residency.
 #[derive(Debug, Clone, Default)]
 pub struct ChunkSet {
-    words: Vec<u64>,
+    bits: BitSet,
 }
 
 impl ChunkSet {
     /// Whether chunk `id` is resident.
     pub fn contains(&self, id: usize) -> bool {
-        self.words
-            .get(id / 64)
-            .is_some_and(|w| w & (1 << (id % 64)) != 0)
+        self.bits.contains(id)
     }
 
     /// Marks chunk `id` resident.
     pub fn insert(&mut self, id: usize) {
-        if self.words.len() <= id / 64 {
-            self.words.resize(id / 64 + 1, 0);
-        }
-        self.words[id / 64] |= 1 << (id % 64);
+        self.bits.insert(id);
     }
 
     /// Whether no chunk is resident.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.bits.is_empty()
     }
 
     /// Marks every chunk of `other` resident.
     fn union_with(&mut self, other: &ChunkSet) {
-        if self.words.len() < other.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
+        self.bits.union_with(&other.bits);
     }
 }
 

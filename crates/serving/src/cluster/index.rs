@@ -4,9 +4,10 @@
 //! [`FleetIndex`] files each node under the candidate sets a policy can
 //! draw from and re-files it at every transition that changes its set or
 //! its position: Cold ↔ Starting ↔ Warm, a node becoming or leaving a
-//! pipeline helper, a load change. Cache inserts and evictions happen only
-//! while a node is warm, so a cold node's cache — and with it its
-//! cold-by-model sets — is fixed until it leaves Cold. A decision touches
+//! pipeline helper, a load change. Every set is a bitset over node
+//! indices, so re-filing a node costs O(1). Cache inserts and evictions
+//! happen only while a node is warm, so a cold node's cache — and with it
+//! its cold-by-model sets — is fixed until it leaves Cold. A decision touches
 //! only the few candidates that can win, so its cost depends on the live
 //! part of the fleet, not on its size.
 //!
@@ -16,8 +17,8 @@
 //! [`reference`] module keeps the O(nodes) scan the index replaced, and
 //! debug builds check every decision against it.
 
+use super::bitset::{self, BitSet};
 use super::{FleetProfile, Node, NodeState, Registry, Strategy};
-use std::collections::BTreeSet;
 
 /// Per-run constants every routing decision reads: admission limits, the
 /// profile and registry backend that start costs are priced with, and the
@@ -129,19 +130,95 @@ enum Slot {
     },
 }
 
+/// Nodes filed by load: `at[l]` holds the nodes at load `l`, and `loads`
+/// the loads whose set is non-empty. Walking `loads` ascending and each
+/// load's nodes ascending visits the nodes in `(load, index)` order. A
+/// load whose set empties gives its words back.
+#[derive(Debug, Clone, Default)]
+struct ByLoad {
+    at: Vec<BitSet>,
+    loads: BitSet,
+}
+
+impl ByLoad {
+    fn insert(&mut self, load: usize, i: usize) {
+        if self.at.len() <= load {
+            self.at.resize_with(load + 1, BitSet::default);
+        }
+        self.at[load].insert(i);
+        self.loads.insert(load);
+    }
+
+    fn remove(&mut self, load: usize, i: usize) {
+        let nodes = &mut self.at[load];
+        nodes.remove(i);
+        if nodes.is_empty() {
+            *nodes = BitSet::default();
+            self.loads.remove(load);
+        }
+    }
+
+    /// The nodes at `load`, ascending.
+    fn at(&self, load: usize) -> bitset::Iter<'_> {
+        self.at.get(load).map(BitSet::iter).unwrap_or_default()
+    }
+
+    /// The nodes at loads below `limit`, in `(load, index)` order.
+    fn below(&self, limit: usize) -> Below<'_> {
+        Below {
+            at: &self.at,
+            loads: self.loads.iter(),
+            limit,
+            nodes: bitset::Iter::default(),
+        }
+    }
+}
+
+/// Iterator of [`ByLoad::below`]: each load's nodes, then the next load's.
+#[derive(Default)]
+struct Below<'a> {
+    at: &'a [BitSet],
+    loads: bitset::Iter<'a>,
+    limit: usize,
+    nodes: bitset::Iter<'a>,
+}
+
+impl Iterator for Below<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            if let Some(i) = self.nodes.next() {
+                return Some(i);
+            }
+            let load = self.loads.next().filter(|&l| l < self.limit)?;
+            self.nodes = self.at[load].iter();
+        }
+    }
+}
+
+/// Equal when the same nodes sit at the same loads, however far `at` grew.
+impl PartialEq for ByLoad {
+    fn eq(&self, other: &Self) -> bool {
+        self.loads == other.loads && self.loads.iter().all(|l| self.at[l] == other.at[l])
+    }
+}
+
+impl Eq for ByLoad {}
+
 /// The candidate sets of one model.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ModelSets {
     /// Warm nodes hosting the model that may take work, by `(load, index)`.
-    warm: BTreeSet<(usize, usize)>,
+    warm: ByLoad,
     /// Starting nodes hosting the model that may take work, by
     /// `(load, index)`.
-    starting: BTreeSet<(usize, usize)>,
+    starting: ByLoad,
     /// Warm or Starting nodes hosting the model, pipeline helpers
     /// included — the autoscaler's "is this tenant served" check.
     live: usize,
-    /// Cold nodes whose artifact cache holds the model, by index.
-    cold_holding: BTreeSet<usize>,
+    /// Cold nodes whose artifact cache holds the model.
+    cold_holding: BitSet,
 }
 
 /// Incrementally maintained candidate sets of the fleet. Invariants, for
@@ -153,16 +230,20 @@ struct ModelSets {
 /// * `(load, i) ∈ warm[m]` (`starting[m]`) iff `i` is Warm (Starting),
 ///   hosts `m`, holds `load` requests, and is not a pipeline helper.
 /// * `live[m]` counts the Warm or Starting nodes hosting `m`.
+///
+/// The node sets hold at most `(2 + models + 2 × models × (max_running +
+/// 1)) × ⌈nodes / 64⌉` words, all in non-empty sets (a node's load never
+/// exceeds `max_running`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct FleetIndex {
     /// Model ids with candidate sets, ascending; `per_model[k]` belongs to
     /// `models[k]`.
     models: Vec<u32>,
     per_model: Vec<ModelSets>,
-    /// Cold nodes, by index.
-    cold: BTreeSet<usize>,
-    /// Cold nodes with a non-empty cache or chunk set, by index.
-    cold_stocked: BTreeSet<usize>,
+    /// Cold nodes.
+    cold: BitSet,
+    /// Cold nodes with a non-empty cache or chunk set.
+    cold_stocked: BitSet,
     slots: Vec<Slot>,
 }
 
@@ -172,8 +253,8 @@ impl FleetIndex {
         let mut index = FleetIndex {
             models: Vec::new(),
             per_model: Vec::new(),
-            cold: BTreeSet::new(),
-            cold_stocked: BTreeSet::new(),
+            cold: BitSet::default(),
+            cold_stocked: BitSet::default(),
             slots: vec![Slot::None; nodes.len()],
         };
         for (i, n) in nodes.iter().enumerate() {
@@ -211,13 +292,13 @@ impl FleetIndex {
         match old {
             Slot::None => {}
             Slot::Cold { stocked } => {
-                self.cold.remove(&i);
+                self.cold.remove(i);
                 if stocked {
-                    self.cold_stocked.remove(&i);
+                    self.cold_stocked.remove(i);
                 }
                 for e in &n.cache {
                     let k = self.model_slot(e.model);
-                    let was_filed = self.per_model[k].cold_holding.remove(&i);
+                    let was_filed = self.per_model[k].cold_holding.remove(i);
                     debug_assert!(was_filed, "a cold node's cache changed while cold");
                 }
             }
@@ -232,7 +313,7 @@ impl FleetIndex {
                 let sets = &mut self.per_model[k];
                 sets.live -= 1;
                 if !helper {
-                    sets.by_state(state).remove(&(load, i));
+                    sets.by_state(state).remove(load, i);
                 }
             }
         }
@@ -259,7 +340,7 @@ impl FleetIndex {
                 let sets = &mut self.per_model[k];
                 sets.live += 1;
                 if !helper {
-                    sets.by_state(state).insert((load, i));
+                    sets.by_state(state).insert(load, i);
                 }
             }
         }
@@ -298,7 +379,7 @@ impl FleetIndex {
 
     /// Cold nodes, ascending index.
     pub(super) fn cold(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cold.iter().copied()
+        self.cold.iter()
     }
 
     /// Panics unless the incrementally maintained index equals a rebuild
@@ -316,7 +397,7 @@ impl FleetIndex {
 }
 
 impl ModelSets {
-    fn by_state(&mut self, state: NodeState) -> &mut BTreeSet<(usize, usize)> {
+    fn by_state(&mut self, state: NodeState) -> &mut ByLoad {
         match state {
             NodeState::Warm => &mut self.warm,
             NodeState::Starting => &mut self.starting,
@@ -419,24 +500,20 @@ impl<'a> FleetQuery<'a> {
 
     /// The lowest-index cold node.
     pub fn first_cold(&self) -> Option<usize> {
-        self.index.cold.first().copied()
+        self.index.cold.first()
     }
 
     /// The first cold node at or after index `from`, wrapping around.
     pub fn next_cold(&self, from: usize) -> Option<usize> {
-        self.index
-            .cold
-            .range(from..)
-            .next()
-            .or_else(|| self.index.cold.first())
-            .copied()
+        let cold = &self.index.cold;
+        cold.next_from(from).or_else(|| cold.first())
     }
 
     /// The lowest-index cold node whose cache holds the request's model.
     pub fn first_cold_cached(&self) -> Option<usize> {
         self.index
             .sets(self.model)
-            .and_then(|s| s.cold_holding.first().copied())
+            .and_then(|s| s.cold_holding.first())
     }
 
     /// Nodes in `state` (Warm or Starting) that accept the request, in
@@ -448,11 +525,8 @@ impl<'a> FleetQuery<'a> {
             NodeState::Starting => Some(&s.starting),
             NodeState::Cold => None,
         });
-        let max_running = self.ctx.max_running;
-        set.into_iter()
-            .flatten()
-            .take_while(move |&&(load, _)| load < max_running)
-            .map(|&(_, i)| i)
+        set.map(|s| s.below(self.ctx.max_running))
+            .unwrap_or_default()
             .filter(move |&i| self.accepts(i))
     }
 
@@ -470,11 +544,9 @@ impl<'a> FleetQuery<'a> {
             return self.least_loaded(NodeState::Warm);
         };
         let warm = &self.index.sets(self.model)?.warm;
-        by_drain.iter().find_map(|&l| {
-            warm.range((l, 0)..=(l, usize::MAX))
-                .map(|&(_, i)| i)
-                .find(|&i| self.accepts(i))
-        })
+        by_drain
+            .iter()
+            .find_map(|&l| warm.at(l).find(|&i| self.accepts(i)))
     }
 
     /// The cold node with the least `(start_cost, index)`. Whole-artifact
@@ -498,8 +570,8 @@ impl<'a> FleetQuery<'a> {
             return Some(first);
         }
         let stocked = &self.index.cold_stocked;
-        let bare = self.index.cold().find(|i| !stocked.contains(i));
-        let others = stocked.iter().copied().filter(|&i| !self.cached(i));
+        let bare = self.index.cold().find(|&i| !stocked.contains(i));
+        let others = stocked.iter().filter(|&i| !self.cached(i));
         holder
             .into_iter()
             .chain(bare)
@@ -835,7 +907,7 @@ mod tests {
         #[test]
         fn indexed_decisions_match_the_scan(
             seed in any::<u64>(),
-            n_nodes in 1usize..20,
+            n_nodes in 1usize..150,
             models in 1u32..5,
             cas in any::<bool>(),
             medusa in any::<bool>(),

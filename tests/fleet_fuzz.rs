@@ -298,3 +298,41 @@ proptest! {
         assert_fleet_invariants(&out, &trace, "multi-tenant");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Fleets of 65 to 139 nodes, so every node set of the routing index
+    /// spans two or three 64-bit words: cached holders, cold rotations and
+    /// live nodes past index 64, under every policy, both registry
+    /// backends and multi-tenant traffic.
+    #[test]
+    fn wide_fleets_conserve_requests(
+        seed in any::<u64>(),
+        nodes in 65usize..140,
+        cached in 0usize..140,
+        models in 1u32..5,
+        rps in 10.0f64..60.0,
+        keep_alive_s in 0.5f64..4.0,
+        policy_idx in 0usize..5,
+        cas in any::<bool>(),
+        crash_pm in 0u32..150,
+    ) {
+        let mut cluster = fleet(nodes, cached, keep_alive_s, crash_pm, 150, seed)
+            .with_cache(CacheConfig {
+                capacity: CacheCapacity::Artifacts(2),
+                eviction: EvictionPolicy::CostAware,
+            });
+        cluster.max_running = 4;
+        if cas {
+            cluster = cluster.with_registry_mode(RegistryMode::ContentAddressed(family_catalog(models)));
+        }
+        let trace = TraceConfig::sharegpt(rps, 20.0)
+            .with_seed(seed ^ 0x51de)
+            .with_models(ModelMix::zipf(models, 1.0))
+            .generate();
+        let profile = profile(true).with_scaled_models(models);
+        let out = simulate_fleet(&profile, &cluster, policy(policy_idx), &trace);
+        assert_fleet_invariants(&out, &trace, "wide");
+    }
+}
