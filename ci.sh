@@ -4,8 +4,9 @@
 # `medusa_bench::smoke::SCENARIOS` (each re-runs its scenario fresh and
 # compares it with the committed results/BENCH_<scenario>.json, metric by
 # metric, plus the scenario's declared invariants), every example
-# end-to-end, the paper record (`repro all` against results/repro_all.txt),
-# a build and a 1 s smoke run per workload of the fixed perfbench harness,
+# end-to-end, the CLI fleet once per registry mode, the paper record
+# (`repro all` against results/repro_all.txt), a build and a 1 s smoke
+# run per workload of the fixed perfbench harness,
 # the proptest regression-corpus check, and the concurrency stress test
 # (sized for --release, hence run separately).
 #
@@ -164,6 +165,22 @@ for ex in examples/*.rs; do
   name="$(basename "$ex" .rs)"
   echo "    running example $name"
   cargo run --release -q --example "$name" >/dev/null
+done
+
+echo "==> CLI fleet (release, once per registry mode, conservation residual 0)"
+# The same faulty multi-tenant locality fleet under whole-artifact and
+# content-addressed registries; every offered request must be accounted.
+for mode in whole cas; do
+  OUT="$(cargo run --release -q --bin medusa-cli -- cluster --nodes 8 --rps 4 \
+    --duration 20 --models 4 --cache-cap 2 --faults flaky-registry,node-crash \
+    --scheduler locality --registry "$mode")"
+  if grep -qE 'conservation residual 0$' <<<"$OUT"; then
+    echo "    registry $mode - conserved"
+  else
+    echo "FAIL: medusa-cli cluster --registry $mode lost or duplicated requests:"
+    echo "$OUT"
+    exit 1
+  fi
 done
 
 echo "==> paper record (repro all matches results/repro_all.txt)"

@@ -140,8 +140,10 @@ impl ChunkManifest {
     /// # Errors
     ///
     /// Returns [`MedusaError::ArtifactCorrupt`] for truncation, bad magic,
-    /// or an unsupported version, and [`MedusaError::ChecksumMismatch`] when
-    /// the trailing seal disagrees.
+    /// an unsupported version, or a field [`ChunkManifest::encode`] never
+    /// writes (a template flag other than 0 or 1, a template digest without
+    /// the flag), and [`MedusaError::ChecksumMismatch`] when the trailing
+    /// seal disagrees.
     pub fn decode(bytes: &[u8]) -> MedusaResult<ChunkManifest> {
         if bytes.len() < 48 + 8 {
             return Err(corrupt(format!(
@@ -178,8 +180,14 @@ impl ChunkManifest {
         let gpu_len = le32(16) as usize;
         let chunk_count = le32(20) as usize;
         let section_count = le32(24) as usize;
-        let template_present = le32(28);
-        let template_digest = le64(32);
+        // Exactly one encoding per state: an absent template is flag 0 with
+        // a zero digest.
+        let template = match (le32(28), le64(32)) {
+            (0, 0) => None,
+            (1, digest) => Some(digest),
+            (0, _) => return Err(corrupt("manifest has a template digest but no template")),
+            (flag, _) => return Err(corrupt(format!("manifest template flag is {flag}"))),
+        };
         let total_bytes = le64(40);
         let need = 48 + model_len + gpu_len + chunk_count * 12 + section_count * 16;
         if body.len() != need {
@@ -232,7 +240,7 @@ impl ChunkManifest {
             total_bytes,
             chunks,
             sections,
-            template: (template_present != 0).then_some(template_digest),
+            template,
         })
     }
 
@@ -665,9 +673,10 @@ impl ChunkStore {
     ///
     /// # Errors
     ///
-    /// Returns [`MedusaError::ArtifactCorrupt`] for truncation or structural
-    /// damage and [`MedusaError::ChecksumMismatch`] when the trailing seal
-    /// disagrees.
+    /// Returns [`MedusaError::ArtifactCorrupt`] for truncation, structural
+    /// damage, or bytes [`ChunkStore::encode`] never writes (a nonzero pad
+    /// word, chunks out of ascending digest order or repeated), and
+    /// [`MedusaError::ChecksumMismatch`] when the trailing seal disagrees.
     pub fn decode(bytes: &[u8]) -> MedusaResult<ChunkStore> {
         if bytes.len() < 24 + 8 {
             return Err(corrupt(format!("store truncated: {} bytes", bytes.len())));
@@ -712,7 +721,9 @@ impl ChunkStore {
         let manifest_count = le32(take(&mut off, 4)?) as usize;
         let template_count = le32(take(&mut off, 4)?) as usize;
         let chunk_count = le32(take(&mut off, 4)?) as usize;
-        take(&mut off, 4)?; // pad
+        if le32(take(&mut off, 4)?) != 0 {
+            return Err(corrupt("store header pad word is nonzero"));
+        }
         let mut store = ChunkStore::new();
         for _ in 0..manifest_count {
             let len = le32(take(&mut off, 4)?) as usize;
@@ -742,8 +753,18 @@ impl ChunkStore {
                 digest,
             });
         }
-        for _ in 0..chunk_count {
+        for i in 0..chunk_count {
             let digest = le64(take(&mut off, 8)?);
+            // Encoded in ascending digest order, each once.
+            if store
+                .chunks
+                .last_key_value()
+                .is_some_and(|(&last, _)| last >= digest)
+            {
+                return Err(corrupt(format!(
+                    "store chunk {i} is out of ascending digest order"
+                )));
+            }
             let len = le32(take(&mut off, 4)?) as usize;
             store.chunks.insert(digest, take(&mut off, len)?.to_vec());
         }

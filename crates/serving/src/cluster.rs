@@ -21,14 +21,16 @@
 //! re-routed by the scheduler. All fault decisions are seed-derived from
 //! the simulated state, so faulty runs are as deterministic as clean ones.
 //!
-//! *What* a fetch moves is decided by the [`Registry`] backend behind
-//! [`RegistryMode`]: the default [`WholeArtifact`] transfers the entire
-//! `<GPU type, model type>` entry (the legacy behavior — committed golden
-//! reports are byte-identical), while [`ContentAddressed`] resolves the
-//! per-model chunk manifest of a [`RegistryCatalog`] against the node's
-//! chunk-level residency and transfers only the missing chunks — family
-//! models sharing template chunks fetch only their deltas, and the
-//! [`RegistryReport`] counters expose the byte savings.
+//! *What* a fetch moves is decided by one chunk registry, selected by
+//! [`RegistryMode`]: it resolves the per-model chunk manifest of a
+//! [`RegistryCatalog`] against the node's chunk-level residency and
+//! transfers only the missing chunks — family models sharing template
+//! chunks fetch only their deltas, and the [`RegistryReport`] counters
+//! expose the byte savings. The default [`RegistryMode::Whole`] is the
+//! same registry over an empty catalog, where every model is one
+//! whole-artifact unit: it transfers the entire `<GPU type, model type>`
+//! entry (the legacy behavior — committed golden reports are
+//! byte-identical).
 //!
 //! Artifact locality follows the paper's §6 sharing model: materialized
 //! state is keyed by `<GPU type, model type>` and lives in a registry; a
@@ -163,10 +165,11 @@ impl Default for FetchPolicy {
 }
 
 // ---------------------------------------------------------------------
-// Registry backends: what a cache-miss fetch actually moves.
+// The chunk registry: what a cache-miss fetch actually moves.
 
-/// One transfer unit of a registry fetch: a content-addressed chunk for
-/// [`ContentAddressed`], the entire artifact for [`WholeArtifact`].
+/// One transfer unit of a registry fetch: a content-addressed chunk of a
+/// [`RegistryCatalog`] manifest, or the whole artifact of a model the
+/// catalog has no manifest for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchUnit {
     /// Content digest (FNV-1a over the chunk bytes for real manifests).
@@ -178,71 +181,15 @@ pub struct FetchUnit {
 /// The resolved fetch plan of one cold start: which units must move given
 /// the node's chunk-level residency, and the byte accounting behind them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FetchPlan {
-    /// Units that must transfer (missing from the node).
-    pub missing: Vec<FetchUnit>,
+struct FetchPlan {
+    /// Units that must transfer (missing from the node), manifest order.
+    missing: Vec<FetchUnit>,
     /// Bytes the missing units total.
-    pub bytes_needed: u64,
+    bytes_needed: u64,
     /// Bytes already resident on the node (resolved without a transfer).
-    pub bytes_resolved: u64,
+    bytes_resolved: u64,
     /// Resident unit count — the chunk hits of this resolution.
-    pub chunk_hits: u64,
-}
-
-/// A registry backend: resolves what a cold start of `model` must fetch
-/// and prices the transfer. The fleet consults the backend selected by
-/// [`ClusterSpec::registry_mode`] on every cache-miss cold start; retry
-/// and degradation behavior stays with [`FetchPolicy`] regardless of the
-/// backend.
-pub trait Registry {
-    /// Backend name (reports and telemetry).
-    fn name(&self) -> &'static str;
-
-    /// Marks in `resident` the chunks a node holds once `model`'s artifact
-    /// is in its cache. The default marks nothing: a backend without
-    /// chunk-level residency.
-    fn add_resident(&self, _model: u32, _resident: &mut ChunkSet) {}
-
-    /// Resolves the fetch plan of `model` against the chunks already
-    /// resident on the fetching node (as marked by
-    /// [`Registry::add_resident`]). `missing` lists the units to transfer
-    /// in manifest order.
-    fn resolve(&self, model: u32, resident: &ChunkSet, profile: &FleetProfile) -> FetchPlan;
-
-    /// Simulated transfer duration of `plan`'s missing units. Backends
-    /// scale the profile's measured per-model fetch cost by the fraction
-    /// of bytes that actually move.
-    fn fetch(&self, model: u32, plan: &FetchPlan, profile: &FleetProfile) -> SimDuration;
-}
-
-/// Legacy whole-artifact registry: every cache miss transfers the entire
-/// `<GPU type, model type>` entry at exactly the profile's measured fetch
-/// cost. This is the default backend; fleets running it produce reports
-/// byte-identical to the pre-registry-trait simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WholeArtifact;
-
-impl Registry for WholeArtifact {
-    fn name(&self) -> &'static str {
-        "whole"
-    }
-
-    fn resolve(&self, model: u32, _resident: &ChunkSet, profile: &FleetProfile) -> FetchPlan {
-        let bytes = profile.artifact_bytes_for(model);
-        FetchPlan {
-            missing: vec![FetchUnit {
-                digest: mix(0x4a01_e0a7 ^ u64::from(model)),
-                bytes,
-            }],
-            bytes_needed: bytes,
-            bytes_resolved: 0,
-            chunk_hits: 0,
-        }
-    }
-
-    fn fetch(&self, model: u32, _plan: &FetchPlan, profile: &FleetProfile) -> SimDuration {
-        profile.fetch_for(model)
-    }
+    chunk_hits: u64,
 }
 
 /// Per-model chunk list of a [`RegistryCatalog`].
@@ -263,7 +210,8 @@ impl ModelManifest {
 /// Chunk manifests of every model the fleet serves, indexed by model id —
 /// the content-addressed registry's view of the artifact store. Models
 /// beyond the catalog (or with an empty manifest) fall back to a single
-/// synthetic whole-artifact unit so partially-cataloged fleets still run.
+/// synthetic whole-artifact unit, so partially-cataloged fleets still run
+/// and the empty catalog is whole-artifact transfer.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RegistryCatalog {
     /// Per-model manifests, model id order.
@@ -333,66 +281,51 @@ fn fallback_digest(model: u32) -> u64 {
     mix(0xca7a_1070 ^ u64::from(model))
 }
 
-/// Chunk-level residency of one node: a dense bitset over the chunk ids
-/// its fleet's [`Registry`] numbers (see [`ContentAddressed`]). Always
-/// empty under a backend without chunk residency.
-#[derive(Debug, Clone, Default)]
-pub struct ChunkSet {
-    bits: BitSet,
-}
-
-impl ChunkSet {
-    /// Whether chunk `id` is resident.
-    pub fn contains(&self, id: usize) -> bool {
-        self.bits.contains(id)
-    }
-
-    /// Marks chunk `id` resident.
-    pub fn insert(&mut self, id: usize) {
-        self.bits.insert(id);
-    }
-
-    /// Whether no chunk is resident.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Marks every chunk of `other` resident.
-    fn union_with(&mut self, other: &ChunkSet) {
-        self.bits.union_with(&other.bits);
-    }
-}
-
-/// One model's manifest as [`ContentAddressed`] resolves it.
+/// One model's manifest as [`ChunkRegistry`] resolves it.
 #[derive(Debug, Clone, Default)]
 struct DenseManifest {
     /// `(chunk id, unit)` in manifest order.
     units: Vec<(usize, FetchUnit)>,
     /// The chunk ids of `units`.
-    mask: ChunkSet,
+    mask: BitSet,
 }
 
-/// Content-addressed registry: resolves each fetch against the node's
-/// resident chunk set and transfers only the missing chunks, priced as the
-/// missing fraction of the model's measured whole-artifact fetch cost.
+/// The fleet's registry: resolves each fetch against the node's resident
+/// chunk set and transfers only the missing chunks, priced as the missing
+/// fraction of the model's measured whole-artifact fetch cost. A plan
+/// that moves no bytes costs no fetch time.
 ///
 /// Building it numbers the catalog's distinct digests once, in ascending
 /// order, and turns every manifest into `(chunk id, unit)` pairs plus a
 /// mask, so a resolution is one bit test per unit. The fallback unit of a
 /// model without a manifest takes the id of an equal cataloged digest,
 /// else `distinct digests + model`.
+///
+/// [`RegistryMode::Whole`] is this registry over the empty catalog: every
+/// model is its one fallback unit of [`FleetProfile::artifact_bytes_for`]
+/// bytes, a node holds that unit exactly while its cache holds the model,
+/// and a fetch is resolved only on a cache miss — so every fetch moves the
+/// whole artifact at the full [`FleetProfile::fetch_for`]. The mode keeps
+/// two rules of its own, both pinned by the committed golden reports:
+/// its retry rolls are unsalted ([`ChunkRegistry::retry_salt`]), and its
+/// report carries no [`RegistryReport`] counters
+/// ([`ChunkRegistry::reports_counters`]).
 #[derive(Debug, Clone, Default)]
-pub struct ContentAddressed {
+struct ChunkRegistry {
     /// The catalog's distinct digests, ascending: chunk id `k` is
     /// `digests[k]`.
     digests: Vec<u64>,
     /// Per model id; an empty manifest resolves to the fallback unit.
     models: Vec<DenseManifest>,
+    /// Whether the registry was built from a [`RegistryCatalog`]
+    /// ([`RegistryMode::ContentAddressed`]) rather than whole mode.
+    cataloged: bool,
 }
 
-impl ContentAddressed {
-    /// Numbers `catalog`'s chunks.
-    pub fn new(catalog: &RegistryCatalog) -> Self {
+impl ChunkRegistry {
+    /// Numbers `catalog`'s chunks; `cataloged` is false only for whole
+    /// mode's empty catalog.
+    fn new(catalog: &RegistryCatalog, cataloged: bool) -> Self {
         let mut digests: Vec<u64> = catalog
             .models
             .iter()
@@ -416,7 +349,11 @@ impl ContentAddressed {
                 dense
             })
             .collect();
-        ContentAddressed { digests, models }
+        ChunkRegistry {
+            digests,
+            models,
+            cataloged,
+        }
     }
 
     /// The manifest of `model`, if the catalog has a non-empty one.
@@ -432,21 +369,22 @@ impl ContentAddressed {
             .binary_search(&fallback_digest(model))
             .unwrap_or(self.digests.len() + model as usize)
     }
-}
 
-impl Registry for ContentAddressed {
-    fn name(&self) -> &'static str {
-        "cas"
-    }
-
-    fn add_resident(&self, model: u32, resident: &mut ChunkSet) {
+    /// Marks in `resident` the chunks a node holds once `model`'s artifact
+    /// is in its cache.
+    fn add_resident(&self, model: u32, resident: &mut BitSet) {
         match self.manifest(model) {
             Some(m) => resident.union_with(&m.mask),
-            None => resident.insert(self.fallback_id(model)),
+            None => {
+                resident.insert(self.fallback_id(model));
+            }
         }
     }
 
-    fn resolve(&self, model: u32, resident: &ChunkSet, profile: &FleetProfile) -> FetchPlan {
+    /// Resolves the fetch plan of `model` against the chunks already
+    /// resident on the fetching node (as marked by
+    /// [`ChunkRegistry::add_resident`]).
+    fn resolve(&self, model: u32, resident: &BitSet, profile: &FleetProfile) -> FetchPlan {
         let fallback;
         let units = match self.manifest(model) {
             Some(m) => &m.units[..],
@@ -468,6 +406,9 @@ impl Registry for ContentAddressed {
         plan
     }
 
+    /// Simulated transfer duration of `plan`'s missing units: the
+    /// profile's measured per-model fetch cost scaled by the fraction of
+    /// bytes that actually move.
     fn fetch(&self, model: u32, plan: &FetchPlan, profile: &FleetProfile) -> SimDuration {
         let total = plan.bytes_needed + plan.bytes_resolved;
         if plan.bytes_needed == 0 || total == 0 {
@@ -476,25 +417,44 @@ impl Registry for ContentAddressed {
         let base = profile.fetch_for(model).as_nanos() as u128;
         SimDuration::from_nanos((base * plan.bytes_needed as u128 / total as u128) as u64)
     }
+
+    /// Seed salt of `unit`'s retry rolls: its digest under a catalog, so
+    /// every chunk rolls its own fate; none in whole mode, whose one unit
+    /// keeps the legacy roll schedule.
+    fn retry_salt(&self, unit: &FetchUnit) -> u64 {
+        if self.cataloged {
+            mix(0x5a17_c4a5 ^ unit.digest)
+        } else {
+            0
+        }
+    }
+
+    /// Whether the run counts and reports chunk-level [`RegistryReport`]
+    /// traffic: only under a catalog.
+    fn reports_counters(&self) -> bool {
+        self.cataloged
+    }
 }
 
-/// Which [`Registry`] backend the fleet fetches through.
+/// Which catalog the fleet's registry resolves fetches against.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum RegistryMode {
-    /// [`WholeArtifact`] — the legacy, golden-pinned default.
+    /// Whole-artifact transfers — the legacy, golden-pinned default: the
+    /// registry over an empty catalog, without [`RegistryReport`]
+    /// counters.
     #[default]
     Whole,
-    /// [`ContentAddressed`] over the given catalog: chunk-level residency,
-    /// delta-only transfers, and [`RegistryReport`] counters.
+    /// The given catalog: chunk-level residency, delta-only transfers,
+    /// per-chunk retries, and [`RegistryReport`] counters.
     ContentAddressed(RegistryCatalog),
 }
 
 impl RegistryMode {
-    /// Instantiates the backend.
-    pub fn build(&self) -> Box<dyn Registry> {
+    /// Builds the fleet's registry.
+    fn build(&self) -> ChunkRegistry {
         match self {
-            RegistryMode::Whole => Box::new(WholeArtifact),
-            RegistryMode::ContentAddressed(catalog) => Box::new(ContentAddressed::new(catalog)),
+            RegistryMode::Whole => ChunkRegistry::new(&RegistryCatalog::default(), false),
+            RegistryMode::ContentAddressed(catalog) => ChunkRegistry::new(catalog, true),
         }
     }
 }
@@ -707,12 +667,6 @@ impl ClusterSpec {
         self
     }
 
-    /// Sets the autoscaler configuration (builder style).
-    pub fn with_autoscaler(mut self, autoscaler: AutoscalerConfig) -> Self {
-        self.autoscaler = autoscaler;
-        self
-    }
-
     /// Sets the registry-fetch resilience policy (builder style).
     pub fn with_fetch_policy(mut self, fetch_policy: FetchPolicy) -> Self {
         self.fetch_policy = fetch_policy;
@@ -734,12 +688,6 @@ impl ClusterSpec {
     /// Bounds the node-local artifact caches (builder style).
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Sets the per-tenant TTFT SLO threshold (builder style).
-    pub fn with_slo_ttft(mut self, slo_ttft_s: f64) -> Self {
-        self.slo_ttft_s = slo_ttft_s;
         self
     }
 
@@ -827,14 +775,6 @@ impl FleetProfile {
         }
     }
 
-    /// Sets the measured registry-entry byte size (builder style); byte-
-    /// bounded caches and fetch accounting use it instead of the
-    /// fetch-derived estimate.
-    pub fn with_artifact_bytes(mut self, bytes: u64) -> Self {
-        self.artifact_bytes = bytes;
-        self
-    }
-
     /// Sets the cache-miss fetch penalty (builder style).
     pub fn with_fetch(mut self, fetch: SimDuration) -> Self {
         self.fetch = fetch;
@@ -850,12 +790,6 @@ impl FleetProfile {
     /// Sets the degraded (vanilla-path) loading makespan (builder style).
     pub fn with_degraded_loading(mut self, loading: SimDuration) -> Self {
         self.degraded_loading = loading;
-        self
-    }
-
-    /// Sets explicit per-model cold-start costs (builder style).
-    pub fn with_model_costs(mut self, model_costs: Vec<ModelCost>) -> Self {
-        self.model_costs = model_costs;
         self
     }
 
@@ -1034,17 +968,6 @@ impl FleetProfile {
             model_costs: Vec::new(),
             artifact_bytes,
         })
-    }
-
-    /// Cold-start makespan of `model` on a node whose local cache state
-    /// for that model is `cached`.
-    fn coldstart_makespan(&self, cached: bool, model: u32) -> SimDuration {
-        let loading = self.loading_for(model);
-        if cached || self.strategy != Strategy::Medusa {
-            loading
-        } else {
-            loading + self.fetch_for(model)
-        }
     }
 }
 
@@ -1659,12 +1582,11 @@ struct Node {
     model: Option<u32>,
     /// Node-local §6 artifact cache (linear scan: capacities are small).
     cache: Vec<CacheEntry>,
-    /// Chunk-level residency under [`RegistryMode::ContentAddressed`]:
-    /// every chunk backing a resident cache entry. Always empty in
-    /// whole-artifact mode. Replaced only through [`Node::set_chunks`],
-    /// which drops `fetch_memo`.
-    chunks: ChunkSet,
-    /// Memoised content-addressed fetch estimates against `chunks`,
+    /// Chunk-level residency: every chunk backing a resident cache entry
+    /// (in whole mode, one unit per cached model). Replaced only through
+    /// [`Node::set_chunks`], which drops `fetch_memo`.
+    chunks: BitSet,
+    /// Memoised fetch estimates against `chunks`,
     /// `(model, ns)`; filled on demand by routing queries.
     fetch_memo: RefCell<Vec<(u32, u64)>>,
     /// Bumped on every crash; stale stage events are ignored (and
@@ -1730,7 +1652,7 @@ impl Node {
             work_ns: 0,
             model: None,
             cache,
-            chunks: ChunkSet::default(),
+            chunks: BitSet::default(),
             fetch_memo: RefCell::new(Vec::new()),
             epoch: 0,
             degraded_start: false,
@@ -1767,7 +1689,7 @@ impl Node {
 
     /// Replaces the chunk residency, invalidating the fetch estimates
     /// priced against the old set.
-    fn set_chunks(&mut self, chunks: ChunkSet) {
+    fn set_chunks(&mut self, chunks: BitSet) {
         self.chunks = chunks;
         self.fetch_memo.get_mut().clear();
     }
@@ -1888,8 +1810,9 @@ impl FleetSim<'_> {
     }
 
     /// Every node's view for a request of `model` needing `need` KV
-    /// tokens, as the reference scan prices it: content-addressed
-    /// residency is the union of the cached models' manifest digests.
+    /// tokens, as the reference scan prices it: chunk residency is the
+    /// union of the cached models' manifest digests (whole mode resolves
+    /// the empty catalog).
     #[cfg(debug_assertions)]
     fn views(&self, need: u64, model: u32) -> Vec<index::reference::NodeView> {
         let empty = RegistryCatalog::default();
@@ -1986,11 +1909,11 @@ impl FleetSim<'_> {
                 None => break,
             }
         }
-        // Content-addressed residency tracks the cache: the resident chunk
-        // set is exactly the union of the resident models' manifests, so
-        // an eviction drops the victim's unshared chunks but keeps the
+        // Chunk residency tracks the cache: the resident chunk set is
+        // exactly the union of the resident models' manifests, so an
+        // eviction drops the victim's unshared chunks but keeps the
         // template chunks other residents still reference.
-        let mut chunks = ChunkSet::default();
+        let mut chunks = BitSet::default();
         for e in &node.cache {
             self.ctx.registry.add_resident(e.model, &mut chunks);
         }
@@ -2048,8 +1971,8 @@ impl FleetSim<'_> {
         if self.multi_tenant {
             self.tenant_stats.entry(model).or_default().cold_starts += 1;
         }
-        // Resolve what this fetch must move through the registry backend:
-        // the whole artifact, or only the chunks the node's residency lacks.
+        // Resolve what this fetch must move: only the chunks the node's
+        // residency lacks (in whole mode, the whole artifact).
         let plan = needs_fetch.then(|| {
             self.ctx
                 .registry
@@ -2059,21 +1982,15 @@ impl FleetSim<'_> {
         // Registry fetch under the resilience policy: each failed attempt
         // costs a timeout, retries back off exponentially (bounded), and an
         // exhausted budget degrades this start to the vanilla path (§7).
-        // Every missing unit gets its own budget. Whole-artifact mode has
-        // exactly one unit, rolled unsalted on the legacy key schedule;
-        // content-addressed mode retries **per chunk**, each chunk salted
-        // by its digest.
+        // Every missing unit gets its own budget, its rolls salted as the
+        // registry says (in whole mode: one unit, unsalted).
         let mut retry_ns: u64 = 0;
         let mut retries: u32 = 0;
         let mut degraded = false;
         if faults.registry_fail_per_mille > 0 {
             let units = plan.as_ref().map_or(&[][..], |p| &p.missing[..]);
             'units: for u in units {
-                let salt = if self.ctx.cas {
-                    mix(0x5a17_c4a5 ^ u.digest)
-                } else {
-                    0
-                };
+                let salt = self.ctx.registry.retry_salt(u);
                 let mut failures: u32 = 0;
                 loop {
                     let roll = roll_per_mille(faults.seed ^ salt, i, start, failures);
@@ -2125,7 +2042,7 @@ impl FleetSim<'_> {
         } else {
             self.profile.loading_for(model).as_nanos() + fetch_ns
         };
-        if self.ctx.cas {
+        if self.ctx.registry.reports_counters() {
             if let Some(p) = &plan {
                 self.reg_bytes_fetched += p.bytes_needed;
                 self.reg_bytes_resolved += p.bytes_resolved;
@@ -2886,9 +2803,9 @@ pub fn simulate_fleet_traced(
         .unwrap_or(if policy == Policy::Pipeline { 2 } else { 1 })
         .max(1);
     let registry = cluster.registry_mode.build();
-    // Pre-seeded caches hold model 0's artifact; in content-addressed mode
-    // that means its chunks are resident too.
-    let mut seeded_chunks = ChunkSet::default();
+    // Pre-seeded caches hold model 0's artifact, so its chunks are
+    // resident too.
+    let mut seeded_chunks = BitSet::default();
     registry.add_resident(0, &mut seeded_chunks);
     let nodes: Vec<Node> = cluster
         .nodes
@@ -2908,13 +2825,7 @@ pub fn simulate_fleet_traced(
         tele,
         index: FleetIndex::new(&nodes),
         nodes,
-        ctx: RouteCtx::new(
-            profile,
-            registry,
-            matches!(cluster.registry_mode, RegistryMode::ContentAddressed(_)),
-            cluster.max_running,
-            trace.len(),
-        ),
+        ctx: RouteCtx::new(profile, registry, cluster.max_running, trace.len()),
         #[cfg(debug_assertions)]
         reference: index::reference::ReferenceScan::new(policy),
         queue: VecDeque::new(),
@@ -3103,12 +3014,16 @@ pub fn simulate_fleet_traced(
                 evictions: sim.cache_evictions,
             },
         ),
-        registry: sim.ctx.cas.then_some(RegistryReport {
-            bytes_fetched: sim.reg_bytes_fetched,
-            bytes_resolved: sim.reg_bytes_resolved,
-            chunk_hits: sim.reg_chunk_hits,
-            chunk_misses: sim.reg_chunk_misses,
-        }),
+        registry: sim
+            .ctx
+            .registry
+            .reports_counters()
+            .then_some(RegistryReport {
+                bytes_fetched: sim.reg_bytes_fetched,
+                bytes_resolved: sim.reg_bytes_resolved,
+                chunk_hits: sim.reg_chunk_hits,
+                chunk_misses: sim.reg_chunk_misses,
+            }),
         nodes: sim
             .nodes
             .iter()
@@ -3885,7 +3800,7 @@ mod tests {
         spec.nodes[1].cached = true;
         let nodes: Vec<Node> = spec.nodes.iter().map(|s| Node::new(s.clone(), 1)).collect();
         let index = FleetIndex::new(&nodes);
-        let ctx = RouteCtx::new(&profile, Box::new(WholeArtifact), false, 32, 1);
+        let ctx = RouteCtx::new(&profile, RegistryMode::Whole.build(), 32, 1);
         let fleet = FleetQuery::new(&nodes, &index, &ctx, 0, 0);
         assert_eq!(fleet.start_cost(0), 800_000_000, "fetch + restore");
         assert_eq!(fleet.start_cost(1), 500_000_000, "restore only");
@@ -4077,31 +3992,35 @@ mod tests {
 
     #[test]
     fn cas_monolithic_catalog_matches_whole_mode_timing() {
-        // One monolithic unit per model: chunk accounting on, transfer
-        // behavior identical — the control row of registry benchmarks.
+        // One monolithic unit per model, or no manifest at all (the empty
+        // catalog whole mode resolves): chunk accounting on, transfer
+        // behavior identical — the control rows of registry benchmarks.
         let profile = medusa_profile(500, 300);
-        let catalog = RegistryCatalog::monolithic(&[profile.artifact_bytes_for(0)]);
         let trace = vec![req(0, 0, 100, 1), req(1, 10_000, 100, 1)];
-        let whole = simulate_fleet(
-            &profile,
-            &ClusterSpec::uniform(1).with_keep_alive(0.5),
-            Policy::ColdStartAware,
-            &trace,
-        );
-        let cas = simulate_fleet(
-            &profile,
-            &ClusterSpec::uniform(1)
-                .with_keep_alive(0.5)
-                .with_registry_mode(RegistryMode::ContentAddressed(catalog)),
-            Policy::ColdStartAware,
-            &trace,
-        );
-        assert_eq!(cas.ttfts, whole.ttfts);
-        assert_eq!(cas.report.cold_starts, whole.report.cold_starts);
-        let reg = cas.report.registry.expect("counters still present");
-        // The second start re-warms the resident artifact without a fetch.
-        assert_eq!(reg.bytes_fetched, profile.artifact_bytes_for(0));
-        assert_eq!(reg.chunk_misses, 1);
+        let spec = ClusterSpec::uniform(1).with_keep_alive(0.5);
+        let whole = simulate_fleet(&profile, &spec, Policy::ColdStartAware, &trace);
+        assert_eq!(whole.report.registry, None);
+        for catalog in [
+            RegistryCatalog::monolithic(&[profile.artifact_bytes_for(0)]),
+            RegistryCatalog::default(),
+        ] {
+            let cas = simulate_fleet(
+                &profile,
+                &spec
+                    .clone()
+                    .with_registry_mode(RegistryMode::ContentAddressed(catalog)),
+                Policy::ColdStartAware,
+                &trace,
+            );
+            assert_eq!(cas.ttfts, whole.ttfts);
+            assert_eq!(cas.report.cold_starts, whole.report.cold_starts);
+            assert_eq!(cas.report.nodes, whole.report.nodes);
+            let reg = cas.report.registry.expect("counters still present");
+            // The second start re-warms the resident artifact without a
+            // fetch.
+            assert_eq!(reg.bytes_fetched, profile.artifact_bytes_for(0));
+            assert_eq!(reg.chunk_misses, 1);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The crate's one bitset: the node sets of the fleet's routing index and
-//! every node's chunk residency ([`ChunkSet`](super::ChunkSet)).
+//! every node's chunk residency.
 
 /// A set of small integers as 64-bit words: `i` is bit `i % 64` of word
 /// `i / 64`. Inserting grows the words up to the one holding `i`, and

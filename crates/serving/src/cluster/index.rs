@@ -18,20 +18,15 @@
 //! debug builds check every decision against it.
 
 use super::bitset::{self, BitSet};
-use super::{FleetProfile, Node, NodeState, Registry, Strategy};
+use super::{ChunkRegistry, FleetProfile, Node, NodeState, Strategy};
 
 /// Per-run constants every routing decision reads: admission limits, the
-/// profile and registry backend that start costs are priced with, and the
+/// profile and registry that start costs are priced with, and the
 /// queue-drain table.
 pub(super) struct RouteCtx<'a> {
     pub(super) profile: &'a FleetProfile,
-    /// The registry backend fetches resolve through.
-    pub(super) registry: Box<dyn Registry>,
-    /// Whether the backend is content-addressed: chunk residency, scaled
-    /// fetch durations, per-chunk retries, and registry counters all key
-    /// off this (the whole-artifact path stays byte-identical to the
-    /// legacy simulator).
-    pub(super) cas: bool,
+    /// The registry fetches resolve through.
+    pub(super) registry: ChunkRegistry,
     pub(super) max_running: usize,
     pub(super) kv_capacity: u64,
     /// `drain_ns[l]` = `l × decode(max(l, 1))`: the queue-drain estimate
@@ -49,8 +44,7 @@ impl<'a> RouteCtx<'a> {
     /// must cover (a node never holds more requests than the trace has).
     pub(super) fn new(
         profile: &'a FleetProfile,
-        registry: Box<dyn Registry>,
-        cas: bool,
+        registry: ChunkRegistry,
         max_running: u32,
         max_load: usize,
     ) -> Self {
@@ -65,7 +59,6 @@ impl<'a> RouteCtx<'a> {
         RouteCtx {
             profile,
             registry,
-            cas,
             max_running,
             kv_capacity: profile.perf.kv_capacity_tokens,
             drain_ns,
@@ -81,19 +74,14 @@ impl<'a> RouteCtx<'a> {
         }
     }
 
-    /// Estimated cold-start makespan of `model` on node `n`: the legacy
-    /// profile tables in whole-artifact mode, the chunk-residency-resolved
-    /// fetch plus restore in content-addressed mode — which is what lets
-    /// locality routing prefer a node already holding most of a family's
-    /// template chunks. The resolved fetch is memoised per node until its
-    /// chunk set changes.
+    /// Estimated cold-start makespan of `model` on node `n`: the restore,
+    /// plus on a Medusa cache miss the fetch resolved against the node's
+    /// chunk residency — which is what lets locality routing prefer a node
+    /// already holding most of a family's template chunks. The resolved
+    /// fetch is memoised per node until its chunk set changes.
     fn est_cold_ns(&self, n: &Node, model: u32) -> u64 {
-        let cached = n.cache_holds(model);
-        if !self.cas {
-            return self.profile.coldstart_makespan(cached, model).as_nanos();
-        }
         let loading = self.profile.loading_for(model).as_nanos();
-        if cached || self.profile.strategy != Strategy::Medusa {
+        if n.cache_holds(model) || self.profile.strategy != Strategy::Medusa {
             return loading;
         }
         loading
@@ -549,30 +537,18 @@ impl<'a> FleetQuery<'a> {
             .find_map(|&l| warm.at(l).find(|&i| self.accepts(i)))
     }
 
-    /// The cold node with the least `(start_cost, index)`. Whole-artifact
-    /// cold costs take two values — cache hit, or hit plus fetch — so the
-    /// first holder or the first cold node wins. Content-addressed costs
-    /// depend on each node's chunk set: holders and bare nodes each share
-    /// one cost, so only their first members and the stocked non-holders
-    /// are priced.
+    /// The cold node with the least `(start_cost, index)`. Costs depend on
+    /// each node's chunk set: holders and bare nodes each share one cost,
+    /// so only their first members and the stocked non-holders are priced.
     pub fn cheapest_cold(&self) -> Option<usize> {
         let first = self.first_cold()?;
-        let holder = self.first_cold_cached();
-        if !self.ctx.cas {
-            let hit = self.ctx.profile.coldstart_makespan(true, self.model);
-            let miss = self.ctx.profile.coldstart_makespan(false, self.model);
-            return Some(match holder {
-                Some(h) if hit < miss => h,
-                _ => first,
-            });
-        }
         if self.ctx.profile.strategy != Strategy::Medusa {
             return Some(first);
         }
         let stocked = &self.index.cold_stocked;
         let bare = self.index.cold().find(|&i| !stocked.contains(i));
         let others = stocked.iter().filter(|&i| !self.cached(i));
-        holder
+        self.first_cold_cached()
             .into_iter()
             .chain(bare)
             .chain(others)
@@ -594,7 +570,7 @@ pub(super) mod reference {
     use std::collections::BTreeSet;
 
     /// Resolves the fetch plan of `model` against a node's resident chunk
-    /// digests: a [`ContentAddressed`](super::super::ContentAddressed)
+    /// digests: a [`ChunkRegistry`](super::super::ChunkRegistry)
     /// resolution over the matching chunk ids must equal it.
     pub(in super::super) fn resolve(
         catalog: &RegistryCatalog,
@@ -626,8 +602,8 @@ pub(super) mod reference {
     }
 
     /// Builds every node's view for a request of `model` needing `need`
-    /// KV tokens. Content-addressed start costs resolve `catalog` against
-    /// `resident(i)`, the chunk digests resident on node `i`.
+    /// KV tokens. Start costs resolve `catalog` (empty in whole mode)
+    /// against `resident(i)`, the chunk digests resident on node `i`.
     pub(in super::super) fn views(
         nodes: &[Node],
         ctx: &RouteCtx<'_>,
@@ -652,9 +628,6 @@ pub(super) mod reference {
                         .decode_duration((load as u32).max(1))
                         .as_nanos();
                 let est_cold = || {
-                    if !ctx.cas {
-                        return ctx.profile.coldstart_makespan(cached, model).as_nanos();
-                    }
                     let loading = ctx.profile.loading_for(model).as_nanos();
                     if cached || ctx.profile.strategy != Strategy::Medusa {
                         return loading;
@@ -748,12 +721,12 @@ pub(super) mod reference {
 #[cfg(test)]
 mod tests {
     use super::super::{
-        fallback_unit, CacheEntry, ChunkSet, ColdStartAware, ContentAddressed, Decision, FetchUnit,
-        ModelManifest, Node, NodeSpec, Policy, Registry, RegistryCatalog, RoundRobin, Scheduler,
-        ServerlessLlmLocality, WholeArtifact,
+        fallback_unit, CacheEntry, ChunkRegistry, ColdStartAware, Decision, FetchUnit,
+        ModelManifest, Node, NodeSpec, Policy, RegistryCatalog, RegistryMode, RoundRobin,
+        Scheduler, ServerlessLlmLocality,
     };
     use super::reference::{resolve, views, ReferenceScan};
-    use super::{FleetIndex, FleetProfile, FleetQuery, NodeState, RouteCtx};
+    use super::{BitSet, FleetIndex, FleetProfile, FleetQuery, NodeState, RouteCtx};
     use crate::params::PerfModel;
     use medusa::Strategy;
     use medusa_gpu::SimDuration;
@@ -816,12 +789,12 @@ mod tests {
     /// digests, plus the fallback unit of every model up to `models` whose
     /// digest is listed.
     fn chunk_set(
-        reg: &ContentAddressed,
+        reg: &ChunkRegistry,
         digests: &BTreeSet<u64>,
         models: u32,
         profile: &FleetProfile,
-    ) -> ChunkSet {
-        let mut set = ChunkSet::default();
+    ) -> BitSet {
+        let mut set = BitSet::default();
         for d in digests {
             if let Ok(id) = reg.digests.binary_search(d) {
                 set.insert(id);
@@ -836,12 +809,14 @@ mod tests {
     }
 
     /// A random node: cache, chunk residency, state, load, KV, helper
-    /// role. With a numbered catalog the node's chunks are set, and
-    /// returned as digests for the reference scan.
+    /// role. The node's chunks are filed from its cache under `catalog`
+    /// as `reg` numbers it, with now and then a stray chunk when `stray`,
+    /// and returned as digests for the reference scan.
     fn node(
         rng: &mut TestRng,
         profile: &FleetProfile,
-        cas: Option<(&RegistryCatalog, &ContentAddressed)>,
+        (catalog, reg): (&RegistryCatalog, &ChunkRegistry),
+        stray: bool,
         models: u32,
         max_running: u32,
         n_nodes: usize,
@@ -860,20 +835,17 @@ mod tests {
                 uses: 0,
             });
         }
-        let mut digests = BTreeSet::new();
-        if let Some((catalog, reg)) = cas {
-            digests = n
-                .cache
-                .iter()
-                .flat_map(|e| catalog.units_for(e.model, profile))
-                .map(|u| u.digest)
-                .collect();
-            // Now and then a stray chunk that no cache entry explains.
-            if rng.next_u64().is_multiple_of(4) {
-                digests.insert(0xc0 + rng.next_u64() % 6);
-            }
-            n.set_chunks(chunk_set(reg, &digests, models, profile));
+        let mut digests: BTreeSet<u64> = n
+            .cache
+            .iter()
+            .flat_map(|e| catalog.units_for(e.model, profile))
+            .map(|u| u.digest)
+            .collect();
+        // Now and then a stray chunk that no cache entry explains.
+        if stray && rng.next_u64().is_multiple_of(4) {
+            digests.insert(0xc0 + rng.next_u64() % 6);
         }
+        n.set_chunks(chunk_set(reg, &digests, models, profile));
         match rng.next_u64() % 3 {
             0 => {}
             roll => {
@@ -901,9 +873,9 @@ mod tests {
         /// On random fleet states — loads, KV, caches, chunk residency,
         /// pipeline helpers, measured decode tables that tie or fall with
         /// load — every policy's indexed `route` and `pick_cold` equal the
-        /// node-by-node scan, in both registry modes, and every start cost
-        /// the query prices from numbered chunks equals the scan's price
-        /// from digest sets.
+        /// node-by-node scan, in both registry modes (whole mode is the
+        /// empty catalog), and every start cost the query prices from
+        /// numbered chunks equals the scan's price from digest sets.
         #[test]
         fn indexed_decisions_match_the_scan(
             seed in any::<u64>(),
@@ -918,23 +890,21 @@ mod tests {
             let mut rng = TestRng::for_case("fleet", (seed % 1_000_000) as u32);
             // fetch 0 ms makes hit and miss cost the same.
             let profile = profile(medusa, fetch_ms * 150, decode_ms, models);
-            let catalog = catalog(&mut rng, models);
-            let dense = ContentAddressed::new(&catalog);
-            let registry: Box<dyn Registry> = if cas {
-                Box::new(dense.clone())
+            // Whole mode is the registry over the empty catalog.
+            let catalog = if cas {
+                catalog(&mut rng, models)
             } else {
-                Box::new(WholeArtifact)
+                RegistryCatalog::default()
             };
+            let dense = ChunkRegistry::new(&catalog, cas);
             let (mut nodes, mut resident): (Vec<Node>, Vec<BTreeSet<u64>>) = (0..n_nodes)
                 .map(|_| {
-                    let numbered = cas.then_some((&catalog, &dense));
-                    node(&mut rng, &profile, numbered, models, max_running, n_nodes)
+                    node(&mut rng, &profile, (&catalog, &dense), cas, models, max_running, n_nodes)
                 })
                 .unzip();
             let mut ctx = RouteCtx::new(
                 &profile,
-                registry,
-                cas,
+                dense.clone(),
                 max_running,
                 max_running as usize,
             );
@@ -1040,14 +1010,14 @@ mod tests {
                     })
                     .collect(),
             };
-            let reg = ContentAddressed::new(&catalog);
+            let reg = ChunkRegistry::new(&catalog, true);
             for _ in 0..4 {
                 let mut digests: BTreeSet<u64> = (0..pool)
                     .filter(|_| rng.next_u64().is_multiple_of(2))
                     .map(digest)
                     .collect();
                 let cached: Vec<u32> = (0..past).filter(|_| rng.next_u64().is_multiple_of(3)).collect();
-                let mut marked = ChunkSet::default();
+                let mut marked = BitSet::default();
                 for &m in &cached {
                     reg.add_resident(m, &mut marked);
                 }
@@ -1096,7 +1066,7 @@ mod tests {
             n.pending.extend(0..=i);
         }
         let index = FleetIndex::new(&nodes);
-        let ctx = RouteCtx::new(&profile, Box::new(WholeArtifact), false, 8, 8);
+        let ctx = RouteCtx::new(&profile, RegistryMode::Whole.build(), 8, 8);
         let fleet = FleetQuery::new(&nodes, &index, &ctx, 0, 0);
         assert_eq!(
             ColdStartAware.route(&fleet),

@@ -69,11 +69,11 @@ pub mod scenarios;
 
 pub use cluster::{
     simulate_fleet, simulate_fleet_traced, AutoscalerConfig, CacheCapacity, CacheConfig,
-    CacheReport, ChunkSet, ClusterFaults, ClusterReport, ClusterSpec, ColdStartAware,
-    ContentAddressed, Decision, EvictionPolicy, FetchPlan, FetchPolicy, FetchUnit, FleetOutcome,
-    FleetProfile, FleetQuery, FleetStats, LeastLoaded, ModelCost, ModelManifest, NodeReport,
-    NodeSpec, NodeState, Policy, PrewarmReport, Registry, RegistryCatalog, RegistryMode,
-    RegistryReport, RoundRobin, Scheduler, ServerlessLlmLocality, TenantReport, WholeArtifact,
+    CacheReport, ClusterFaults, ClusterReport, ClusterSpec, ColdStartAware, Decision,
+    EvictionPolicy, FetchPolicy, FetchUnit, FleetOutcome, FleetProfile, FleetQuery, FleetStats,
+    LeastLoaded, ModelCost, ModelManifest, NodeReport, NodeSpec, NodeState, Policy, PrewarmReport,
+    RegistryCatalog, RegistryMode, RegistryReport, RoundRobin, Scheduler, ServerlessLlmLocality,
+    TenantReport,
 };
 pub use event::{ArrivalCursor, EventQueue, EventToken, FleetEvent};
 pub use params::PerfModel;
