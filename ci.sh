@@ -4,7 +4,7 @@
 # `medusa_bench::smoke::SCENARIOS` (each re-runs its scenario fresh and
 # compares it with the committed results/BENCH_<scenario>.json, metric by
 # metric, plus the scenario's declared invariants), every example
-# end-to-end, the CLI fleet once per registry mode, the paper record
+# end-to-end, the CLI fleet twice per registry mode, the paper record
 # (`repro all` against results/repro_all.txt), a build and a 1 s smoke
 # run per workload of the fixed perfbench harness,
 # the proptest regression-corpus check, and the concurrency stress test
@@ -167,18 +167,25 @@ for ex in examples/*.rs; do
   cargo run --release -q --example "$name" >/dev/null
 done
 
-echo "==> CLI fleet (release, once per registry mode, conservation residual 0)"
+echo "==> CLI fleet (release, twice per registry mode, conservation residual 0)"
 # The same faulty multi-tenant locality fleet under whole-artifact and
-# content-addressed registries; every offered request must be accounted.
+# content-addressed registries, run twice each: every offered request must
+# be accounted, and the two telemetry exports must be byte-identical.
 for mode in whole cas; do
-  OUT="$(cargo run --release -q --bin medusa-cli -- cluster --nodes 8 --rps 4 \
-    --duration 20 --models 4 --cache-cap 2 --faults flaky-registry,node-crash \
-    --scheduler locality --registry "$mode")"
-  if grep -qE 'conservation residual 0$' <<<"$OUT"; then
-    echo "    registry $mode - conserved"
+  for run in a b; do
+    OUT="$(cargo run --release -q --bin medusa-cli -- cluster --nodes 8 --rps 4 \
+      --duration 20 --models 4 --cache-cap 2 --faults flaky-registry,node-crash \
+      --scheduler locality --registry "$mode" --telemetry "target/cli-$mode-$run.prom")"
+    if ! grep -qE 'conservation residual 0$' <<<"$OUT"; then
+      echo "FAIL: medusa-cli cluster --registry $mode lost or duplicated requests:"
+      echo "$OUT"
+      exit 1
+    fi
+  done
+  if cmp -s "target/cli-$mode-a.prom" "target/cli-$mode-b.prom"; then
+    echo "    registry $mode - conserved, telemetry reproducible"
   else
-    echo "FAIL: medusa-cli cluster --registry $mode lost or duplicated requests:"
-    echo "$OUT"
+    echo "FAIL: medusa-cli cluster --registry $mode exported different telemetry on a rerun"
     exit 1
   fi
 done

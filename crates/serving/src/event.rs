@@ -382,16 +382,12 @@ pub enum FleetEvent {
         /// Cold-start epoch the crash belongs to.
         epoch: u32,
     },
-    /// Autoscaler evaluation: either the periodic backlog tick (only
-    /// scheduled when [`crate::AutoscalerConfig::eval_interval_s`] is
-    /// set) or a predictive prewarm the estimator scheduled ahead of a
-    /// forecast arrival (only when [`crate::ClusterSpec::prewarm`] is
-    /// set — both knobs default off, keeping the event schedule
-    /// byte-identical).
+    /// A predictive prewarm the estimator scheduled ahead of a forecast
+    /// arrival (only when [`crate::ClusterSpec::prewarm`] is set — the
+    /// knob defaults off, keeping the event schedule byte-identical).
     ScaleDecision {
-        /// `Some(model)`: prewarm that model's cold start if it has no
-        /// live node. `None`: the plain periodic backlog re-evaluation.
-        prewarm: Option<u32>,
+        /// Model whose cold start to begin if it has no live node.
+        model: u32,
     },
     /// A helper node of a pipeline-parallel cold start finished restoring
     /// its contiguous MAF2 shard range and hands its output to the head;

@@ -27,7 +27,7 @@
 //!
 //! The estimator is deliberately simulator-agnostic: the fleet layer
 //! ([`crate::cluster`]) feeds it from `Arrival` events and turns its
-//! decisions into prewarm-tagged `ScaleDecision` events, while offline
+//! decisions into `ScaleDecision` events, while offline
 //! studies can replay a [`medusa_workload::ArrivalHistory`] export into
 //! [`PrewarmEstimator::seed_history`] and inspect the decisions directly.
 

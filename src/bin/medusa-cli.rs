@@ -30,7 +30,6 @@
 //!                        [--cache-cap N | --cache-cap-bytes N]
 //!                        [--eviction <lru|lfu|cost-aware>]
 //!                        [--cached K] [--keep-alive F] [--queue-depth N]
-//!                        [--eval-interval F]
 //!                        [--registry <whole|cas>] [--registry-store FILE] [--template]
 //!                        [--faults <flaky-registry,node-crash>] [--fault-seed N]
 //!                        [--format <chrome|prom>] [--out FILE] [--telemetry FILE]
@@ -174,7 +173,6 @@ fn usage() {
         "              [--cache-cap N | --cache-cap-bytes N] [--eviction <lru|lfu|cost-aware>]"
     );
     eprintln!("              [--cached K] [--keep-alive F] [--queue-depth N]");
-    eprintln!("              [--eval-interval F]");
     eprintln!("              [--registry <whole|cas>] [--registry-store FILE] [--template]");
     eprintln!("              [--faults <flaky-registry,node-crash>] [--fault-seed N]");
     eprintln!("              [--format <chrome|prom>] [--out FILE] [--telemetry FILE]");
@@ -657,10 +655,6 @@ fn cluster(flags: &HashMap<String, String>) -> Result<(), String> {
             .with_faults(faults);
         c.autoscaler.keep_alive_s = keep_alive;
         c.autoscaler.target_queue_depth = queue_depth;
-        match get_f64("eval-interval", 0.0)? {
-            iv if iv > 0.0 => c.autoscaler.eval_interval_s = Some(iv),
-            _ => {}
-        }
         if let Some(cfg) = prewarm {
             c = c.with_prewarm(cfg);
         }
