@@ -140,9 +140,10 @@ impl ChunkManifest {
     /// # Errors
     ///
     /// Returns [`MedusaError::ArtifactCorrupt`] for truncation, bad magic,
-    /// an unsupported version, or a field [`ChunkManifest::encode`] never
+    /// an unsupported version, a field [`ChunkManifest::encode`] never
     /// writes (a template flag other than 0 or 1, a template digest without
-    /// the flag), and [`MedusaError::ChecksumMismatch`] when the trailing
+    /// the flag), or a `total_bytes` other than the sum of the chunk
+    /// lengths, and [`MedusaError::ChecksumMismatch`] when the trailing
     /// seal disagrees.
     pub fn decode(bytes: &[u8]) -> MedusaResult<ChunkManifest> {
         if bytes.len() < 48 + 8 {
@@ -210,6 +211,12 @@ impl ChunkManifest {
                 len: le32(off + 8),
             });
             off += 12;
+        }
+        let chunk_bytes: u64 = chunks.iter().map(|c| u64::from(c.len)).sum();
+        if total_bytes != chunk_bytes {
+            return Err(corrupt(format!(
+                "manifest total_bytes is {total_bytes}, its chunks hold {chunk_bytes}"
+            )));
         }
         let mut sections = Vec::with_capacity(section_count);
         for i in 0..section_count {
@@ -674,8 +681,10 @@ impl ChunkStore {
     /// # Errors
     ///
     /// Returns [`MedusaError::ArtifactCorrupt`] for truncation, structural
-    /// damage, or bytes [`ChunkStore::encode`] never writes (a nonzero pad
-    /// word, chunks out of ascending digest order or repeated), and
+    /// damage, bytes [`ChunkStore::encode`] never writes (a nonzero pad
+    /// word, chunks out of ascending digest order or repeated), or a
+    /// template whose `bytes` is not the sum of its chunk lengths or whose
+    /// `digest` is not the seal of its family and chunks, and
     /// [`MedusaError::ChecksumMismatch`] when the trailing seal disagrees.
     pub fn decode(bytes: &[u8]) -> MedusaResult<ChunkStore> {
         if bytes.len() < 24 + 8 {
@@ -745,6 +754,17 @@ impl ChunkStore {
                 let digest = le64(take(&mut off, 8)?);
                 let len = le32(take(&mut off, 4)?);
                 chunks.push(ChunkRef { digest, len });
+            }
+            let chunk_bytes: u64 = chunks.iter().map(|c| u64::from(c.len)).sum();
+            if bytes_total != chunk_bytes {
+                return Err(corrupt(format!(
+                    "template `{family}` bytes is {bytes_total}, its chunks hold {chunk_bytes}"
+                )));
+            }
+            if digest != TemplateManifest::seal(&family, &chunks) {
+                return Err(corrupt(format!(
+                    "template `{family}` digest is not the seal of its chunks"
+                )));
             }
             store.templates.push(TemplateManifest {
                 family,

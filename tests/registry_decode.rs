@@ -142,6 +142,31 @@ fn manifest(rng: &mut TestRng) -> ChunkManifest {
     }
 }
 
+/// The digest a template record must carry: FNV-1a over its family name
+/// and its chunk references.
+fn template_seal(family: &str, chunks: &[ChunkRef]) -> u64 {
+    let mut body = family.as_bytes().to_vec();
+    for c in chunks {
+        body.extend_from_slice(&c.digest.to_le_bytes());
+        body.extend_from_slice(&c.len.to_le_bytes());
+    }
+    fnv1a(&body)
+}
+
+/// Appends one template record with the given `bytes` and `digest`
+/// fields.
+fn push_template(out: &mut Vec<u8>, family: &str, chunks: &[ChunkRef], bytes: u64, digest: u64) {
+    out.extend_from_slice(&(family.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+    out.extend_from_slice(&bytes.to_le_bytes());
+    out.extend_from_slice(&digest.to_le_bytes());
+    out.extend_from_slice(family.as_bytes());
+    for c in chunks {
+        out.extend_from_slice(&c.digest.to_le_bytes());
+        out.extend_from_slice(&c.len.to_le_bytes());
+    }
+}
+
 /// A random store encoding, written field by field in the layout
 /// [`ChunkStore::encode`] writes: header, length-prefixed manifests,
 /// templates, then the chunks in ascending digest order.
@@ -178,16 +203,14 @@ fn store_bytes(rng: &mut TestRng) -> Vec<u8> {
         out.extend_from_slice(m);
     }
     for (family, chunks) in &templates {
-        out.extend_from_slice(&(family.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-        let bytes: u64 = chunks.iter().map(|c| u64::from(c.len)).sum();
-        out.extend_from_slice(&bytes.to_le_bytes());
-        out.extend_from_slice(&rng.next_u64().to_le_bytes());
-        out.extend_from_slice(family.as_bytes());
-        for c in chunks {
-            out.extend_from_slice(&c.digest.to_le_bytes());
-            out.extend_from_slice(&c.len.to_le_bytes());
-        }
+        let bytes = chunks.iter().map(|c| u64::from(c.len)).sum();
+        push_template(
+            &mut out,
+            family,
+            chunks,
+            bytes,
+            template_seal(family, chunks),
+        );
     }
     for (digest, bytes) in &payloads {
         out.extend_from_slice(&digest.to_le_bytes());
@@ -369,5 +392,57 @@ proptest! {
             overwrite(&mut rng, &mut bad, field);
             check(&bad, ChunkManifest::decode, ChunkManifest::encode);
         }
+    }
+}
+
+/// A sealed store of one template record with the given `bytes` and
+/// `digest` fields, and no manifest or chunk.
+fn template_store(family: &str, chunks: &[ChunkRef], bytes: u64, digest: u64) -> Vec<u8> {
+    let mut out = b"MCS1".to_vec();
+    for word in [MANIFEST_VERSION, 0, 1, 0, 0] {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    push_template(&mut out, family, chunks, bytes, digest);
+    out.extend_from_slice(&[0; 8]);
+    reseal(&mut out);
+    out
+}
+
+#[test]
+fn a_manifest_total_other_than_its_chunk_sum_is_rejected() {
+    let forged = ChunkManifest {
+        version: MANIFEST_VERSION,
+        model: "m".into(),
+        gpu: "g".into(),
+        tp: 1,
+        total_bytes: 999_999,
+        chunks: vec![ChunkRef { digest: 7, len: 10 }],
+        sections: Vec::new(),
+        template: None,
+    };
+    let err = ChunkManifest::decode(&forged.encode()).expect_err("a forged total decoded");
+    assert_eq!(err.kind(), "artifact_corrupt", "{err}");
+    let honest = ChunkManifest {
+        total_bytes: 10,
+        ..forged
+    };
+    let decoded = ChunkManifest::decode(&honest.encode()).expect("the honest total decodes");
+    assert_eq!(decoded, honest);
+}
+
+#[test]
+fn a_template_whose_bytes_or_digest_disagree_with_its_chunks_is_rejected() {
+    let chunks = [
+        ChunkRef { digest: 7, len: 10 },
+        ChunkRef { digest: 9, len: 32 },
+    ];
+    let seal = template_seal("fam", &chunks);
+    let honest = ChunkStore::decode(&template_store("fam", &chunks, 42, seal))
+        .expect("the honest template decodes");
+    assert_eq!(honest.templates()[0].bytes, 42);
+    for (bytes, digest) in [(999_999, seal), (42, seal ^ 1)] {
+        let err = ChunkStore::decode(&template_store("fam", &chunks, bytes, digest))
+            .expect_err("a forged template decoded");
+        assert_eq!(err.kind(), "artifact_corrupt", "bytes {bytes}: {err}");
     }
 }
