@@ -124,6 +124,24 @@ struct Inner {
     spans: Vec<SpanRecord>,
 }
 
+/// Applies `write` to metric `name` of `map`, starting it from `new` on
+/// first use: only the first write of a name allocates its key.
+fn update<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    write: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(v) => write(v),
+        None => {
+            let mut v = new();
+            write(&mut v);
+            map.insert(name.to_string(), v);
+        }
+    }
+}
+
 /// A thread-safe registry of counters, gauges, histograms, and spans.
 ///
 /// All mutation goes through `&self` (internally a mutex), so one
@@ -146,7 +164,7 @@ impl Registry {
     /// Increments counter `name` by `by` (creating it at zero first).
     pub fn inc(&self, name: &str, by: u64) {
         let mut g = self.inner.lock().expect("telemetry poisoned");
-        *g.counters.entry(name.to_string()).or_insert(0) += by;
+        update(&mut g.counters, name, || 0, |n| *n += by);
     }
 
     /// Increments the labeled counter `{base}_{label}_total` by `by`. The
@@ -179,17 +197,15 @@ impl Registry {
     /// mark; commutative, hence safe from concurrent rank threads).
     pub fn gauge_max(&self, name: &str, value: u64) {
         let mut g = self.inner.lock().expect("telemetry poisoned");
-        let e = g.gauges.entry(name.to_string()).or_insert(0);
-        *e = (*e).max(value);
+        update(&mut g.gauges, name, || 0, |v| *v = (*v).max(value));
     }
 
     /// Records one observation (in microseconds) into histogram `name`.
     pub fn observe_us(&self, name: &str, value_us: u64) {
         let mut g = self.inner.lock().expect("telemetry poisoned");
-        g.histograms
-            .entry(name.to_string())
-            .or_insert_with(HistogramSnapshot::new)
-            .observe(value_us);
+        update(&mut g.histograms, name, HistogramSnapshot::new, |h| {
+            h.observe(value_us)
+        });
     }
 
     /// Appends a span event.
