@@ -4,7 +4,8 @@
 # `medusa_bench::smoke::SCENARIOS` (each re-runs its scenario fresh and
 # compares it with the committed results/BENCH_<scenario>.json, metric by
 # metric, plus the scenario's declared invariants), every example
-# end-to-end, the CLI fleet twice per registry mode, the paper record
+# end-to-end, the CLI fleet twice per registry mode, two CLI usage errors
+# that must exit 2, the paper record
 # (`repro all` against results/repro_all.txt), a build and a 1 s smoke
 # run per workload of the fixed perfbench harness,
 # the proptest regression-corpus check, and the concurrency stress test
@@ -188,6 +189,22 @@ for mode in whole cas; do
     echo "FAIL: medusa-cli cluster --registry $mode exported different telemetry on a rerun"
     exit 1
   fi
+done
+
+echo "==> CLI usage errors (release, exit 2)"
+# A flag outside a command's table (here one that was removed) and a value
+# given to a switch must fail as usage errors, not run a configuration
+# nobody asked for.
+for args in "cluster --nodes 2 --rps 1 --duration 5 --eval-interval 1" \
+  "coldstart --model Qwen1.5-0.5B --warm false"; do
+  read -ra argv <<<"$args"
+  code=0
+  cargo run --release -q --bin medusa-cli -- "${argv[@]}" >/dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "FAIL: medusa-cli $args exited $code, not 2 (usage error)"
+    exit 1
+  fi
+  echo "    medusa-cli $args - exit 2"
 done
 
 echo "==> paper record (repro all matches results/repro_all.txt)"
