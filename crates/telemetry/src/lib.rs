@@ -82,8 +82,10 @@ impl SpanRecord {
     }
 }
 
-/// Cumulative state of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Cumulative state of one histogram. One built apart from a registry
+/// (by [`HistogramSnapshot::observe`]) joins it by
+/// [`Registry::merge_histogram`].
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts; `counts[FINITE_BUCKETS]` is the
     /// overflow (`+Inf`) bucket. Buckets are **not** cumulative here; the
@@ -96,15 +98,8 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn new() -> Self {
-        HistogramSnapshot {
-            counts: [0; FINITE_BUCKETS + 1],
-            sum: 0,
-            count: 0,
-        }
-    }
-
-    fn observe(&mut self, value_us: u64) {
+    /// Records one observation, in microseconds.
+    pub fn observe(&mut self, value_us: u64) {
         let bounds = bucket_bounds_us();
         let idx = bounds
             .iter()
@@ -203,8 +198,21 @@ impl Registry {
     /// Records one observation (in microseconds) into histogram `name`.
     pub fn observe_us(&self, name: &str, value_us: u64) {
         let mut g = self.inner.lock().expect("telemetry poisoned");
-        update(&mut g.histograms, name, HistogramSnapshot::new, |h| {
+        update(&mut g.histograms, name, HistogramSnapshot::default, |h| {
             h.observe(value_us)
+        });
+    }
+
+    /// Adds every observation of `hist` into histogram `name`, as if each
+    /// had been [`Registry::observe_us`]d.
+    pub fn merge_histogram(&self, name: &str, hist: &HistogramSnapshot) {
+        let mut g = self.inner.lock().expect("telemetry poisoned");
+        update(&mut g.histograms, name, HistogramSnapshot::default, |h| {
+            for (total, n) in h.counts.iter_mut().zip(hist.counts) {
+                *total += n;
+            }
+            h.sum += hist.sum;
+            h.count += hist.count;
         });
     }
 
@@ -312,7 +320,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_values_on_boundaries() {
-        let mut h = HistogramSnapshot::new();
+        let mut h = HistogramSnapshot::default();
         h.observe(0); // <= 1 → bucket 0
         h.observe(1); // boundary is inclusive
         h.observe(2);
@@ -324,6 +332,22 @@ mod tests {
         assert_eq!(h.counts[FINITE_BUCKETS], 1);
         assert_eq!(h.count, 5);
         assert_eq!(h.sum, 6_000_000_006);
+    }
+
+    #[test]
+    fn a_merged_histogram_equals_its_observations() {
+        let values = [0, 3, 70, 6_000_000_000];
+        let observed = Registry::new();
+        let merged = Registry::new();
+        let mut apart = HistogramSnapshot::default();
+        for v in values {
+            observed.observe_us("lat_us", v);
+            apart.observe(v);
+        }
+        observed.observe_us("lat_us", 9);
+        merged.observe_us("lat_us", 9);
+        merged.merge_histogram("lat_us", &apart);
+        assert_eq!(observed.snapshot(), merged.snapshot());
     }
 
     #[test]
