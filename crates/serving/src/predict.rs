@@ -56,7 +56,8 @@ pub enum PrewarmPolicy {
     /// prewarm after the arrival it was meant to beat, while undershooting
     /// only costs a little extra keep-alive).
     Histogram {
-        /// Prediction percentile, per-mille (0..=1000).
+        /// Prediction percentile, per-mille (0..=1000; a larger value
+        /// counts as 1000 — `medusa-cli` rejects it instead).
         percentile_pm: u32,
     },
     /// Mean arrival rate over a sliding window of `window_s` seconds;

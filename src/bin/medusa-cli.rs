@@ -2,7 +2,8 @@
 //!
 //! Run without arguments it prints every command's usage, rendered from
 //! [`COMMANDS`], the one table where each command declares its flags. An
-//! invocation its row does not admit is a usage error (exit 2, the
+//! invocation its row does not admit, or that gives a flag without the
+//! flag it applies under ([`NEEDS`]), is a usage error (exit 2, the
 //! command's usage on stderr, nothing on stdout); a run that fails exits 1.
 //!
 //! `cluster` scales to large fleets: `--nodes 1000 --rps 10000 --workload
@@ -128,6 +129,20 @@ const COMMANDS: &[Row] = &[
     ("registry dedup-stats", &["--store store.mcs"], |flags| registry_inspect(flags, false)),
 ];
 
+/// Flags that apply only under another, as `(command, flag, needs)`:
+/// `needs` is `--name` (given), `--name value` (given with that value) or
+/// `!--name` (not given). A flag given without what it needs is a usage
+/// error.
+#[rustfmt::skip]
+const NEEDS: &[(&str, &str, &str)] = &[
+    ("cluster", "prewarm-lead", "--prewarm"),
+    ("cluster", "prewarm-percentile", "--prewarm histogram"),
+    ("cluster", "registry-store", "--registry cas"),
+    ("cluster", "template", "--registry cas"),
+    ("cluster", "template", "!--registry-store"),
+    ("cluster", "format", "--telemetry"),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let selects = |name: &str| {
@@ -157,7 +172,7 @@ fn main() {
         exit(2);
     };
     let (name, lines, run) = row;
-    let flags = Flags::parse(lines, &args[name.split(' ').count()..]).unwrap_or_else(|e| {
+    let flags = Flags::parse(name, lines, &args[name.split(' ').count()..]).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         usage([row]);
         exit(2);
@@ -213,9 +228,13 @@ struct Flags {
 }
 
 impl Flags {
-    /// Parses `args` against a row's usage lines; an error is a usage
-    /// error.
-    fn parse(lines: &'static [&'static str], args: &[String]) -> Result<Flags, String> {
+    /// Parses `args` against the usage lines of `command`'s row and its
+    /// [`NEEDS`]; an error is a usage error.
+    fn parse(
+        command: &str,
+        lines: &'static [&'static str],
+        args: &[String],
+    ) -> Result<Flags, String> {
         let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
         let mut args = args.iter();
         while let Some(arg) = args.next() {
@@ -243,10 +262,32 @@ impl Flags {
             };
             given.push((name, value));
         }
-        Ok(Flags {
+        let flags = Flags {
             declared: lines,
             given,
-        })
+        };
+        for &(_, flag, needs) in NEEDS.iter().filter(|&&(c, ..)| c == command) {
+            let (absent, cond) = match needs.strip_prefix('!') {
+                Some(cond) => (true, cond),
+                None => (false, needs),
+            };
+            let (name, value) = match cond[2..].split_once(' ') {
+                Some((name, value)) => (name, Some(value)),
+                None => (&cond[2..], None),
+            };
+            let met = flags
+                .given
+                .iter()
+                .any(|(n, v)| *n == name && value.is_none_or(|want| v.as_deref() == Some(want)));
+            if flags.given.iter().any(|&(n, _)| n == flag) && met == absent {
+                return Err(if absent {
+                    format!("--{flag} cannot be given with {cond}")
+                } else {
+                    format!("--{flag} applies only with {cond}")
+                });
+            }
+        }
+        Ok(flags)
     }
 
     fn lookup(&self, name: &str, takes_value: bool) -> Option<&Option<String>> {
@@ -534,17 +575,20 @@ fn cluster(flags: &Flags) -> Result<(), String> {
     };
     let lead_s = flags.num("prewarm-lead", PrewarmConfig::default().lead_s)?;
     let prewarm_percentile = flags.opt_num("prewarm-percentile")?;
+    if let Some(pm @ 1001..) = prewarm_percentile {
+        return Err(format!(
+            "--prewarm-percentile wants a per-mille from 0 to 1000, got `{pm}`"
+        ));
+    }
     let prewarm = match flags.get("prewarm") {
         None => None,
         Some(s) => {
             let mut policy = PrewarmPolicy::parse(s)
                 .ok_or_else(|| format!("unknown prewarm policy `{s}` (histogram|windowed-rate)"))?;
-            match (&mut policy, prewarm_percentile) {
-                (_, None) => {}
-                (PrewarmPolicy::Histogram { percentile_pm }, Some(pm)) => *percentile_pm = pm,
-                (PrewarmPolicy::WindowedRate { .. }, Some(_)) => {
-                    return Err("--prewarm-percentile only applies to --prewarm histogram".into());
-                }
+            if let (PrewarmPolicy::Histogram { percentile_pm }, Some(pm)) =
+                (&mut policy, prewarm_percentile)
+            {
+                *percentile_pm = pm;
             }
             Some(PrewarmConfig { policy, lead_s })
         }
@@ -706,8 +750,11 @@ fn cluster(flags: &Flags) -> Result<(), String> {
         c
     };
 
-    let tele = medusa_telemetry::Registry::new();
-    let out = simulate_fleet_traced(&profile, &cluster_spec, policy, &trace, Some(&tele));
+    // Telemetry is recorded only when it is written.
+    let tele = flags
+        .get("telemetry")
+        .map(|_| medusa_telemetry::Registry::new());
+    let out = simulate_fleet_traced(&profile, &cluster_spec, policy, &trace, tele.as_ref());
     let r = &out.report;
     println!(
         "{} fleet of {nodes} node(s), policy {}, seed {seed} (simulated):",
@@ -793,12 +840,9 @@ fn cluster(flags: &Flags) -> Result<(), String> {
             "  fleet: {} of {nodes} nodes served traffic; {} cached at end; {:.3}s busy total",
             active, cached_at_end, busy_s
         );
-        let mut by_served: Vec<usize> = (0..r.nodes.len()).collect();
-        by_served.sort_by_key(|&i| (std::cmp::Reverse(r.nodes[i].served), i));
-        by_served.truncate(8);
-        by_served.sort_unstable();
-        println!("  busiest {} node(s):", by_served.len());
-        by_served
+        let busiest = r.busiest_nodes();
+        println!("  busiest {} node(s):", busiest.len());
+        busiest
     };
     println!(
         "  {:<6} {:<10} {:>3} {:>6} {:>9} {:>7} {:>9} {:>9} {:>7}",
@@ -831,7 +875,7 @@ fn cluster(flags: &Flags) -> Result<(), String> {
         std::fs::write(path, &csv).map_err(|e| e.to_string())?;
         println!("wrote arrival history {path} ({} bytes)", csv.len());
     }
-    if let Some(path) = flags.get("telemetry") {
+    if let (Some(path), Some(tele)) = (flags.get("telemetry"), &tele) {
         let rendered = render(&tele.snapshot(), flags.get("format").unwrap_or("prom"))?;
         std::fs::write(path, &rendered).map_err(|e| e.to_string())?;
         println!("wrote telemetry {path} ({} bytes)", rendered.len());

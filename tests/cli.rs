@@ -212,7 +212,7 @@ fn every_command_rejects_an_undeclared_flag() {
 fn malformed_invocations_are_usage_errors() {
     let dir = workdir("malformed");
     let q = "Qwen1.5-0.5B";
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 16] = [
         // A removed flag and a removed alias.
         (&["cluster", "--eval-interval", "1"], "cluster"),
         (&["cluster", "--policy", "least-loaded"], "cluster"),
@@ -226,10 +226,67 @@ fn malformed_invocations_are_usage_errors() {
         // A missing or unknown `registry` verb.
         (&["registry"], "registry pack"),
         (&["registry", "bogus"], "registry pack"),
+        // A flag without the flag it applies under, or with one it
+        // excludes.
+        (&["cluster", "--prewarm-lead", "1"], "cluster"),
+        (&["cluster", "--prewarm-percentile", "900"], "cluster"),
+        (
+            &[
+                "cluster",
+                "--prewarm",
+                "windowed-rate",
+                "--prewarm-percentile",
+                "900",
+            ],
+            "cluster",
+        ),
+        (&["cluster", "--registry-store", "s.mcs"], "cluster"),
+        (
+            &[
+                "cluster",
+                "--registry",
+                "whole",
+                "--registry-store",
+                "s.mcs",
+            ],
+            "cluster",
+        ),
+        (&["cluster", "--template"], "cluster"),
+        (
+            &[
+                "cluster",
+                "--registry",
+                "cas",
+                "--registry-store",
+                "s.mcs",
+                "--template",
+            ],
+            "cluster",
+        ),
+        (&["cluster", "--format", "prom"], "cluster"),
     ];
     for (args, command) in cases {
         assert_usage_error(&dir, args, command);
     }
+}
+
+/// A per-mille past 1000 is an error, not the clamp the estimator applies
+/// to library callers.
+#[test]
+fn prewarm_percentile_past_1000_is_an_error() {
+    let dir = workdir("percentile");
+    let args = [
+        "cluster",
+        "--prewarm",
+        "histogram",
+        "--prewarm-percentile",
+        "5000",
+    ];
+    let out = run(&dir, &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed to stdout");
+    assert!(stderr.contains("from 0 to 1000"), "{stderr}");
 }
 
 /// A number that does not parse into its flag's type is an error, never
