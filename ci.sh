@@ -223,10 +223,11 @@ echo "==> perfbench smoke (every workload's operations pass their checks)"
 # the "correct" field of the JSON summary on its last line. The traced
 # coldstart run replays every restore through the public per-layer calls
 # (validate_bundle, materialize_all, restore_graph, KernelResolver), which
-# the untraced runs never reach; the traced fleet_tenants run checks its
-# telemetry-on pass against the untraced report. Spans go to the
-# git-ignored perfbench/out/.
-for run in "coldstart 0" "fleet_scale 0" "fleet_tenants 0" "coldstart 1" "fleet_tenants 1"; do
+# the untraced runs never reach; the traced fleet runs check their
+# telemetry-on pass against the untraced report (fleet_scale on 1,000
+# nodes). Spans go to the git-ignored perfbench/out/.
+for run in "coldstart 0" "fleet_scale 0" "fleet_tenants 0" "coldstart 1" "fleet_tenants 1" \
+  "fleet_scale 1"; do
   read -r w t <<<"$run"
   LAST="$(target/perfbench/release/medusa-perfbench --workload "$w" \
     --seed 1 --seconds 1 --trace "$t" | tail -n 1)"
