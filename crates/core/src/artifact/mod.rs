@@ -29,8 +29,9 @@ pub mod template;
 
 /// Format version, bumped on breaking layout changes (v2 added the sealed
 /// content checksum; v3 made MAF2 graph records address-free, with the
-/// offline addresses in a per-shard base table).
-pub const ARTIFACT_VERSION: u32 = 3;
+/// offline addresses in a per-shard base table; v4 made every MAF2 digest
+/// XXH64 and sealed each shard over its section digests).
+pub const ARTIFACT_VERSION: u32 = 4;
 
 /// One materialized kernel parameter.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,8 +177,9 @@ pub struct MaterializedState {
     /// Content checksum sealed at materialization time: an FNV-1a fold over
     /// every field except `version` and the checksum itself, with `labels`
     /// folded in sorted key order so the value is independent of hash-map
-    /// iteration order. Registry transfers and caches verify it before any
-    /// restore is attempted.
+    /// iteration order. Validating an owned artifact recomputes it; a MAF2
+    /// writer checks it against the content and seals each shard over it,
+    /// and the reader checks that seal (DESIGN.md §13).
     pub checksum: u64,
 }
 
@@ -498,7 +500,7 @@ pub trait ShardRead {
 }
 
 /// The content checksum of a shard (see [`ShardRead::content_checksum`]).
-pub(crate) fn content_fold<S: ShardRead + ?Sized>(s: &S) -> u64 {
+fn content_fold<S: ShardRead + ?Sized>(s: &S) -> u64 {
     let mut f = ContentFold::new();
     f.str(s.model());
     f.str(s.gpu());

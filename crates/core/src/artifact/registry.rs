@@ -10,7 +10,8 @@
 //! * a MAF2 file is split into **content-defined chunks** (Gear-hash CDC
 //!   with boundaries *forced* at section seams, so a section shared by two
 //!   artifacts chunks identically regardless of where it lands in the file);
-//! * each chunk is keyed by its **FNV-1a digest** and stored once in a
+//! * each chunk is keyed by its **XXH64 digest** ([`maf2::digest`]) and
+//!   stored once in a
 //!   [`ChunkStore`];
 //! * each artifact is described by a [`ChunkManifest`] — the ordered chunk
 //!   digests whose concatenation reproduces the original bytes exactly,
@@ -31,8 +32,8 @@ use crate::faults::splitmix64;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Manifest layout version, bumped on breaking changes to the canonical
-/// encoding.
-pub const MANIFEST_VERSION: u32 = 1;
+/// encoding (v2: every digest and seal is [`maf2::digest`]).
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// Minimum content-defined chunk length in bytes (regions shorter than this
 /// become a single chunk).
@@ -60,7 +61,7 @@ fn corrupt(detail: impl Into<String>) -> MedusaError {
 /// A reference to one deduplicated chunk: its content digest and length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRef {
-    /// FNV-1a 64-bit digest of the chunk bytes.
+    /// [`maf2::digest`] of the chunk bytes.
     pub digest: u64,
     /// Chunk length in bytes.
     pub len: u32,
@@ -105,7 +106,7 @@ pub struct ChunkManifest {
 
 impl ChunkManifest {
     /// Canonical byte encoding: fixed little-endian layout sealed by a
-    /// trailing FNV-1a digest. Same manifest, same bytes — always.
+    /// trailing [`maf2::digest`]. Same manifest, same bytes — always.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MANIFEST_MAGIC);
@@ -130,7 +131,7 @@ impl ChunkManifest {
             out.extend_from_slice(&s.first_chunk.to_le_bytes());
             out.extend_from_slice(&s.chunk_count.to_le_bytes());
         }
-        let seal = maf2::fnv1a(&[&out]);
+        let seal = maf2::digest(&out);
         out.extend_from_slice(&seal.to_le_bytes());
         out
     }
@@ -159,7 +160,7 @@ impl ChunkManifest {
         let mut seal = [0u8; 8];
         seal.copy_from_slice(&bytes[bytes.len() - 8..]);
         let expected = u64::from_le_bytes(seal);
-        let actual = maf2::fnv1a(&[body]);
+        let actual = maf2::digest(body);
         if actual != expected {
             return Err(MedusaError::ChecksumMismatch { expected, actual });
         }
@@ -311,7 +312,8 @@ pub struct TemplateManifest {
     pub chunks: Vec<ChunkRef>,
     /// Total shared bytes.
     pub bytes: u64,
-    /// Canonical fingerprint of the template (FNV over family + chunk refs).
+    /// Canonical fingerprint of the template ([`maf2::digest`] over family +
+    /// chunk refs).
     pub digest: u64,
 }
 
@@ -323,7 +325,7 @@ impl TemplateManifest {
             body.extend_from_slice(&c.digest.to_le_bytes());
             body.extend_from_slice(&c.len.to_le_bytes());
         }
-        maf2::fnv1a(&[&body])
+        maf2::digest(&body)
     }
 }
 
@@ -430,7 +432,7 @@ impl ChunkStore {
         let mut chunks = Vec::with_capacity(spans.len());
         for &(lo, hi) in &spans {
             let slice = &bytes[lo..hi];
-            let digest = maf2::fnv1a(&[slice]);
+            let digest = maf2::digest(slice);
             match self.chunks.get(&digest) {
                 Some(existing) if existing.as_slice() != slice => {
                     return Err(corrupt(format!(
@@ -524,7 +526,7 @@ impl ChunkStore {
                 expected: u64::from(r.len),
             });
         }
-        let actual = maf2::fnv1a(&[bytes]);
+        let actual = maf2::digest(bytes);
         if actual != r.digest {
             return Err(MedusaError::ChecksumMismatch {
                 expected: r.digest,
@@ -671,7 +673,7 @@ impl ChunkStore {
             out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(bytes);
         }
-        let seal = maf2::fnv1a(&[&out]);
+        let seal = maf2::digest(&out);
         out.extend_from_slice(&seal.to_le_bytes());
         out
     }
@@ -697,7 +699,7 @@ impl ChunkStore {
         let mut seal = [0u8; 8];
         seal.copy_from_slice(&bytes[bytes.len() - 8..]);
         let expected = u64::from_le_bytes(seal);
-        let actual = maf2::fnv1a(&[body]);
+        let actual = maf2::digest(body);
         if actual != expected {
             return Err(MedusaError::ChecksumMismatch { expected, actual });
         }
@@ -972,7 +974,7 @@ mod tests {
             let mut bad = enc.clone();
             bad[at..at + 4].copy_from_slice(&count.to_le_bytes());
             let body = bad.len() - 8;
-            let seal = maf2::fnv1a(&[&bad[..body]]);
+            let seal = maf2::digest(&bad[..body]);
             bad[body..].copy_from_slice(&seal.to_le_bytes());
             let err = ChunkStore::decode(&bad).unwrap_err();
             assert_eq!(err.kind(), "artifact_corrupt", "count {count}: {err}");

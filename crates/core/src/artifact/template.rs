@@ -151,10 +151,10 @@ impl ArtifactTemplate {
         Ok((template, delta))
     }
 
-    /// The template's canonical fingerprint: the FNV fold of each shard's
-    /// content checksum computed over a *canonical instantiation* (empty
-    /// model name, zero KV budget, no permanent contents), plus the family
-    /// name. Reuses the artifact fold, so two templates agree iff every
+    /// The template's canonical fingerprint: the [`maf2::digest`] of the
+    /// family name, the version and each shard's content checksum computed
+    /// over a *canonical instantiation* (empty model name, zero KV budget,
+    /// no permanent contents). Reuses the artifact fold, so two templates agree iff every
     /// shared field agrees.
     pub fn digest(&self) -> u64 {
         let mut body = Vec::with_capacity(self.family.len() + self.shards.len() * 8 + 8);
@@ -164,7 +164,7 @@ impl ArtifactTemplate {
             let canonical = self.build_state(shard, "", 0, Vec::new());
             body.extend_from_slice(&canonical.content_checksum().to_le_bytes());
         }
-        maf2::fnv1a(&[&body])
+        maf2::digest(&body)
     }
 
     /// Ranks present in the template, ascending.

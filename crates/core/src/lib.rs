@@ -70,8 +70,8 @@ mod trace;
 mod validator;
 
 pub use artifact::maf2::{
-    encode_bundle as encode_maf2_bundle, is_maf2, GraphView, Maf2Reader, SectionExtent,
-    SectionKind, ShardMeta, ShardView, MAF2_MAGIC,
+    digest as maf2_digest, encode_bundle as encode_maf2_bundle, is_maf2, GraphView, Maf2Reader,
+    SectionExtent, SectionKind, ShardMeta, ShardView, MAF2_MAGIC,
 };
 pub use artifact::registry::{
     chunk_spans, ChunkManifest, ChunkRef, ChunkStore, DedupStats, SectionSpan, TemplateManifest,

@@ -18,7 +18,8 @@
 //! fixed multiple of its input: a count field cannot size an allocation.
 
 use medusa::{
-    ChunkManifest, ChunkRef, ChunkStore, MedusaError, SectionKind, SectionSpan, MANIFEST_VERSION,
+    maf2_digest, ChunkManifest, ChunkRef, ChunkStore, MedusaError, SectionKind, SectionSpan,
+    MANIFEST_VERSION,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -76,20 +77,11 @@ fn alloc_bound(len: usize) -> usize {
     8 * len + 16 * 1024
 }
 
-/// FNV-1a 64-bit, the seal both encodings end in.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Rewrites the trailing seal of `bytes` over everything before it.
+/// Rewrites the trailing seal of `bytes`, the digest of everything before
+/// it.
 fn reseal(bytes: &mut [u8]) {
     let body = bytes.len() - 8;
-    let seal = fnv1a(&bytes[..body]);
+    let seal = maf2_digest(&bytes[..body]);
     bytes[body..].copy_from_slice(&seal.to_le_bytes());
 }
 
@@ -142,15 +134,15 @@ fn manifest(rng: &mut TestRng) -> ChunkManifest {
     }
 }
 
-/// The digest a template record must carry: FNV-1a over its family name
-/// and its chunk references.
+/// The digest a template record must carry: the format's digest of its
+/// family name and its chunk references.
 fn template_seal(family: &str, chunks: &[ChunkRef]) -> u64 {
     let mut body = family.as_bytes().to_vec();
     for c in chunks {
         body.extend_from_slice(&c.digest.to_le_bytes());
         body.extend_from_slice(&c.len.to_le_bytes());
     }
-    fnv1a(&body)
+    maf2_digest(&body)
 }
 
 /// Appends one template record with the given `bytes` and `digest`
@@ -182,7 +174,7 @@ fn store_bytes(rng: &mut TestRng) -> Vec<u8> {
             let bytes: Vec<u8> = (0..rng.next_u64() % 40)
                 .map(|_| rng.next_u64() as u8)
                 .collect();
-            (fnv1a(&bytes), bytes)
+            (maf2_digest(&bytes), bytes)
         })
         .collect();
     payloads.sort();
