@@ -4,7 +4,7 @@
 # `medusa_bench::smoke::SCENARIOS` (each re-runs its scenario fresh and
 # compares it with the committed results/BENCH_<scenario>.json, metric by
 # metric, plus the scenario's declared invariants), every example
-# end-to-end, the CLI fleet twice per registry mode, two CLI usage errors
+# end-to-end, the CLI fleet twice per registry mode, three CLI usage errors
 # that must exit 2, the paper record
 # (`repro all` against results/repro_all.txt), a build and a 1 s smoke
 # run per workload of the fixed perfbench harness,
@@ -192,11 +192,12 @@ for mode in whole cas; do
 done
 
 echo "==> CLI usage errors (release, exit 2)"
-# A flag outside a command's table (here one that was removed) and a value
-# given to a switch must fail as usage errors, not run a configuration
-# nobody asked for.
+# A flag outside a command's table (here one that was removed), a value
+# given to a switch and two flags the usage offers as alternatives must
+# fail as usage errors, not run a configuration nobody asked for.
 for args in "cluster --nodes 2 --rps 1 --duration 5 --eval-interval 1" \
-  "coldstart --model Qwen1.5-0.5B --warm false"; do
+  "coldstart --model Qwen1.5-0.5B --warm false" \
+  "cluster --nodes 2 --cache-cap 1 --cache-cap-bytes 5"; do
   read -ra argv <<<"$args"
   code=0
   cargo run --release -q --bin medusa-cli -- "${argv[@]}" >/dev/null 2>&1 || code=$?

@@ -141,6 +141,7 @@ const NEEDS: &[(&str, &str, &str)] = &[
     ("cluster", "template", "--registry cas"),
     ("cluster", "template", "!--registry-store"),
     ("cluster", "format", "--telemetry"),
+    ("cluster", "cache-cap-bytes", "!--cache-cap"),
 ];
 
 fn main() {
@@ -629,11 +630,11 @@ fn cluster(flags: &Flags) -> Result<(), String> {
         Some(s) => EvictionPolicy::parse(s)
             .ok_or_else(|| format!("unknown eviction policy `{s}` (lru|lfu|cost-aware)"))?,
     };
+    // At most one of the two is given (`NEEDS`).
     let cache_capacity = match (cache_cap, cache_bytes) {
         (0, 0) => CacheCapacity::Unlimited,
-        (n, 0) => CacheCapacity::Artifacts(n),
         (0, b) => CacheCapacity::Bytes(b),
-        _ => return Err("pass only one of --cache-cap / --cache-cap-bytes".into()),
+        (n, _) => CacheCapacity::Artifacts(n),
     };
     let faults = match flags.faults()? {
         None => ClusterFaults::default(),
