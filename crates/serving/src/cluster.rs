@@ -167,7 +167,7 @@ impl Default for FetchPolicy {
 /// catalog has no manifest for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchUnit {
-    /// Content digest (FNV-1a over the chunk bytes for real manifests).
+    /// Content digest (`maf2_digest` of the chunk bytes for real manifests).
     pub digest: u64,
     /// Unit size, bytes.
     pub bytes: u64,
