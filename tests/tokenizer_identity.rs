@@ -8,6 +8,8 @@
 use medusa_gpu::CostModel;
 use medusa_model::Tokenizer;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 /// FNV-1a over every piece in id order, each prefixed by its length.
@@ -51,6 +53,56 @@ fn qwen_vocabulary_is_identical_id_for_id() {
 
 const LLAMA_32000: u64 = 0x8342_1507_0cf4_0082;
 const QWEN_151936: u64 = 0x514e_9954_fe90_da33;
+
+/// FNV-1a over the ids `encode` gives for each text of [`corpus`], each
+/// run prefixed by its length.
+fn encode_digest(t: &Tokenizer) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |word: u32| {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for text in corpus(t) {
+        let ids = t.encode(&text);
+        eat(ids.len() as u32);
+        ids.into_iter().for_each(&mut eat);
+    }
+    h
+}
+
+/// The texts [`encode_digest`] covers: the micro bench's sentence, the
+/// vocabulary's first 8-byte piece repeated, non-ASCII and invalid UTF-8
+/// (encoded lossily), and 4 KiB of seeded merge-alphabet text.
+fn corpus(t: &Tokenizer) -> Vec<String> {
+    let eight = (256..t.vocab_size())
+        .map(|id| t.decode(&[id]))
+        .find(|piece| piece.len() == 8)
+        .expect("the vocabulary holds 8-byte pieces");
+    let mut rng = SmallRng::seed_from_u64(0x70c_e4c0de);
+    let merges: Vec<u8> = (0..4096)
+        .map(|_| MERGE_CHARS[rng.gen::<usize>() % MERGE_CHARS.len()])
+        .collect();
+    vec![
+        "the quick brown fox jumps over the lazy dog ".repeat(32),
+        String::from_utf8(eight.repeat(16)).expect("ASCII piece"),
+        "ünïcödé 😀 ∑ text \u{0}\u{7f}\u{80}\u{7ff}\u{ffff}".to_string(),
+        String::from_utf8_lossy(b"ab\xff\xfecd\xc3(\xe2\x82the\xf0\x9f\x98").into_owned(),
+        String::from_utf8(merges).expect("ASCII"),
+    ]
+}
+
+/// `encode` gives the same ids, id for id, as the `HashMap` tokenizer that
+/// preceded the vocabulary file.
+#[test]
+fn encode_is_pinned() {
+    assert_eq!(encode_digest(&load(32_000)), ENCODE_32000);
+    assert_eq!(encode_digest(qwen()), ENCODE_151936);
+}
+
+const ENCODE_32000: u64 = 0xa691_6fa0_1c05_628d;
+const ENCODE_151936: u64 = 0xe004_3d3a_9ff1_a239;
 
 /// The ASCII the merges are drawn from, so random text matches long
 /// pieces, 8-byte ones included.
