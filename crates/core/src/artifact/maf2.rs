@@ -129,76 +129,13 @@ impl SectionKind {
     }
 }
 
-const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
-const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
-const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
-const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
-const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
-
-/// XXH64 (seed 0) of `bytes`: the one byte-level digest of the artifact
-/// formats. It seals MAF2 sections, the section index, the header's
+/// XXH64 (seed 0), the one byte-level digest of the artifact formats. It
+/// seals MAF2 sections, the section index, the header's
 /// checksum-of-digests and each shard, and the registry's chunks,
-/// manifests, stores and templates. Four 64-bit lanes consume 32 bytes
-/// per step, so the digest costs a fraction of a byte-serial hash; the
-/// shard's logical [`content_checksum`](MaterializedState::content_checksum)
-/// is a separate fold over fields, not over these bytes.
-pub fn digest(bytes: &[u8]) -> u64 {
-    fn round(acc: u64, lane: u64) -> u64 {
-        acc.wrapping_add(lane.wrapping_mul(XXH_P2))
-            .rotate_left(31)
-            .wrapping_mul(XXH_P1)
-    }
-    let mut stripes = bytes.chunks_exact(32);
-    let mut h = if bytes.len() >= 32 {
-        let mut acc = [
-            XXH_P1.wrapping_add(XXH_P2),
-            XXH_P2,
-            0,
-            XXH_P1.wrapping_neg(),
-        ];
-        for stripe in &mut stripes {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = round(*a, le64(stripe, i * 8));
-            }
-        }
-        let h = acc[0]
-            .rotate_left(1)
-            .wrapping_add(acc[1].rotate_left(7))
-            .wrapping_add(acc[2].rotate_left(12))
-            .wrapping_add(acc[3].rotate_left(18));
-        acc.iter().fold(h, |h, &a| {
-            (h ^ round(0, a)).wrapping_mul(XXH_P1).wrapping_add(XXH_P4)
-        })
-    } else {
-        XXH_P5
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    let mut words = stripes.remainder().chunks_exact(8);
-    for w in &mut words {
-        h = (h ^ round(0, le64(w, 0)))
-            .rotate_left(27)
-            .wrapping_mul(XXH_P1)
-            .wrapping_add(XXH_P4);
-    }
-    let mut rest = words.remainder();
-    if rest.len() >= 4 {
-        h = (h ^ u64::from(le32(rest, 0)).wrapping_mul(XXH_P1))
-            .rotate_left(23)
-            .wrapping_mul(XXH_P2)
-            .wrapping_add(XXH_P3);
-        rest = &rest[4..];
-    }
-    for &b in rest {
-        h = (h ^ u64::from(b).wrapping_mul(XXH_P5))
-            .rotate_left(11)
-            .wrapping_mul(XXH_P1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(XXH_P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(XXH_P3);
-    h ^ (h >> 32)
-}
+/// manifests, stores and templates. The shard's logical
+/// [`content_checksum`](MaterializedState::content_checksum) is a separate
+/// fold over fields, not over these bytes.
+pub use medusa_gpu::xxh64 as digest;
 
 /// The digest of the concatenation of `parts`.
 fn digest_of(parts: &[&[u8]]) -> u64 {
