@@ -7,8 +7,9 @@
 # end-to-end, the CLI fleet twice per registry mode, three CLI usage errors
 # that must exit 2, the paper record
 # (`repro all` against results/repro_all.txt), a build and a 1 s smoke
-# run per workload of the fixed perfbench harness,
-# the proptest regression-corpus check, and the concurrency stress test
+# run per workload of the fixed perfbench harness, the fault matrix and the
+# tokenizer file decoder again in release, the proptest regression-corpus
+# check, and the concurrency stress test
 # (sized for --release, hence run separately).
 #
 # `./ci.sh` runs everything; `./ci.sh --gate <name>` runs one simulator
@@ -159,6 +160,12 @@ gate_golden
 echo "==> fault-injection matrix (debug + release)"
 cargo test -q --test faults
 cargo test --release -q --test faults
+
+echo "==> tokenizer file decoder (debug + release)"
+# Release arithmetic wraps where debug panics, so the vocabulary file's
+# offset and length checks must hold under both.
+cargo test -q --test tokenizer_identity --test tokenizer_file
+cargo test --release -q --test tokenizer_identity --test tokenizer_file
 
 echo "==> examples (release, end-to-end)"
 cargo build --release -q --examples

@@ -585,14 +585,16 @@ impl<'a> ColdStart<'a> {
     /// phase run, on per-rank workers, from the verified shards. Where the
     /// stage graph has a host lane, each rank's tokenizer loads on its own
     /// host thread from the start of the restore phase, so it overlaps the
-    /// rank's whole restore. (Started before the verify phase, or on a
-    /// thread for the synchronous strategies too, it raised the process's
-    /// peak RSS with no more live memory: the allocator's per-thread
-    /// arenas kept more freed tokenizer tables resident.) With telemetry, every rank shares the registry: per-rank
-    /// stage spans land under `rank{r}/`-prefixed names when `tp > 1`; the
-    /// registry is internally synchronized and every write is commutative
-    /// or rank-keyed, so concurrent rank threads still produce a
-    /// deterministic snapshot.
+    /// rank's whole restore: the thread opens the process's vocabulary file
+    /// ([`Tokenizer::vocab_file`], written once per vocabulary size) and
+    /// verifies every byte of it, and shares no built tokenizer with any
+    /// other load. A serial start opens it in line.
+    ///
+    /// With telemetry, every rank shares the registry: per-rank stage spans
+    /// land under `rank{r}/`-prefixed names when `tp > 1`; the registry is
+    /// internally synchronized and every write is commutative or
+    /// rank-keyed, so concurrent rank threads still produce a deterministic
+    /// snapshot.
     fn attempt<'v, T: Sync, S: ShardRead + Sync + ?Sized + 'v>(
         &self,
         strategy: Strategy,
@@ -620,7 +622,7 @@ impl<'a> ColdStart<'a> {
                     }));
                 }
             }
-            // A serial start has no host lane: it builds the tokenizer in
+            // A serial start has no host lane: it loads the tokenizer in
             // line.
             let host_lane = !is_serial(strategy, opts.parallelism);
             let tokenizers = (0..tp)

@@ -95,7 +95,7 @@ pub enum Parallelism {
     /// on exclusive storage.
     Serial,
     /// Overlapped restoration stages (Fig. 8b/c): weights stream on the
-    /// storage lane, the tokenizer parses on a host thread, restoration
+    /// storage lane, the tokenizer loads on a host thread, restoration
     /// occupies the device. Tensor-parallel ranks restore concurrently and
     /// contend for shared storage bandwidth.
     #[default]

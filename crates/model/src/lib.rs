@@ -59,5 +59,5 @@ pub use structure::{
     magic_digest, LayerWeights, ModelInstance, WeightTensor, Workspace, LOGICAL_HEAD_TENSORS,
     LOGICAL_TENSORS_PER_LAYER,
 };
-pub use tokenizer::Tokenizer;
+pub use tokenizer::{Tokenizer, TokenizerError};
 pub use weights::{apply_weights, load_duration, load_weights, weight_digest};
