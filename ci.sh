@@ -8,9 +8,9 @@
 # that must exit 2, the paper record
 # (`repro all` against results/repro_all.txt), a build and a 1 s smoke
 # run per workload of the fixed perfbench harness, the fault matrix and the
-# tokenizer file decoder again in release, the proptest regression-corpus
-# check, and the concurrency stress test
-# (sized for --release, hence run separately).
+# tokenizer, MAF2 and registry decoders again in release, the proptest
+# regression-corpus check, and the concurrency stress test (sized for
+# --release, hence run separately).
 #
 # `./ci.sh` runs everything; `./ci.sh --gate <name>` runs one simulator
 # gate in isolation (as the CI matrix does), where <name> is `golden` or a
@@ -161,11 +161,14 @@ echo "==> fault-injection matrix (debug + release)"
 cargo test -q --test faults
 cargo test --release -q --test faults
 
-echo "==> tokenizer file decoder (debug + release)"
-# Release arithmetic wraps where debug panics, so the vocabulary file's
-# offset and length checks must hold under both.
-cargo test -q --test tokenizer_identity --test tokenizer_file
-cargo test --release -q --test tokenizer_identity --test tokenizer_file
+echo "==> tokenizer, MAF2 and registry decoders (debug + release)"
+# Release arithmetic wraps where debug panics, so the vocabulary file's,
+# the MAF2 graph records' and the registry records' offset and length
+# checks must hold under both.
+cargo test -q --test tokenizer_identity --test tokenizer_file --test artifact_format \
+  --test registry_decode
+cargo test --release -q --test tokenizer_identity --test tokenizer_file --test artifact_format \
+  --test registry_decode
 
 echo "==> examples (release, end-to-end)"
 cargo build --release -q --examples

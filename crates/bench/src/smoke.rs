@@ -420,8 +420,10 @@ fn artifact_base() -> Vec<MaterializedState> {
 }
 
 /// Multiplies each shard's graph section `scale`× (fresh batch ids keep
-/// the captured-batch key unique) and re-seals. Replay, labels, and
-/// pointer tables are untouched, so the scaled shard still validates.
+/// the captured-batch key unique, and each round's own stream numbering
+/// gives its copies skeletons of their own, so MAF2 stores every copy in
+/// full) and re-seals. Replay, labels, and pointer tables are untouched,
+/// so the scaled shard still validates.
 fn scaled_shards(base: &[MaterializedState], scale: u32) -> Vec<MaterializedState> {
     base.iter()
         .map(|shard| {
@@ -431,6 +433,9 @@ fn scaled_shards(base: &[MaterializedState], scale: u32) -> Vec<MaterializedStat
                 for g in &shard.graphs {
                     let mut g = g.clone();
                     g.batch += round * stride;
+                    for n in &mut g.nodes {
+                        n.stream += round;
+                    }
                     s.graphs.push(g);
                 }
             }

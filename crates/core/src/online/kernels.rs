@@ -47,6 +47,14 @@ struct NeededKernels {
     checksum: u64,
     /// `(library, kernel, exported)` in first-use order.
     kernels: Vec<(String, String, bool)>,
+    /// How many of `kernels` have an address.
+    resolved: usize,
+}
+
+impl NeededKernels {
+    fn complete(&self) -> bool {
+        self.resolved == self.kernels.len()
+    }
 }
 
 impl KernelResolver {
@@ -77,20 +85,26 @@ impl KernelResolver {
 
     /// The kernel table of `artifact`, if it is the one this resolver has
     /// computed.
-    fn cached<S: ShardRead + ?Sized>(&self, artifact: &S) -> Option<&[(String, String, bool)]> {
+    fn cached<S: ShardRead + ?Sized>(&self, artifact: &S) -> Option<&NeededKernels> {
         self.needed
             .as_ref()
             .filter(|n| n.checksum == artifact.checksum())
-            .map(|n| n.kernels.as_slice())
     }
 
     /// Computes the kernel table of `artifact` on first use, and again only
-    /// when a different shard is passed.
+    /// when a different shard is passed, counting the kernels already
+    /// resolved.
     fn needed_for<S: ShardRead + ?Sized>(&mut self, artifact: &S) {
         if self.cached(artifact).is_none() {
+            let kernels = Self::needed(artifact);
+            let resolved = kernels
+                .iter()
+                .filter(|(l, k, _)| self.addrs.get(l, k).is_some())
+                .count();
             self.needed = Some(NeededKernels {
                 checksum: artifact.checksum(),
-                kernels: Self::needed(artifact),
+                kernels,
+                resolved,
             });
         }
     }
@@ -105,8 +119,11 @@ impl KernelResolver {
     ) -> MedusaResult<usize> {
         self.needed_for(artifact);
         let Self { addrs, needed, .. } = self;
+        let Some(needed) = needed else {
+            return Ok(0);
+        };
         let mut found = 0;
-        for (library, kernel, _) in needed.iter().flat_map(|n| &n.kernels) {
+        for (library, kernel, _) in &needed.kernels {
             if addrs.get(library, kernel).is_some() {
                 continue;
             }
@@ -117,6 +134,7 @@ impl KernelResolver {
                     .or_default()
                     .insert(kernel.clone(), addr);
                 found += 1;
+                needed.resolved += 1;
             }
         }
         Ok(found)
@@ -162,8 +180,7 @@ impl KernelResolver {
         artifact: &S,
     ) -> MedusaResult<()> {
         self.needed_for(artifact);
-        let mut kernels = self.needed.iter().flat_map(|n| &n.kernels);
-        if kernels.all(|(l, k, _)| self.addrs.get(l, k).is_some()) {
+        if self.needed.as_ref().is_some_and(NeededKernels::complete) {
             return Ok(());
         }
         let mut functions = Vec::new();
@@ -180,15 +197,19 @@ impl KernelResolver {
     }
 
     /// Verifies every kernel the shard references is resolved. Once this
-    /// resolver has resolved `artifact`, the check allocates nothing unless
-    /// it fails.
+    /// resolver has resolved every kernel of `artifact`, the check is O(1);
+    /// before, it allocates nothing unless it fails.
     ///
     /// # Errors
     ///
     /// Returns [`MedusaError::KernelUnresolved`] naming the first gap.
     pub fn ensure_complete<S: ShardRead + ?Sized>(&self, artifact: &S) -> MedusaResult<()> {
-        let gap = if let Some(kernels) = self.cached(artifact) {
-            kernels
+        let gap = if let Some(needed) = self.cached(artifact) {
+            if needed.complete() {
+                return Ok(());
+            }
+            needed
+                .kernels
                 .iter()
                 .find(|(l, k, _)| self.addrs.get(l, k).is_none())
                 .map(|(library, kernel, _)| (library.clone(), kernel.clone()))
@@ -349,5 +370,17 @@ mod tests {
         // Paper §5: most kernels resolvable via dlsym (69.2% of nodes for
         // Llama2 13B); at the unique-kernel level both paths must be used.
         assert!(res.stats().via_dlsym >= 10);
+        assert!(res.needed.as_ref().is_some_and(NeededKernels::complete));
+
+        // Another shard of the same kernels counts them as resolved when
+        // its table is computed, and resolves nothing again.
+        let mut other = art.clone();
+        other.kv_free_bytes += 1;
+        other.seal();
+        let stats = res.stats().clone();
+        res.resolve_exported(&mut rt, &other).unwrap();
+        assert!(res.needed.as_ref().is_some_and(NeededKernels::complete));
+        res.ensure_complete(&other).unwrap();
+        assert_eq!(res.stats(), &stats);
     }
 }

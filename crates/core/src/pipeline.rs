@@ -17,7 +17,7 @@ use crate::error::{MedusaError, MedusaResult};
 use crate::faults::{AbortPoint, FaultPlan};
 use crate::offline::analysis::{analyze, AnalysisOutput};
 use crate::online::kernels::KernelResolver;
-use crate::online::replay::{replay_allocations, restore_graph, ReplayedLayout};
+use crate::online::replay::{replay_allocations, restore_graph_onto, ReplayedLayout};
 use crate::online::validate::validate_and_correct;
 use medusa_gpu::{CostModel, GpuSpec, ProcessRuntime, SimDuration, SimStorage, SimTime};
 use medusa_graph::GraphExec;
@@ -832,8 +832,13 @@ fn restore_all_graphs<S: ShardRead + ?Sized>(
             let mut gspec = gspec.to_spec();
             validate_and_correct(rt, inst, &mut gspec, layout, resolver.addrs(), kv_view)?.exec
         } else {
-            let graph = restore_graph(&gspec, layout, resolver.addrs())?;
-            GraphExec::instantiate(rt, graph)?
+            // A later graph of a skeleton is the restored first graph of
+            // that skeleton, patched, and instantiated like it.
+            let base = gspec.base().and_then(|i| graphs.get(i));
+            let base = base.map(|(_, exec): &(u32, GraphExec)| exec);
+            let graph =
+                restore_graph_onto(&gspec, base.map(GraphExec::graph), layout, resolver.addrs())?;
+            GraphExec::instantiate_like(rt, graph, base)?
         };
         rt.advance(SimDuration::from_nanos(rt.cost().node_patch_ns * nodes));
         if let Some(t) = tele {

@@ -32,18 +32,51 @@ impl GraphExec {
     ///   kernel address is stale or its module was never loaded — the
     ///   failure mode a restored graph hits without triggering-kernels.
     pub fn instantiate(rt: &mut ProcessRuntime, graph: CudaGraph) -> GraphResult<Self> {
-        let topo = graph.topo_order()?;
-        for node in graph.iter() {
-            let addr = node.kernel_addr();
-            let kref = rt
-                .resolve_addr(addr)
-                .ok_or(medusa_gpu::GpuError::InvalidDeviceFunction { addr })?;
-            if !rt.is_module_loaded(kref) {
-                return Err(GraphError::Gpu(
-                    medusa_gpu::GpuError::InvalidDeviceFunction { addr },
-                ));
+        Self::instantiate_like(rt, graph, None)
+    }
+
+    /// [`GraphExec::instantiate`], reusing the work of an earlier
+    /// instantiation on the same `rt` where it applies: when `graph` has
+    /// `base`'s edges and, node by node, `base`'s kernel addresses — a
+    /// copy of `base`'s graph with other parameter values and work, as
+    /// `cudaGraphExecUpdate` accepts — its topological order and
+    /// device-function checks are `base`'s. Loaded modules stay loaded, so
+    /// the checks still hold. The instantiation cost charged is the same.
+    ///
+    /// # Errors
+    ///
+    /// As [`GraphExec::instantiate`].
+    pub fn instantiate_like(
+        rt: &mut ProcessRuntime,
+        graph: CudaGraph,
+        base: Option<&GraphExec>,
+    ) -> GraphResult<Self> {
+        let same_shape = |b: &GraphExec| {
+            b.graph.edges() == graph.edges()
+                && b.graph.node_count() == graph.node_count()
+                && b.graph
+                    .iter()
+                    .zip(graph.iter())
+                    .all(|(m, n)| m.kernel_addr() == n.kernel_addr())
+        };
+        let topo = match base.filter(|b| same_shape(b)) {
+            Some(b) => b.topo.clone(),
+            None => {
+                let topo = graph.topo_order()?;
+                for node in graph.iter() {
+                    let addr = node.kernel_addr();
+                    let kref = rt
+                        .resolve_addr(addr)
+                        .ok_or(medusa_gpu::GpuError::InvalidDeviceFunction { addr })?;
+                    if !rt.is_module_loaded(kref) {
+                        return Err(GraphError::Gpu(
+                            medusa_gpu::GpuError::InvalidDeviceFunction { addr },
+                        ));
+                    }
+                }
+                topo
             }
-        }
+        };
         rt.advance(SimDuration::from_nanos(
             rt.cost().graph_instantiate_per_node_ns * graph.node_count() as u64,
         ));
@@ -408,5 +441,43 @@ mod tests {
         let _exec = GraphExec::instantiate(&mut rt, g).unwrap();
         let d = rt.now().since(t0);
         assert_eq!(d.as_nanos(), rt.cost().graph_instantiate_per_node_ns * 10);
+    }
+
+    /// A patched copy of an instantiated graph is instantiated like it, at
+    /// the same cost; a copy whose kernel address moved is checked afresh.
+    #[test]
+    fn a_patched_copy_instantiates_like_its_base() {
+        let Fixture {
+            mut rt,
+            addr,
+            a,
+            b,
+            c,
+        } = fixture();
+        let g = capture_graph(&mut rt, 0, |p| {
+            p.launch_kernel(addr, &[a.addr(), b.addr()], Work::NONE, 0)?;
+            p.launch_kernel(addr, &[b.addr(), c.addr()], Work::NONE, 0)?;
+            Ok(())
+        })
+        .unwrap();
+        let base = GraphExec::instantiate(&mut rt, g.clone()).unwrap();
+        let mut copy = g.clone();
+        copy.node_mut(1).params_mut().set_value(1, a.addr());
+        copy.node_mut(1).set_work(Work::new(1.0, 2.0));
+        let t0 = rt.now();
+        let exec = GraphExec::instantiate_like(&mut rt, copy.clone(), Some(&base)).unwrap();
+        assert_eq!(
+            rt.now().since(t0).as_nanos(),
+            rt.cost().graph_instantiate_per_node_ns * 2
+        );
+        assert_eq!(exec.graph(), &copy);
+        assert_eq!(exec.topo, base.topo);
+
+        let mut stale = g;
+        stale.node_mut(0).set_kernel_addr(addr + 1);
+        assert!(matches!(
+            GraphExec::instantiate_like(&mut rt, stale, Some(&base)),
+            Err(GraphError::Gpu(GpuError::InvalidDeviceFunction { .. }))
+        ));
     }
 }

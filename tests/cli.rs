@@ -84,15 +84,15 @@ fn artifact_commands_are_pinned() {
         lines.join("\n"),
         [
             "models stdout=a472ce155a8ca3a9",
-            "materialize stdout=e6d4b50614679615 x.maf2=daf18fe1b95e8423",
-            "validate stdout=dd59a0d09cdd1380",
-            "inspect stdout=37eb0948d2525822",
-            "convert stdout=6284bef298e41364 x.json=0d8cc799ee223c8c",
-            "convert stdout=64ab5686c36c8897 y.maf2=daf18fe1b95e8423",
+            "materialize stdout=6d655e630f79b259 x.maf2=e81ee6b30a3ef179",
+            "validate stdout=69fdcc6a68d84e7c",
+            "inspect stdout=2a096fd10cc33a99",
+            "convert stdout=edf5d2f31b956ff5 x.json=a0d62b7327431ebd",
+            "convert stdout=ec7fb5d9ef293364 y.maf2=e81ee6b30a3ef179",
             "coldstart stdout=2a5e6ac85364cd0e",
-            "registry pack stdout=d1b129ef92fa60da s.mcs=638c074b14f4dde2",
-            "registry inspect stdout=a4a91ef73227bb73",
-            "registry dedup-stats stdout=942bb73127fc5e4f",
+            "registry pack stdout=c93232bdef0bbe64 s.mcs=515b3d218e44a0b4",
+            "registry inspect stdout=b1411f9af68f48a7",
+            "registry dedup-stats stdout=ee0b86eecf1d1246",
         ]
         .join("\n")
     );
@@ -133,8 +133,8 @@ fn cli_fleet_is_pinned_in_both_registry_modes() {
     assert_eq!(
         lines.join("\n"),
         [
-            "cluster stdout=f12922c7941a5f82 whole.prom=a8af6fbbf22b758f",
-            "cluster stdout=b8149454d5a49cd8 cas.prom=7c451157aece995f",
+            "cluster stdout=ff61240b470e34d4 whole.prom=b350d7996fee997c",
+            "cluster stdout=850cb7301c665463 cas.prom=636552f10fdf5e68",
         ]
         .join("\n")
     );
@@ -151,7 +151,7 @@ fn pipeline_cluster_report_is_pinned() {
     );
     assert_eq!(
         line,
-        "cluster stdout=24ad03803bf82e32 r.json=9723f4dbe2f301b6"
+        "cluster stdout=87336d8fc11e8f2d r.json=dfdd4fc5f1866a0a"
     );
 }
 
