@@ -85,6 +85,34 @@ fn runtime_faults_on_vanilla_surface_typed_errors() {
     }
 }
 
+/// A plan means one thing whichever source the artifact comes from: armed
+/// through `.faults()`, each artifact-level class degrades a restore from
+/// decoded artifacts and one from their MAF2 bytes to the same strategy,
+/// for the same reason.
+#[test]
+fn artifact_faults_agree_across_artifact_sources() {
+    let s = spec();
+    let (arts, _) = ColdStart::new(&s).materialize(19).expect("offline phase");
+    let bytes = arts.to_maf2().expect("encode");
+    for kind in [FaultKind::MissingLibrary, FaultKind::VersionSkew] {
+        for seed in [1, 4242] {
+            let run = |b: ColdStart| {
+                let out = b
+                    .strategy(Strategy::Medusa)
+                    .seed(5)
+                    .faults(FaultPlan::single(kind, seed))
+                    .run()
+                    .unwrap_or_else(|e| panic!("{kind:?}/{seed}: must degrade, got error {e}"));
+                (out.strategy_used(), out.fallback().map(|f| f.reason))
+            };
+            let decoded = run(ColdStart::new(&s).artifacts(&arts));
+            let encoded = run(ColdStart::new(&s).tp(arts.tp()).artifact_bytes(&bytes));
+            assert_eq!(decoded.0, Strategy::Vanilla, "{kind:?}/{seed}");
+            assert_eq!(encoded, decoded, "{kind:?}/{seed}: bytes vs artifacts");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
