@@ -24,9 +24,7 @@
 
 use std::time::{Duration, Instant};
 
-use medusa::{
-    count_naive_mismatches, materialize_offline, ColdStart, ColdStartOptions, Parallelism, Strategy,
-};
+use medusa::{count_naive_mismatches, materialize_offline, ColdStart, Parallelism, Strategy};
 use medusa_gpu::{AllocTag, CostModel, GpuSpec, ParamBuffer, ProcessRuntime};
 use medusa_model::{build_catalog, ModelSpec};
 
@@ -276,17 +274,13 @@ fn bench_parallel_cold_start() {
             .parallelism(mode)
             .materialize(31)
             .expect("tp offline");
-        let opts = ColdStartOptions {
-            seed: 32,
-            warm_container: true,
-            parallelism: mode,
-            ..Default::default()
-        };
         let cold = ColdStart::new(&s)
             .strategy(Strategy::Medusa)
             .gpu(gpu.clone())
             .cost(cost.clone())
-            .options(opts)
+            .seed(32)
+            .warm(true)
+            .parallelism(mode)
             .artifacts(&arts)
             .run()
             .expect("tp cold start");

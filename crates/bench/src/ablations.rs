@@ -16,8 +16,8 @@
 
 use crate::common::{self, gpu, offline, run_cold, s};
 use medusa::{
-    analyze, count_naive_mismatches, run_offline_capture, ColdStart, ColdStartOptions, ParamSpec,
-    Stage, Strategy, TriggeringMode,
+    analyze, count_naive_mismatches, run_offline_capture, ColdStart, ParamSpec, Stage, Strategy,
+    TriggeringMode,
 };
 use medusa_gpu::{SimStorage, TraceEvent};
 use medusa_model::ModelSpec;
@@ -113,17 +113,13 @@ pub fn triggering() {
         let spec = ModelSpec::by_name(name).expect("catalog");
         let (artifact, _) = offline(&spec);
         let stage = |mode: TriggeringMode| {
-            let opts = ColdStartOptions {
-                seed: common::online_seed(&spec, Strategy::Medusa),
-                warm_container: true,
-                triggering: mode,
-                ..Default::default()
-            };
             let (_e, r) = ColdStart::new(&spec)
                 .strategy(Strategy::Medusa)
                 .gpu(gpu())
                 .cost(common::cost())
-                .options(opts)
+                .seed(common::online_seed(&spec, Strategy::Medusa))
+                .warm(true)
+                .triggering(mode)
                 .artifact(&artifact)
                 .run()
                 .expect("cold start")
@@ -153,17 +149,13 @@ pub fn validation_cost() {
         let spec = ModelSpec::by_name(name).expect("catalog");
         let (artifact, _) = offline(&spec);
         let loading = |validate: bool| {
-            let opts = ColdStartOptions {
-                seed: common::online_seed(&spec, Strategy::Medusa) + u64::from(validate),
-                warm_container: true,
-                validate,
-                ..Default::default()
-            };
             let (_e, r) = ColdStart::new(&spec)
                 .strategy(Strategy::Medusa)
                 .gpu(gpu())
                 .cost(common::cost())
-                .options(opts)
+                .seed(common::online_seed(&spec, Strategy::Medusa) + u64::from(validate))
+                .warm(true)
+                .validate_graphs(validate)
                 .artifact(&artifact)
                 .run()
                 .expect("cold start")

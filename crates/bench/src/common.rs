@@ -1,8 +1,8 @@
 //! Shared helpers for the figure/table harnesses.
 
 use medusa::{
-    materialize_offline, ColdStart, ColdStartOptions, ColdStartReport, MaterializedState,
-    OfflineReport, ReadyEngine, Strategy,
+    materialize_offline, ColdStart, ColdStartReport, MaterializedState, OfflineReport, ReadyEngine,
+    Strategy,
 };
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
 use medusa_model::ModelSpec;
@@ -41,16 +41,12 @@ pub fn run_cold(
     artifact: Option<&MaterializedState>,
     warm_container: bool,
 ) -> (ReadyEngine, ColdStartReport) {
-    let opts = ColdStartOptions {
-        seed: online_seed(spec, strategy),
-        warm_container,
-        ..Default::default()
-    };
     let mut builder = ColdStart::new(spec)
         .strategy(strategy)
         .gpu(gpu())
         .cost(cost())
-        .options(opts);
+        .seed(online_seed(spec, strategy))
+        .warm(warm_container);
     if let Some(a) = artifact {
         builder = builder.artifact(a);
     }

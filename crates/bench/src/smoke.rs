@@ -12,7 +12,7 @@
 
 use medusa::{
     encode_maf2_bundle, materialize_offline, ArtifactTemplate, ArtifactValidator, ChunkStore,
-    ColdStart, ColdStartOptions, Maf2Reader, MaterializedState, Parallelism, Strategy,
+    ColdStart, Maf2Reader, MaterializedState, Parallelism, Strategy,
 };
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
 use medusa_model::ModelSpec;
@@ -124,17 +124,13 @@ pub fn run_mode(mode: Parallelism, tele: Option<&Registry>) -> u64 {
         .parallelism(mode)
         .materialize(SEED_OFFLINE)
         .expect("tp offline");
-    let opts = ColdStartOptions {
-        seed: SEED_ONLINE,
-        warm_container: true,
-        parallelism: mode,
-        ..Default::default()
-    };
     let mut builder = ColdStart::new(&spec)
         .strategy(Strategy::Medusa)
         .gpu(gpu)
         .cost(cost)
-        .options(opts)
+        .seed(SEED_ONLINE)
+        .warm(true)
+        .parallelism(mode)
         .artifacts(&arts);
     if let Some(t) = tele {
         builder = builder.telemetry(t);

@@ -96,8 +96,8 @@ pub use online::validate::{
     reset_kv_state, validate_and_correct, validate_graph, ValidatedGraph, VALIDATION_STEP,
 };
 pub use pipeline::{
-    materialize_offline, ColdStartOptions, ColdStartReport, OfflineReport, Parallelism,
-    ReadyEngine, Stage, StageSpan, Strategy, TriggeringMode,
+    materialize_offline, ColdStartReport, OfflineReport, Parallelism, ReadyEngine, Stage,
+    StageSpan, Strategy, TriggeringMode,
 };
 pub use tp::TpArtifacts;
 pub use trace::{AllocEvent, TraceWalker};

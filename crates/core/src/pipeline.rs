@@ -223,9 +223,9 @@ impl ColdStartReport {
     }
 }
 
-/// Cold-start options.
+/// The options a [`crate::builder::ColdStart`] builder's setters fill in.
 #[derive(Debug, Clone, Copy)]
-pub struct ColdStartOptions {
+pub(crate) struct ColdStartOptions {
     /// Process seed (address non-determinism).
     pub seed: u64,
     /// Start from a warm container (runtime init eliminated) — the trace
@@ -241,10 +241,6 @@ pub struct ColdStartOptions {
     /// How much parallelism the cold-start engine exploits across stages
     /// and ranks.
     pub parallelism: Parallelism,
-    /// Runtime fault injection (truncated weight streams, mid-stage
-    /// aborts). `None` injects nothing; artifact-level faults are applied
-    /// by the [`crate::builder::ColdStart`] builder before validation.
-    pub fault: Option<FaultPlan>,
 }
 
 impl Default for ColdStartOptions {
@@ -256,7 +252,6 @@ impl Default for ColdStartOptions {
             first_token_prompt: 161,
             triggering: TriggeringMode::FirstLayer,
             parallelism: Parallelism::Overlapped,
-            fault: None,
         }
     }
 }
@@ -422,6 +417,10 @@ pub(crate) fn materialize_offline_shard_impl(
 /// start); it is called once the device stage it overlaps is done, and its
 /// simulated span is [`Tokenizer::load_duration`].
 ///
+/// `fault` fires the plan's runtime classes (a torn weight stream, a
+/// mid-stage abort); the builder applies its artifact classes before any
+/// rank starts.
+///
 /// # Errors
 ///
 /// * [`MedusaError::ArtifactRequired`] for [`Strategy::Medusa`] without an
@@ -436,6 +435,7 @@ pub(crate) fn cold_start_impl<S: ShardRead + ?Sized>(
     artifact: Option<&S>,
     (rank, tp): (u32, u32),
     opts: ColdStartOptions,
+    fault: Option<FaultPlan>,
     tele: Option<&Registry>,
     tokenizer: impl FnOnce() -> Tokenizer,
 ) -> MedusaResult<(ReadyEngine, ColdStartReport)> {
@@ -458,7 +458,7 @@ pub(crate) fn cold_start_impl<S: ShardRead + ?Sized>(
     let s0 = rt.now();
     let mut inst = ModelInstance::initialize_sharded(&mut rt, spec, rank, tp)?;
     let structure_end = rt.now();
-    fault_gate(&opts, AbortPoint::AfterStructureInit, Stage::StructureInit)?;
+    fault_gate(fault, AbortPoint::AfterStructureInit, Stage::StructureInit)?;
 
     // A serial start schedules the same stage graph with every node on one
     // lane, in insertion order; the process clock then also walks through
@@ -494,7 +494,7 @@ pub(crate) fn cold_start_impl<S: ShardRead + ?Sized>(
 
             // ❷ weights on the storage lane (no profiling → no
             // interference, Fig. 8c).
-            weights_fault_gate(&opts, weights_bytes)?;
+            weights_fault_gate(fault, weights_bytes)?;
             let w0 = rt.now();
             apply_weights(&mut rt, &inst)?;
             let (w_dur, w_delay) =
@@ -523,7 +523,7 @@ pub(crate) fn cold_start_impl<S: ShardRead + ?Sized>(
             // (§7.3): the profiling forwarding blocks async H2D copies,
             // stretching an overlapped weight load; a serial one ends
             // before profiling starts.
-            weights_fault_gate(&opts, weights_bytes)?;
+            weights_fault_gate(fault, weights_bytes)?;
             let w0 = rt.now();
             apply_weights(&mut rt, &inst)?;
             let slowdown = if serial {
@@ -573,7 +573,7 @@ pub(crate) fn cold_start_impl<S: ShardRead + ?Sized>(
         step: 0,
     };
     let loading = end - loading_start;
-    fault_gate(&opts, AbortPoint::BeforeFirstToken, Stage::FirstToken)?;
+    fault_gate(fault, AbortPoint::BeforeFirstToken, Stage::FirstToken)?;
 
     // First token: one eager prefill.
     let f0 = engine.rt.now();
@@ -731,8 +731,8 @@ fn record_cold_start_telemetry(tele: &Registry, report: &ColdStartReport, (rank,
 
 /// Fires an armed mid-stage abort at the given checkpoint (injected fault,
 /// modeling node preemption / OOM-kill).
-fn fault_gate(opts: &ColdStartOptions, point: AbortPoint, stage: Stage) -> MedusaResult<()> {
-    if opts.fault.and_then(|f| f.abort_point()) == Some(point) {
+fn fault_gate(fault: Option<FaultPlan>, point: AbortPoint, stage: Stage) -> MedusaResult<()> {
+    if fault.and_then(|f| f.abort_point()) == Some(point) {
         return Err(MedusaError::StageAborted {
             stage: stage_ident(stage).to_string(),
         });
@@ -742,8 +742,8 @@ fn fault_gate(opts: &ColdStartOptions, point: AbortPoint, stage: Stage) -> Medus
 
 /// Tears the weight stream before the loading stage when the fault plan
 /// arms [`crate::faults::FaultKind::TruncatedWeights`].
-fn weights_fault_gate(opts: &ColdStartOptions, expected: u64) -> MedusaResult<()> {
-    if let Some(frac) = opts.fault.and_then(|f| f.weight_truncation()) {
+fn weights_fault_gate(fault: Option<FaultPlan>, expected: u64) -> MedusaResult<()> {
+    if let Some(frac) = fault.and_then(|f| f.weight_truncation()) {
         return Err(MedusaError::WeightStreamTruncated {
             loaded: (expected as f64 * frac) as u64,
             expected,
@@ -896,6 +896,7 @@ mod tests {
             art,
             (0, 1),
             opts,
+            None,
             None,
             test_tokenizer(&spec()),
         )
@@ -1061,6 +1062,7 @@ mod tests {
             (0, 1),
             ColdStartOptions::default(),
             None,
+            None,
             test_tokenizer(&spec()),
         )
         .unwrap_err();
@@ -1080,6 +1082,7 @@ mod tests {
             (0, 1),
             ColdStartOptions::default(),
             None,
+            None,
             test_tokenizer(&other),
         )
         .unwrap_err();
@@ -1095,10 +1098,6 @@ mod tests {
         let mut seen_late = false;
         for fault_seed in 0..8u64 {
             let plan = FaultPlan::single(FaultKind::MidStageAbort, fault_seed);
-            let opts = ColdStartOptions {
-                fault: Some(plan),
-                ..Default::default()
-            };
             let err = cold_start_impl(
                 Strategy::Medusa,
                 &spec(),
@@ -1106,7 +1105,8 @@ mod tests {
                 CostModel::default(),
                 Some(&art),
                 (0, 1),
-                opts,
+                ColdStartOptions::default(),
+                Some(plan),
                 None,
                 test_tokenizer(&spec()),
             )
@@ -1118,10 +1118,6 @@ mod tests {
             }
         }
         assert!(seen_early && seen_late, "both checkpoints exercised");
-        let opts = ColdStartOptions {
-            fault: Some(FaultPlan::single(FaultKind::TruncatedWeights, 3)),
-            ..Default::default()
-        };
         let err = cold_start_impl(
             Strategy::Vanilla,
             &spec(),
@@ -1129,7 +1125,8 @@ mod tests {
             CostModel::default(),
             None::<&MaterializedState>,
             (0, 1),
-            opts,
+            ColdStartOptions::default(),
+            Some(FaultPlan::single(FaultKind::TruncatedWeights, 3)),
             None,
             test_tokenizer(&spec()),
         )

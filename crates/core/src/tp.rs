@@ -168,6 +168,7 @@ mod tests {
             (0, 2),
             ColdStartOptions::default(),
             None,
+            None,
             test_tokenizer(&s),
         )
         .unwrap_err();

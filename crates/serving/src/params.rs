@@ -7,7 +7,7 @@
 //! the simulator then replays them at queueing scale without re-executing
 //! tens of millions of kernel digests.
 
-use medusa::{ColdStart, ColdStartOptions, MaterializedState, MedusaResult, Strategy};
+use medusa::{ColdStart, MaterializedState, MedusaResult, Strategy};
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
 use medusa_model::ModelSpec;
 use serde::{Deserialize, Serialize};
@@ -72,10 +72,11 @@ impl PerfModel {
     /// Measures a performance model by running a real cold start and timing
     /// real forward passes on the resulting engine.
     ///
-    /// Cold starts run with the default [`ColdStartOptions`], i.e. the
-    /// overlapped parallel cold-start engine — the cluster simulator
-    /// automatically sees the faster (dependency-graph-scheduled) loading
-    /// times rather than the serial linear sum.
+    /// The cold start runs from a warm container with the builder's default
+    /// [`medusa::Parallelism`], i.e. the overlapped parallel cold-start
+    /// engine — the cluster simulator automatically sees the faster
+    /// (dependency-graph-scheduled) loading times rather than the serial
+    /// linear sum.
     ///
     /// # Errors
     ///
@@ -88,16 +89,12 @@ impl PerfModel {
         artifact: Option<&MaterializedState>,
         seed: u64,
     ) -> MedusaResult<Self> {
-        let opts = ColdStartOptions {
-            seed,
-            warm_container: true,
-            ..Default::default()
-        };
         let mut builder = ColdStart::new(spec)
             .strategy(strategy)
             .gpu(gpu)
             .cost(cost)
-            .options(opts);
+            .seed(seed)
+            .warm(true);
         if let Some(a) = artifact {
             builder = builder.artifact(a);
         }
@@ -198,20 +195,16 @@ mod tests {
         )
         .expect("measure");
         let loading_with = |parallelism| {
-            let opts = ColdStartOptions {
-                seed: 77,
-                warm_container: true,
-                parallelism,
-                ..Default::default()
-            };
             let outcome = medusa::ColdStart::new(&spec)
                 .strategy(Strategy::VanillaAsync)
-                .options(opts)
+                .seed(77)
+                .warm(true)
+                .parallelism(parallelism)
                 .run()
                 .expect("cold start");
             outcome.report().loading
         };
-        // The default options run the overlapped engine, so the simulator's
+        // The builder's default runs the overlapped engine, so the simulator's
         // loading time is the scheduled makespan, not the serial sum.
         assert_eq!(perf.loading, loading_with(Parallelism::Overlapped));
         assert!(perf.loading < loading_with(Parallelism::Serial));

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example cold_start_race [model]`
 
-use medusa::{materialize_offline, ColdStart, ColdStartOptions, Stage, Strategy};
+use medusa::{materialize_offline, ColdStart, Stage, Strategy};
 use medusa_gpu::{CostModel, GpuSpec, SimTime};
 use medusa_model::ModelSpec;
 
@@ -17,21 +17,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cost = CostModel::default();
     let (artifact, _) = materialize_offline(&spec, gpu.clone(), cost.clone(), 11)?;
 
-    // Warm containers, as in the paper's trace experiments: the race is
-    // about the loading phase.
-    let opts = ColdStartOptions {
-        seed: 12,
-        warm_container: true,
-        ..Default::default()
-    };
-
     let mut reports = Vec::new();
     for strategy in Strategy::ALL {
+        // Warm containers, as in the paper's trace experiments: the race is
+        // about the loading phase.
         let mut builder = ColdStart::new(&spec)
             .strategy(strategy)
             .gpu(gpu.clone())
             .cost(cost.clone())
-            .options(opts);
+            .seed(12)
+            .warm(true);
         if strategy == Strategy::Medusa {
             builder = builder.artifact(&artifact);
         }

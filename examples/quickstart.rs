@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use medusa::{materialize_offline, ColdStart, ColdStartOptions, Parallelism, Stage, Strategy};
+use medusa::{materialize_offline, ColdStart, Parallelism, Stage, Strategy};
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
 
@@ -36,22 +36,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ----------------------------------------------------------- online
     // Two cold starts in *different* simulated processes (different seeds →
     // different library and buffer addresses): vanilla vs Medusa.
-    let opts = ColdStartOptions {
-        seed: 2024,
-        ..Default::default()
-    };
     let (_v_engine, vanilla) = ColdStart::new(&spec)
         .strategy(Strategy::Vanilla)
         .gpu(gpu.clone())
         .cost(cost.clone())
-        .options(opts)
+        .seed(2024)
         .run()?
         .into_single();
     let (mut m_engine, medusa) = ColdStart::new(&spec)
         .strategy(Strategy::Medusa)
         .gpu(gpu.clone())
         .cost(cost.clone())
-        .options(opts)
+        .seed(2024)
         .artifact(&artifact)
         .run()?
         .into_single();
@@ -75,22 +71,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ------------------------------------- parallel cold-start engine
     // Restoration stages run on a dependency-graph scheduler (DESIGN.md
-    // §7); the `parallelism` knob on ColdStartOptions picks how much of
-    // the legal overlap is exploited. Total work is mode-invariant at
-    // tp=1 — only the layout on the timeline (and so the wall clock)
-    // changes.
+    // §7); the builder's `parallelism` setter picks how much of the legal
+    // overlap is exploited. Total work is mode-invariant at tp=1 — only
+    // the layout on the timeline (and so the wall clock) changes.
     println!("parallelism knob (Medusa, same seed):");
     for mode in Parallelism::ALL {
-        let opts = ColdStartOptions {
-            seed: 2024,
-            parallelism: mode,
-            ..Default::default()
-        };
         let (_, r) = ColdStart::new(&spec)
             .strategy(Strategy::Medusa)
             .gpu(gpu.clone())
             .cost(cost.clone())
-            .options(opts)
+            .seed(2024)
+            .parallelism(mode)
             .artifact(&artifact)
             .run()?
             .into_single();

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example tp_shards [tp]`
 
-use medusa::{ColdStart, ColdStartOptions, Stage, Strategy};
+use medusa::{ColdStart, Stage, Strategy};
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
 
@@ -44,22 +44,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.total().as_secs_f64()
     );
 
-    let opts = ColdStartOptions {
-        warm_container: true,
-        ..Default::default()
-    };
     let vanilla = ColdStart::new(&spec)
         .strategy(Strategy::Vanilla)
         .gpu(gpu.clone())
         .cost(cost.clone())
-        .options(opts)
+        .warm(true)
         .tp(tp)
         .run()?;
     let medusa = ColdStart::new(&spec)
         .strategy(Strategy::Medusa)
         .gpu(gpu)
         .cost(cost)
-        .options(opts)
+        .warm(true)
         .artifacts(&artifacts)
         .run()?;
 

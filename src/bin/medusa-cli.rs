@@ -60,8 +60,7 @@
 
 use medusa::{
     is_maf2, materialize_offline, ArtifactTemplate, ArtifactValidator, ChunkStore, ColdStart,
-    ColdStartOptions, FaultPlan, Maf2Reader, MaterializedState, Parallelism, Strategy,
-    TriggeringMode,
+    FaultPlan, Maf2Reader, MaterializedState, Parallelism, Strategy, TriggeringMode,
 };
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
@@ -465,14 +464,12 @@ fn coldstart(flags: &Flags) -> Result<(), String> {
         Some(other) => return Err(format!("unknown triggering mode `{other}`")),
     };
     let artifact = load_artifact(flags)?;
-    let opts = ColdStartOptions {
-        seed: flags.num("seed", 1)?,
-        warm_container: flags.has("warm"),
-        validate: flags.has("validate"),
-        triggering,
-        ..Default::default()
-    };
-    let mut builder = ColdStart::new(&spec).strategy(strategy).options(opts);
+    let mut builder = ColdStart::new(&spec)
+        .strategy(strategy)
+        .seed(flags.num("seed", 1)?)
+        .warm(flags.has("warm"))
+        .validate_graphs(flags.has("validate"))
+        .triggering(triggering);
     if let Some(a) = &artifact {
         builder = builder.artifact(a);
     }
@@ -521,14 +518,10 @@ fn trace(flags: &Flags) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         artifact = Some(art);
     }
-    let opts = ColdStartOptions {
-        seed,
-        ..Default::default()
-    };
     let tele = medusa_telemetry::Registry::new();
     let mut builder = ColdStart::new(&spec)
         .strategy(strategy)
-        .options(opts)
+        .seed(seed)
         .telemetry(&tele);
     if let Some(a) = &artifact {
         builder = builder.artifact(a);

@@ -676,7 +676,8 @@ fn tamper_rank_section(
 
 /// The byte-path fault matrix, pinned: for every branch of
 /// [`FaultPlan::apply_to_maf2`], a version skew and a missing library at
-/// tp 1 and 2, plus tp=2 bundles where only a section of rank 1 is
+/// tp 1 and 2 (the latter both hand-encoded and armed by the plan, which
+/// must give the same row), plus tp=2 bundles where only a section of rank 1 is
 /// tampered (its Graphs, caught by the section digest, or its first replay
 /// op's size or its content checksum, each resealed in transit and caught
 /// by the shard seal), the cold start's strategy, fallback reason and
@@ -730,6 +731,11 @@ fn byte_path_fault_matrix_is_pinned() {
             format!("tp{tp}/missing_library"),
             encode_maf2_bundle(&ghost_refs).expect("encode"),
             None,
+        ));
+        cases.push((
+            format!("tp{tp}/missing_library"),
+            good.clone(),
+            Some(FaultPlan::single(FaultKind::MissingLibrary, 5)),
         ));
         if tp == 2 {
             let graphs_len = Maf2Reader::open(&good)
@@ -790,6 +796,7 @@ fn byte_path_fault_matrix_is_pinned() {
         "tp1/truncate_payload/seed1 | vLLM | artifact_corrupt | artifact corrupt: truncated: header declares 638760 bytes, have 59271 | 57641e21c0b33470",
         "tp1/version_skew | vLLM | artifact_corrupt | artifact validation (format_version): artifact corrupt: format version 8 != supported 5 | 7abc6f610c251ab8",
         "tp1/missing_library | vLLM | kernel_unresolved | artifact validation (kernel_table): kernel `rotary_embedding_neox_f16` of `libghost-5.so.0` could not be resolved online | 7e6c92a246d3abfe",
+        "tp1/missing_library | vLLM | kernel_unresolved | artifact validation (kernel_table): kernel `rotary_embedding_neox_f16` of `libghost-5.so.0` could not be resolved online | 7e6c92a246d3abfe",
         "tp2/payload_flip/seed1 | vLLM | checksum_mismatch | artifact validation (checksum): artifact checksum mismatch: sealed 0x718558b7ca76c50f, recomputed 0xda1a287d37aeefae | 61d09149a8ae6fed",
         "tp2/digest_flip/seed0 | vLLM | checksum_mismatch | artifact checksum mismatch: sealed 0x562b08ee61f0481a, recomputed 0x4f14120b3f43d34c | 4b8608284ff96514",
         "tp2/offset_out_of_bounds/seed2 | vLLM | artifact_corrupt | artifact corrupt: index entry 11 (Labels shard 1) [1517225, +3728) is out of bounds | 15b2e719edf14246",
@@ -797,6 +804,7 @@ fn byte_path_fault_matrix_is_pinned() {
         "tp2/truncate_tail/seed2 | vLLM | artifact_corrupt | artifact corrupt: truncated: header declares 1516386 bytes, have 1516363 | 15b2e719edf14246",
         "tp2/truncate_payload/seed1 | vLLM | artifact_corrupt | artifact corrupt: truncated: header declares 1516386 bytes, have 140627 | 15b2e719edf14246",
         "tp2/version_skew | vLLM | artifact_corrupt | artifact validation (format_version): artifact corrupt: format version 8 != supported 5 | a828a03fc40e1727",
+        "tp2/missing_library | vLLM | kernel_unresolved | artifact validation (kernel_table): kernel `fused_add_rms_norm_f16` of `libghost-5.so.0` could not be resolved online | 251b1d88bc36be47",
         "tp2/missing_library | vLLM | kernel_unresolved | artifact validation (kernel_table): kernel `fused_add_rms_norm_f16` of `libghost-5.so.0` could not be resolved online | 251b1d88bc36be47",
         "tp2/rank1_graphs_flip | vLLM | checksum_mismatch | artifact validation (checksum): artifact checksum mismatch: sealed 0x718558b7ca76c50f, recomputed 0xa4b3fbe307a59d8f | 61d09149a8ae6fed",
         "tp2/rank1_replay_flip_resealed | vLLM | checksum_mismatch | artifact validation (checksum): artifact checksum mismatch: sealed 0x4a65286a22673a83, recomputed 0xc80d6c835354b15e | 61d09149a8ae6fed",

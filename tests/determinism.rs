@@ -11,8 +11,8 @@
 //! is pinned against the values recorded when the test was written.
 
 use medusa::{
-    materialize_offline, ColdStart, ColdStartOptions, ColdStartReport, MaterializedState,
-    Parallelism, ReadyEngine, Strategy, TpArtifacts, TriggeringMode,
+    materialize_offline, ColdStart, ColdStartReport, MaterializedState, Parallelism, ReadyEngine,
+    Strategy, TpArtifacts, TriggeringMode,
 };
 use medusa_gpu::{CostModel, GpuSpec, SimTime};
 use medusa_model::ModelSpec;
@@ -30,13 +30,13 @@ fn artifact() -> MaterializedState {
     artifact
 }
 
-fn opts(parallelism: Parallelism) -> ColdStartOptions {
-    ColdStartOptions {
-        seed: 42,
-        warm_container: true,
-        parallelism,
-        ..Default::default()
-    }
+/// A warm-container builder for `s` on process seed 42 under
+/// `parallelism`.
+fn warm_42(s: &ModelSpec, parallelism: Parallelism) -> ColdStart<'_> {
+    ColdStart::new(s)
+        .seed(42)
+        .warm(true)
+        .parallelism(parallelism)
 }
 
 /// An observable fingerprint of a ready engine: captured graph batch
@@ -62,7 +62,7 @@ fn same_seed_cold_starts_are_byte_identical_per_mode() {
         for mode in Parallelism::ALL {
             let art = (strategy == Strategy::Medusa).then_some(&artifact);
             let run = || {
-                let mut builder = ColdStart::new(&s).strategy(strategy).options(opts(mode));
+                let mut builder = warm_42(&s, mode).strategy(strategy);
                 if let Some(a) = art {
                     builder = builder.artifact(a);
                 }
@@ -93,10 +93,9 @@ fn same_seed_cold_starts_are_byte_identical_per_mode() {
 fn medusa_serial_and_overlapped_agree_on_work_but_not_wall_clock() {
     let artifact = artifact();
     let run = |mode| {
-        let (_, report) = ColdStart::new(&spec())
+        let (_, report) = warm_42(&spec(), mode)
             .strategy(Strategy::Medusa)
             .artifact(&artifact)
-            .options(opts(mode))
             .run()
             .expect("cold start")
             .into_single();
@@ -133,9 +132,8 @@ fn vanilla_async_interference_inflates_work_but_overlap_still_wins() {
     // serial — yet the cold start still finishes earlier because the rest
     // of the pipeline hides it (Fig. 8b).
     let run = |mode| {
-        let (_, report) = ColdStart::new(&spec())
+        let (_, report) = warm_42(&spec(), mode)
             .strategy(Strategy::VanillaAsync)
-            .options(opts(mode))
             .run()
             .expect("cold start")
             .into_single();
@@ -202,9 +200,8 @@ fn serial_vanilla_async_is_the_vanilla_timeline() {
     // Under Serial the async weights lane degenerates to a synchronous
     // load, so VanillaAsync runs Vanilla's timeline stage for stage.
     let run = |strategy| {
-        ColdStart::new(&spec())
+        warm_42(&spec(), Parallelism::Serial)
             .strategy(strategy)
-            .options(opts(Parallelism::Serial))
             .run()
             .expect("cold start")
             .into_single()

@@ -4,8 +4,8 @@
 //! observably fail.
 
 use medusa::{
-    materialize_offline, replay_allocations, restore_graph, ColdStart, ColdStartOptions,
-    KernelResolver, MaterializedState, MedusaError, Strategy,
+    materialize_offline, replay_allocations, restore_graph, ColdStart, KernelResolver,
+    MaterializedState, MedusaError, Strategy,
 };
 use medusa_gpu::{CostModel, GpuError, GpuSpec, ProcessRuntime};
 use medusa_graph::{GraphError, GraphExec};
@@ -99,17 +99,13 @@ fn missing_permanent_contents_change_outputs_silently() {
     let mut art = artifact(7);
     let good = art.clone();
     art.permanent_contents.clear();
-    let opts = ColdStartOptions {
-        seed: 8,
-        ..Default::default()
-    };
     // Both validation layers off: the point is the *silent* corruption.
     let restore = |a: &MaterializedState| {
         ColdStart::new(&spec())
             .strategy(Strategy::Medusa)
             .artifact(a)
             .validate_artifact(false)
-            .options(opts)
+            .seed(8)
             .run()
             .expect("restores without validation")
             .into_single()
@@ -149,15 +145,11 @@ fn artifact_roundtrip_restores_identically() {
     let art = artifact(10);
     let json = art.to_json().expect("encode");
     let back = MaterializedState::from_json(&json).expect("decode");
-    let opts = ColdStartOptions {
-        seed: 11,
-        ..Default::default()
-    };
     let run = |a: &MaterializedState| {
         let (mut e, r) = ColdStart::new(&spec())
             .strategy(Strategy::Medusa)
             .artifact(a)
-            .options(opts)
+            .seed(11)
             .run()
             .expect("cold start")
             .into_single();
@@ -183,16 +175,12 @@ fn offline_seed_does_not_leak_into_restored_behaviour() {
     assert_eq!(a1.total_nodes(), a2.total_nodes());
     assert_eq!(a1.kv_free_bytes, a2.kv_free_bytes, "§6 invariance");
     // ...but restored outputs agree.
-    let opts = ColdStartOptions {
-        seed: 22,
-        validate: true,
-        ..Default::default()
-    };
     let out = |a: &MaterializedState, seed: u64| {
         let (mut e, _) = ColdStart::new(&spec())
             .strategy(Strategy::Medusa)
             .artifact(a)
-            .options(ColdStartOptions { seed, ..opts })
+            .seed(seed)
+            .validate_graphs(true)
             .run()
             .expect("cold start")
             .into_single();

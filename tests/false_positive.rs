@@ -6,8 +6,7 @@
 //! validation forwarding detects it and the correction pass repairs it.
 
 use medusa::{
-    materialize_offline, ColdStart, ColdStartOptions, Maf2Reader, MaterializedState, ParamSpec,
-    ReplayOp, Strategy,
+    materialize_offline, ColdStart, Maf2Reader, MaterializedState, ParamSpec, ReplayOp, Strategy,
 };
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
@@ -96,16 +95,12 @@ fn unvalidated_false_positive_corrupts_outputs() {
         materialize_offline(&s, GpuSpec::a100_40gb(), CostModel::default(), 33).expect("offline");
     let mut poisoned = artifact.clone();
     poison(&mut poisoned);
-    let opts = ColdStartOptions {
-        seed: 34,
-        ..Default::default()
-    };
     let out_of = |a: &MaterializedState| {
         let (mut e, _) = ColdStart::new(&s)
             .strategy(Strategy::Medusa)
             .artifact(a)
             .validate_artifact(false)
-            .options(opts)
+            .seed(34)
             .run()
             .expect("restores without validation")
             .into_single();

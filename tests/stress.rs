@@ -6,9 +6,7 @@
 //! mutable state between instances would show up as a timing or span
 //! divergence.
 
-use medusa::{
-    materialize_offline, ColdStart, ColdStartOptions, MaterializedState, Parallelism, Strategy,
-};
+use medusa::{materialize_offline, ColdStart, MaterializedState, Parallelism, Strategy};
 use medusa_gpu::{CostModel, GpuSpec, SimDuration};
 use medusa_model::ModelSpec;
 use medusa_serving::{simulate_fleet, ClusterSpec, FleetProfile, PerfModel, Policy};
@@ -39,14 +37,12 @@ fn run_one(
     seed: u64,
     artifact: Option<&MaterializedState>,
 ) -> String {
-    let opts = ColdStartOptions {
-        seed,
-        warm_container: true,
-        parallelism: mode,
-        ..Default::default()
-    };
     let s = spec();
-    let mut builder = ColdStart::new(&s).strategy(strategy).options(opts);
+    let mut builder = ColdStart::new(&s)
+        .strategy(strategy)
+        .seed(seed)
+        .warm(true)
+        .parallelism(mode);
     if let Some(a) = artifact {
         builder = builder.artifact(a);
     }

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use medusa::{materialize_offline, ColdStart, ColdStartOptions, Parallelism, Strategy};
+use medusa::{materialize_offline, ColdStart, Parallelism, Strategy};
 use medusa_gpu::{CostModel, GpuSpec};
 use medusa_model::ModelSpec;
 use medusa_telemetry::export::{chrome, prometheus};
@@ -52,12 +52,9 @@ fn traced_tp_cold_start() -> Snapshot {
         .strategy(Strategy::Medusa)
         .gpu(gpu)
         .cost(cost)
-        .options(ColdStartOptions {
-            seed: SEED + 1,
-            warm_container: true,
-            parallelism: Parallelism::PipelinedTp,
-            ..Default::default()
-        })
+        .seed(SEED + 1)
+        .warm(true)
+        .parallelism(Parallelism::PipelinedTp)
         .artifacts(&arts)
         .telemetry(&tele)
         .run()
