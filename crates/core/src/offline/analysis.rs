@@ -82,10 +82,7 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
                     }
                 }
             }
-            TraceEvent::Launch {
-                kernel_addr,
-                params,
-            } => {
+            TraceEvent::Launch => {
                 // Advance to the window containing pos, if any.
                 while widx < capture.windows.len() && pos >= capture.windows[widx].trace_end {
                     widx += 1;
@@ -97,9 +94,11 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
                     continue; // warm-up launch outside any capture
                 }
                 let node_idx = graphs[widx].nodes.len();
+                let node = w.graph.node(node_idx);
+                let params = node.params();
                 let info = capture
                     .kernel_info
-                    .get(kernel_addr)
+                    .get(&node.kernel_addr())
                     .expect("capture resolved every node kernel");
                 let mut pspecs = Vec::with_capacity(params.param_count());
                 for i in 0..params.param_count() {
@@ -135,8 +134,6 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
                         bytes: value.to_le_bytes()[..size as usize].to_vec(),
                     });
                 }
-                let node = w.graph.node(node_idx);
-                debug_assert_eq!(node.kernel_addr(), *kernel_addr);
                 stats.nodes += 1;
                 if info.exported {
                     stats.dlsym_restorable_nodes += 1;
@@ -257,7 +254,7 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
 pub fn count_naive_mismatches(capture: &CaptureOutput) -> u64 {
     let mut walker = TraceWalker::new();
     let mut mismatches = 0u64;
-    let mut widx = 0usize;
+    let (mut widx, mut node_idx) = (0usize, 0usize);
     for (pos, ev) in capture.trace.iter().enumerate() {
         match ev {
             TraceEvent::Alloc { seq, addr, size } | TraceEvent::DeviceAlloc { seq, addr, size } => {
@@ -266,9 +263,9 @@ pub fn count_naive_mismatches(capture: &CaptureOutput) -> u64 {
             TraceEvent::Free { addr, .. } => {
                 walker.on_free(*addr);
             }
-            TraceEvent::Launch { params, .. } => {
+            TraceEvent::Launch => {
                 while widx < capture.windows.len() && pos >= capture.windows[widx].trace_end {
-                    widx += 1;
+                    (widx, node_idx) = (widx + 1, 0);
                 }
                 let Some(w) = capture.windows.get(widx) else {
                     continue;
@@ -276,6 +273,8 @@ pub fn count_naive_mismatches(capture: &CaptureOutput) -> u64 {
                 if pos < w.trace_start {
                     continue;
                 }
+                let params = w.graph.node(node_idx).params();
+                node_idx += 1;
                 for i in 0..params.param_count() {
                     let v = params.value(i);
                     if params.size_of(i) == 8 && DevicePtr::has_device_prefix(v) {

@@ -1,9 +1,11 @@
 //! The offline **capturing stage** (paper §3, Figure 5 left).
 //!
 //! Runs one fully instrumented vanilla cold start: every `cudaMalloc`,
-//! `cudaFree` and `cudaLaunchKernel` is intercepted into a trace, the
-//! profiling forwarding's available-memory figure is recorded, and all 35
-//! decode graphs are captured. The output feeds the analysis stage.
+//! `cudaFree` and `cudaLaunchKernel` is intercepted into a trace (a launch
+//! only marks its position; a captured launch's kernel and parameters are
+//! read from its graph node), the profiling forwarding's available-memory
+//! figure is recorded, and all 35 decode graphs are captured. The output
+//! feeds the analysis stage.
 
 use crate::error::MedusaResult;
 use medusa_gpu::{CostModel, Digest, GpuSpec, ProcessRuntime, SimDuration, TraceEvent};
