@@ -28,7 +28,7 @@
 
 use super::maf2::{self, Maf2Reader, SectionKind};
 use crate::error::{MedusaError, MedusaResult};
-use crate::faults::splitmix64;
+use medusa_gpu::splitmix64;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Manifest layout version, bumped on breaking changes to the canonical

@@ -22,7 +22,7 @@
 use super::maf2;
 use super::{AnalysisStats, GraphSpec, MaterializedState, PtrTableEntry, ReplayOp};
 use crate::error::{MedusaError, MedusaResult};
-use crate::faults::splitmix64;
+use medusa_gpu::splitmix64;
 use medusa_gpu::Digest;
 use std::collections::{BTreeSet, HashMap};
 

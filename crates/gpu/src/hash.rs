@@ -1,6 +1,7 @@
-//! XXH64, the workspace's one byte-level digest. It lives in this crate
-//! because this is the one crate under both the model (the tokenizer's
-//! vocabulary file) and core (MAF2 and the chunk registry).
+//! XXH64, the workspace's one byte-level digest, and splitmix64, its one
+//! 64-bit mixer. They live in this crate because this is the one crate
+//! under both the model (the tokenizer's vocabulary file) and core (MAF2,
+//! the chunk registry, fault injection) and serving.
 
 const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
 const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -70,6 +71,17 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
+/// The SplitMix64 output for state `seed`: a well-distributed 64-bit value
+/// that is a pure function of the seed. Every seeded choice of the
+/// workspace draws from it: fault injection, fleet fault rolls, prewarm
+/// jitter, synthetic chunk digests and template salts.
+pub fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Little-endian `u32` at `at` of `b`.
 fn le32(b: &[u8], at: usize) -> u32 {
     let mut a = [0u8; 4];
@@ -82,4 +94,16 @@ fn le64(b: &[u8], at: usize) -> u64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(&b[at..at + 8]);
     u64::from_le_bytes(a)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::splitmix64;
+
+    #[test]
+    fn splitmix64_gives_the_reference_sequence() {
+        // The first two outputs of a SplitMix64 generator seeded with 0.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(0x9e37_79b9_7f4a_7c15), 0x6e78_9e6a_a1b9_65f4);
+    }
 }

@@ -74,7 +74,7 @@ mod stream;
 
 pub use clock::{CostModel, SimDuration, SimTime, VirtualClock};
 pub use error::{GpuError, GpuResult};
-pub use hash::xxh64;
+pub use hash::{splitmix64, xxh64};
 pub use kernel::{CostClass, KernelDef, KernelRef, KernelSig, ParamBuffer, ParamKind, Work};
 pub use library::{LibraryCatalog, LibrarySpec, ModuleSpec};
 pub use memory::{

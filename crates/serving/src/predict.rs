@@ -31,6 +31,7 @@
 //! studies can replay a [`medusa_workload::ArrivalHistory`] export into
 //! [`PrewarmEstimator::seed_history`] and inspect the decisions directly.
 
+use medusa_gpu::splitmix64;
 use medusa_workload::ArrivalHistory;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -152,15 +153,6 @@ impl ModelState {
     }
 }
 
-/// splitmix64 — the estimator's deterministic jitter hash (same mixer the
-/// fleet's fault injection uses).
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The keep-alive/prewarm estimator: per-model arrival statistics plus a
 /// deterministic decision rule. See the [module docs](self).
 #[derive(Debug, Clone)]
@@ -278,7 +270,7 @@ impl PrewarmEstimator {
         // Deterministic sub-millisecond jitter keyed by (seed, model,
         // arrival): de-synchronizes same-trace fleets without host
         // randomness.
-        let jitter = mix(self.seed ^ ((model as u64) << 32) ^ now_ns) % 1_000_000;
+        let jitter = splitmix64(self.seed ^ ((model as u64) << 32) ^ now_ns) % 1_000_000;
         let fire = now_ns
             .saturating_add(gap)
             .saturating_sub(lead_ns)

@@ -7,7 +7,7 @@
 //! every library of a model's catalog and asserts that each kernel's
 //! address resolves back to that kernel.
 
-use medusa_gpu::{CostModel, GpuSpec, KernelRef, ProcessRuntime};
+use medusa_gpu::{splitmix64, CostModel, GpuSpec, KernelRef, ProcessRuntime};
 use medusa_model::{build_catalog, ModelSpec};
 
 /// Opens every library of `model`'s catalog in a process started with
@@ -44,14 +44,6 @@ fn misresolved_kernels(model: &str, seed: u64) -> Vec<KernelRef> {
     bad
 }
 
-/// splitmix64, for a reproducible spread of process seeds.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[test]
 fn every_kernel_address_resolves_back_to_its_kernel() {
     // A cold-start seed known to collide while library windows overlapped:
@@ -63,7 +55,7 @@ fn every_kernel_address_resolves_back_to_its_kernel() {
     // (restore ranks `^ 0x9a_0000 + r`, offline ranks `^ 0x7a_0000 + r`).
     let known: u64 = 0x91f5_a844_490d_c3e0;
     let derived = (0..4u64).flat_map(|r| [known ^ (0x9a_0000 + r), known ^ (0x7a_0000 + r)]);
-    let spread = (0..4000u64).map(mix);
+    let spread = (0..4000u64).map(splitmix64);
     let seeds: Vec<u64> = std::iter::once(known)
         .chain(derived)
         .chain(spread)
