@@ -273,11 +273,6 @@ impl DeviceMemory {
         alloc.contains(addr).then_some(alloc)
     }
 
-    /// Whether `ptr` is the base of a live allocation.
-    pub fn is_live_base(&self, ptr: DevicePtr) -> bool {
-        self.live.contains_key(&ptr.0)
-    }
-
     /// Writes the content digest of the allocation containing `addr`.
     ///
     /// # Errors

@@ -260,14 +260,6 @@ impl ModelMix {
         ModelMix::Zipf { models, s }
     }
 
-    /// Number of distinct model ids this mix can emit.
-    pub fn model_count(&self) -> u32 {
-        match *self {
-            ModelMix::Single(_) => 1,
-            ModelMix::Zipf { models, .. } => models,
-        }
-    }
-
     /// Precomputed inverse-CDF table for sampling (empty for `Single`).
     fn cdf(&self) -> Vec<f64> {
         match *self {
