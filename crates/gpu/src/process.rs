@@ -13,7 +13,7 @@
 
 use crate::clock::{CostModel, SimDuration, SimTime, VirtualClock};
 use crate::error::{GpuError, GpuResult};
-use crate::kernel::{KernelRef, ParamBuffer, Work};
+use crate::kernel::{KernelDef, KernelRef, ParamBuffer, ParamKind, Work};
 use crate::library::LibraryCatalog;
 use crate::memory::{AllocTag, DeviceMemory, DevicePtr, Digest};
 use crate::stream::{EventId, EventTable, StreamId, StreamPool};
@@ -153,7 +153,9 @@ pub struct ProcessRuntime {
     lib_bases: Vec<Option<u64>>,
     lib_initialized: Vec<bool>,
     module_loaded: Vec<Vec<bool>>,
-    addr_to_kernel: HashMap<u64, KernelRef>,
+    /// Every mapped kernel address, with its kernel and the digest fold of
+    /// its name that each execution starts from.
+    addr_to_kernel: HashMap<u64, (KernelRef, DigestState)>,
     streams: StreamPool,
     events: EventTable,
     capture: Option<CaptureState>,
@@ -295,13 +297,16 @@ impl ProcessRuntime {
             // Map every kernel's address now; module *loading* stays lazy.
             let catalog = Arc::clone(&self.catalog);
             for (mi, m) in catalog.lib(idx).modules().iter().enumerate() {
-                for (ki, _) in m.kernels().iter().enumerate() {
+                for (ki, def) in m.kernels().iter().enumerate() {
                     let kref = KernelRef {
                         lib: idx as u16,
                         module: mi as u16,
                         kernel: ki as u16,
                     };
-                    self.addr_to_kernel.insert(Self::addr_of(base, kref), kref);
+                    self.addr_to_kernel.insert(
+                        Self::addr_of(base, kref),
+                        (kref, DigestState::new(def.name())),
+                    );
                 }
             }
         } else {
@@ -437,7 +442,7 @@ impl ProcessRuntime {
     ///
     /// Returns [`GpuError::InvalidDeviceFunction`] for unknown addresses.
     pub fn cu_func_get_name(&self, addr: u64) -> GpuResult<&str> {
-        let kref = self
+        let (kref, _) = self
             .addr_to_kernel
             .get(&addr)
             .ok_or(GpuError::InvalidDeviceFunction { addr })?;
@@ -454,7 +459,7 @@ impl ProcessRuntime {
     /// Resolves a device function address back to its catalog reference, if
     /// it is a mapped kernel address in this process.
     pub fn resolve_addr(&self, addr: u64) -> Option<KernelRef> {
-        self.addr_to_kernel.get(&addr).copied()
+        self.addr_to_kernel.get(&addr).map(|&(kref, _)| kref)
     }
 
     /// Whether the module containing `kref` is currently loaded.
@@ -633,11 +638,12 @@ impl ProcessRuntime {
         stream: StreamId,
     ) -> GpuResult<()> {
         self.streams.free_at(stream)?;
-        let kref = *self
+        let &(kref, prefix) = self
             .addr_to_kernel
             .get(&addr)
             .ok_or(GpuError::InvalidDeviceFunction { addr })?;
-        let def = self.catalog.kernel(kref).clone();
+        let catalog = Arc::clone(&self.catalog);
+        let def = catalog.kernel(kref);
         if values.len() != def.sig().len() {
             return Err(GpuError::ParamMismatch {
                 kernel: def.name().to_string(),
@@ -646,16 +652,11 @@ impl ProcessRuntime {
             });
         }
         // Lazy library init: synchronizes, so it invalidates any capture.
-        if self.catalog.lib(kref.lib as usize).needs_init()
-            && !self.lib_initialized[kref.lib as usize]
-        {
+        if catalog.lib(kref.lib as usize).needs_init() && !self.lib_initialized[kref.lib as usize] {
             if self.capture.is_some() {
                 self.capture = None;
                 return Err(GpuError::SyncDuringCapture {
-                    origin: format!(
-                        "lazy init of `{}`",
-                        self.catalog.lib(kref.lib as usize).name()
-                    ),
+                    origin: format!("lazy init of `{}`", catalog.lib(kref.lib as usize).name()),
                 });
             }
             self.clock
@@ -663,8 +664,6 @@ impl ProcessRuntime {
             self.lib_initialized[kref.lib as usize] = true;
         }
         self.ensure_module_loaded(kref)?;
-
-        let params = ParamBuffer::encode(def.sig(), values);
         self.record(TraceEvent::Launch);
 
         if let Some(cap) = self.capture.as_mut() {
@@ -682,7 +681,7 @@ impl ProcessRuntime {
             }
             cap.launches.push(CapturedLaunch {
                 kernel_addr: addr,
-                params,
+                params: ParamBuffer::encode(def.sig(), values),
                 work,
                 stream,
                 deps,
@@ -694,9 +693,17 @@ impl ProcessRuntime {
         }
 
         // Eager path: CPU launch overhead, then pipelined GPU execution.
+        // Values are read as a packed buffer would hold them: a 4-byte
+        // parameter keeps its low 4 bytes.
         self.clock
             .advance(SimDuration::from_nanos(self.cost.eager_launch_cpu_ns));
-        let exec = self.execute_kernel_raw(addr, &params, work)?;
+        let exec = self.execute(def, prefix, work, |i, kind| {
+            if kind.width() == 4 {
+                values[i] & 0xffff_ffff
+            } else {
+                values[i]
+            }
+        })?;
         let start = self.clock.now().max(self.streams.free_at(stream)?);
         self.streams.set_free_at(stream, start + exec)?;
         Ok(())
@@ -719,14 +726,15 @@ impl ProcessRuntime {
         params: &ParamBuffer,
         work: Work,
     ) -> GpuResult<SimDuration> {
-        let kref = *self
+        let &(kref, prefix) = self
             .addr_to_kernel
             .get(&addr)
             .ok_or(GpuError::InvalidDeviceFunction { addr })?;
         if !self.module_loaded[kref.lib as usize][kref.module as usize] {
             return Err(GpuError::InvalidDeviceFunction { addr });
         }
-        let def = self.catalog.kernel(kref).clone();
+        let catalog = Arc::clone(&self.catalog);
+        let def = catalog.kernel(kref);
         if params.param_count() != def.sig().len() {
             return Err(GpuError::ParamMismatch {
                 kernel: def.name().to_string(),
@@ -734,41 +742,44 @@ impl ProcessRuntime {
                 got: params.param_count(),
             });
         }
+        self.execute(def, prefix, work, |i, _| params.value(i))
+    }
 
-        // Fold inputs into a digest seed.
-        let mut h = DigestState::new(def.name());
+    /// The semantics shared by eager launches and graph replay: folds the
+    /// inputs into a digest seeded with `prefix` (the kernel name's fold),
+    /// writes it to every output and returns the execution time.
+    /// `value(i, kind)` is parameter `i` as the kernel reads it.
+    fn execute(
+        &mut self,
+        def: &KernelDef,
+        prefix: DigestState,
+        work: Work,
+        value: impl Fn(usize, ParamKind) -> u64,
+    ) -> GpuResult<SimDuration> {
+        let dangling_read = |addr| GpuError::DanglingRead {
+            kernel: def.name().to_string(),
+            addr,
+        };
+        let mut h = prefix;
         for (i, kind) in def.sig().iter().enumerate() {
-            let v = params.value(i);
-            if kind == crate::kernel::ParamKind::PtrArrayIn {
+            let v = value(i, kind);
+            if kind == ParamKind::PtrArrayIn {
                 // Indirect pointers (§8): dereference every entry of the
                 // pointer table and fold the targets' contents.
-                let entries: Vec<u64> = self
+                let entries = self
                     .memory
                     .read_ptr_table(v)
-                    .map_err(|_| GpuError::DanglingRead {
-                        kernel: def.name().to_string(),
-                        addr: v,
-                    })?
-                    .to_vec();
-                for entry in entries {
+                    .map_err(|_| dangling_read(v))?;
+                for &entry in entries {
                     let d = self
                         .memory
                         .read_digest(entry)
-                        .map_err(|_| GpuError::DanglingRead {
-                            kernel: def.name().to_string(),
-                            addr: entry,
-                        })?;
+                        .map_err(|_| dangling_read(entry))?;
                     h.absorb_bytes(&d);
                 }
             } else if kind.is_pointer() {
                 if kind.is_read() {
-                    let d = self
-                        .memory
-                        .read_digest(v)
-                        .map_err(|_| GpuError::DanglingRead {
-                            kernel: def.name().to_string(),
-                            addr: v,
-                        })?;
+                    let d = self.memory.read_digest(v).map_err(|_| dangling_read(v))?;
                     h.absorb_bytes(&d);
                 }
             } else {
@@ -778,8 +789,8 @@ impl ProcessRuntime {
         // Write outputs.
         for (i, kind) in def.sig().iter().enumerate() {
             if kind.is_pointer() && kind.is_write() {
-                let v = params.value(i);
-                let mut out = h.clone();
+                let v = value(i, kind);
+                let mut out = h;
                 out.absorb_u64(i as u64);
                 self.memory
                     .write_digest(v, out.finish())
@@ -868,7 +879,7 @@ impl ProcessRuntime {
 }
 
 /// Tiny FNV-1a–based digest builder used for kernel semantics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct DigestState {
     a: u64,
     b: u64,
