@@ -371,7 +371,7 @@ impl<'a> ColdStart<'a> {
             }
             ranks.push(artifact);
         }
-        Ok((TpArtifacts::new(ranks)?, report))
+        Ok((TpArtifacts::sealed(ranks)?, report))
     }
 
     /// Runs the cold start.

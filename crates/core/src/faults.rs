@@ -182,7 +182,7 @@ impl FaultPlan {
                 'outer: for g in &mut a.graphs {
                     for n in &mut g.nodes {
                         if pick == 0 {
-                            n.library = format!("libghost-{}.so.0", self.seed & 0xffff);
+                            n.library = format!("libghost-{}.so.0", self.seed & 0xffff).into();
                             break 'outer;
                         }
                         pick -= 1;

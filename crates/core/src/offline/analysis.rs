@@ -16,10 +16,11 @@ use crate::artifact::{
     ARTIFACT_VERSION,
 };
 use crate::error::{MedusaError, MedusaResult};
-use crate::offline::capture::CaptureOutput;
+use crate::offline::capture::{CaptureOutput, KernelInfo};
 use crate::trace::TraceWalker;
 use medusa_gpu::{CostModel, DevicePtr, SimDuration, TraceEvent};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Output of the analysis stage: the artifact plus its simulated duration
 /// (Fig. 9's analysis bar).
@@ -45,6 +46,22 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
     let mut replay_prefix_allocs = 0u64;
     let mut stage_start_seq = u64::MAX;
     let mut freed_seqs: HashSet<u64> = HashSet::new();
+    // Every allocation a pointer parameter refers to, with repeats.
+    let mut referenced: Vec<u64> = Vec::new();
+    // One shared kernel and library name per distinct kernel, cloned into
+    // each of its nodes.
+    let names: HashMap<u64, (&KernelInfo, Arc<str>, Arc<str>)> = capture
+        .kernel_info
+        .iter()
+        .map(|(&addr, info)| {
+            let shared = (
+                info,
+                info.name.as_str().into(),
+                info.library.as_str().into(),
+            );
+            (addr, shared)
+        })
+        .collect();
 
     // Window bookkeeping: windows are disjoint and ordered.
     let mut graphs: Vec<GraphSpec> = capture
@@ -52,7 +69,7 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
         .iter()
         .map(|w| GraphSpec {
             batch: w.batch,
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(w.graph.node_count()),
             edges: Vec::new(),
         })
         .collect();
@@ -96,8 +113,7 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
                 let node_idx = graphs[widx].nodes.len();
                 let node = w.graph.node(node_idx);
                 let params = node.params();
-                let info = capture
-                    .kernel_info
+                let (info, kernel, library) = names
                     .get(&node.kernel_addr())
                     .expect("capture resolved every node kernel");
                 let mut pspecs = Vec::with_capacity(params.param_count());
@@ -106,15 +122,16 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
                     let value = params.value(i);
                     let looks_ptr = size == 8 && DevicePtr::has_device_prefix(value);
                     if looks_ptr {
-                        match walker.resolve(value) {
-                            Some((alloc_seq, offset)) => {
+                        match walker.resolve_live(value) {
+                            Some(r) => {
                                 stats.pointer_params += 1;
-                                if walker.base_reuse_count(value - offset) > 1 {
+                                if r.reuses > 1 {
                                     stats.multi_match_pointers += 1;
                                 }
+                                referenced.push(r.seq);
                                 pspecs.push(ParamSpec::IndirectPtr {
-                                    alloc_seq,
-                                    offset,
+                                    alloc_seq: r.seq,
+                                    offset: r.offset,
                                     raw: value,
                                 });
                                 continue;
@@ -131,7 +148,7 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
                     }
                     stats.const_params += 1;
                     pspecs.push(ParamSpec::Const {
-                        bytes: value.to_le_bytes()[..size as usize].to_vec(),
+                        bytes: value.to_le_bytes()[..size as usize].into(),
                     });
                 }
                 stats.nodes += 1;
@@ -141,8 +158,8 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
                     stats.hidden_kernel_nodes += 1;
                 }
                 graphs[widx].nodes.push(NodeSpec {
-                    kernel: info.name.clone(),
-                    library: info.library.clone(),
+                    kernel: Arc::clone(kernel),
+                    library: Arc::clone(library),
                     exported: info.exported,
                     params: pspecs,
                     work: node.work(),
@@ -164,22 +181,13 @@ pub fn analyze(capture: &CaptureOutput, cost: &CostModel) -> MedusaResult<Analys
     }
 
     // Buffer-role classification over every referenced allocation (§4.3).
-    let mut referenced: HashSet<u64> = HashSet::new();
-    for g in &graphs {
-        for n in &g.nodes {
-            for p in &n.params {
-                if let ParamSpec::IndirectPtr { alloc_seq, .. } = p {
-                    referenced.insert(*alloc_seq);
-                }
-            }
-        }
-    }
+    referenced.sort_unstable();
+    referenced.dedup();
     let mut permanent_contents = Vec::new();
     let mut permanent_ptr_tables = Vec::new();
     // Worklist: pointer tables (§8) make their targets referenced too,
     // transitively.
-    let mut worklist: Vec<u64> = referenced.iter().copied().collect();
-    worklist.sort_unstable();
+    let mut worklist = referenced;
     let mut classified: HashSet<u64> = HashSet::new();
     while let Some(seq) = worklist.pop() {
         if !classified.insert(seq) {
@@ -419,5 +427,31 @@ mod tests {
         let s = out.state.to_json().unwrap();
         let back = MaterializedState::from_json(&s).unwrap();
         assert_eq!(back, out.state);
+
+        // Constants up to 8 bytes are held inline and longer ones spill;
+        // either way the JSON is a byte list and both encodings restore
+        // the same state.
+        let four = ParamSpec::Const {
+            bytes: vec![1, 0, 0, 0].into(),
+        };
+        assert_eq!(
+            serde_json::to_string(&four).unwrap(),
+            r#"{"Const":{"bytes":[1,0,0,0]}}"#
+        );
+        let mut state = out.state;
+        let params = &mut state.graphs[0].nodes[0].params;
+        for len in [4u8, 8, 40, 255] {
+            params.push(ParamSpec::Const {
+                bytes: (1..=len).collect(),
+            });
+        }
+        params.push(ParamSpec::Const {
+            bytes: vec![7; 256].into(),
+        });
+        state.seal();
+        let back = MaterializedState::from_json(&state.to_json().unwrap()).unwrap();
+        assert_eq!(back, state);
+        let back = MaterializedState::from_maf2(&state.to_maf2().unwrap()).unwrap();
+        assert_eq!(back, state);
     }
 }

@@ -123,7 +123,7 @@ pub fn validate_and_correct(
             continue;
         };
         gspec.nodes[ni].params[pi] = ParamSpec::Const {
-            bytes: raw.to_le_bytes().to_vec(),
+            bytes: raw.to_le_bytes().as_slice().into(),
         };
         let graph = restore_graph(gspec, layout, kernel_addrs)?;
         let exec = GraphExec::instantiate(rt, graph)?;

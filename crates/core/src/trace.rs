@@ -26,10 +26,32 @@ pub struct AllocEvent {
     pub size: u64,
 }
 
+/// One live allocation: its sequence index, size, and how many times its
+/// base had been returned by then (itself included).
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    seq: u64,
+    size: u64,
+    reuses: u32,
+}
+
+/// A pointer resolved against the live allocation map (see
+/// [`TraceWalker::resolve_live`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Resolved {
+    /// Allocation-sequence index of the containing allocation.
+    pub(crate) seq: u64,
+    /// Offset of the pointer within it.
+    pub(crate) offset: u64,
+    /// How many times the allocation's base has been returned over the
+    /// history so far: the [`TraceWalker::base_reuse_count`] of its base.
+    pub(crate) reuses: u32,
+}
+
 /// Maintains the live allocation map while walking a trace.
 #[derive(Debug, Default)]
 pub struct TraceWalker {
-    live: BTreeMap<u64, (u64, u64)>, // base -> (seq, size)
+    live: BTreeMap<u64, Live>, // keyed by base
     history: Vec<AllocEvent>,
     base_counts: HashMap<u64, u32>,
 }
@@ -42,23 +64,35 @@ impl TraceWalker {
 
     /// Records an allocation event.
     pub fn on_alloc(&mut self, seq: u64, base: u64, size: u64) {
-        self.live.insert(base, (seq, size));
+        let count = self.base_counts.entry(base).or_insert(0);
+        *count += 1;
+        let reuses = *count;
+        self.live.insert(base, Live { seq, size, reuses });
         self.history.push(AllocEvent { seq, base, size });
-        *self.base_counts.entry(base).or_insert(0) += 1;
     }
 
     /// Records a free event, returning the sequence index of the freed
     /// allocation if it was live.
     pub fn on_free(&mut self, base: u64) -> Option<u64> {
-        self.live.remove(&base).map(|(seq, _)| seq)
+        self.live.remove(&base).map(|l| l.seq)
     }
 
     /// Trace-based resolution: the live allocation containing `addr` right
     /// now (i.e. at the current trace position). Returns
     /// `(alloc_seq, offset_within_buffer)`.
     pub fn resolve(&self, addr: u64) -> Option<(u64, u64)> {
-        let (&base, &(seq, size)) = self.live.range(..=addr).next_back()?;
-        (addr < base + size).then(|| (seq, addr - base))
+        self.resolve_live(addr).map(|r| (r.seq, r.offset))
+    }
+
+    /// [`TraceWalker::resolve`] with the matched base's reuse count, read
+    /// from the live map rather than looked up again.
+    pub(crate) fn resolve_live(&self, addr: u64) -> Option<Resolved> {
+        let (&base, l) = self.live.range(..=addr).next_back()?;
+        (addr < base + l.size).then(|| Resolved {
+            seq: l.seq,
+            offset: addr - base,
+            reuses: l.reuses,
+        })
     }
 
     /// How many times `addr` has been returned as an allocation base over
@@ -138,6 +172,7 @@ mod tests {
             "naive-first is the false positive"
         );
         assert_eq!(w.base_reuse_count(0xa000), 2);
+        assert_eq!(w.resolve_live(0xa000).map(|r| r.reuses), Some(2));
     }
 
     /// Naive *last*-match fails the mirror case: the kernel used the buffer

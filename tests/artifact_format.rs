@@ -855,3 +855,33 @@ fn resealed_graphs_padding_flip_is_corrupt() {
         "artifact_corrupt"
     );
 }
+
+/// A builder write encodes the ranks its analysis has just sealed without
+/// folding their content checksums again. Its bytes are those of the
+/// checked encoder, ranks wrapped any other way are still checked, and
+/// equality looks only at the ranks.
+#[test]
+fn sealed_writes_encode_as_the_checked_encoder() {
+    for tp in [1, 2] {
+        let arts = ColdStart::new(&spec())
+            .tp(tp)
+            .materialize(61)
+            .expect("offline phase")
+            .0;
+        let bytes = arts.to_maf2().expect("encode");
+        let refs: Vec<&MaterializedState> = arts.iter().collect();
+        assert!(
+            bytes == encode_maf2_bundle(&refs).expect("checked encode"),
+            "tp={tp}: a sealed write must encode the same bytes"
+        );
+        assert_eq!(TpArtifacts::from_maf2(&bytes).expect("decode"), arts);
+
+        let mut tampered: Vec<MaterializedState> = arts.iter().cloned().collect();
+        tampered[0].checksum ^= 1;
+        let err = TpArtifacts::new(tampered)
+            .expect("same target")
+            .to_maf2()
+            .expect_err("a wrong checksum is caught where it is written");
+        assert_eq!(err.kind(), "checksum_mismatch", "tp={tp}: {err}");
+    }
+}
